@@ -97,26 +97,80 @@ type inflightLedger struct {
 
 // NUCExceptions is one immutable snapshot of the sealed global exception
 // set. It is never mutated after publication; NUCState swaps in a fresh
-// copy to grow it.
+// snapshot to grow it.
+//
+// A snapshot is a short stack of immutable, pairwise disjoint levels,
+// largest first: the base built at discovery plus the overlays sealed
+// since. Growing the set allocates only a new last level holding the
+// fresh values and folds into it every trailing level less than
+// sealMergeFactor times its size, so level sizes fall geometrically
+// (at most log_8(n)+1 of them, which bounds a lookup) and every value is
+// re-copied O(log n) times over the life of the set — publishing a batch
+// costs O(batch) amortised, not a copy of the whole set. Older snapshots
+// keep the levels they were built from, which nobody mutates.
 type NUCExceptions struct {
-	ints map[int64]struct{}
-	strs map[string]struct{}
+	ints []map[int64]struct{}
+	strs []map[string]struct{}
+}
+
+// sealMergeFactor is the size ratio kept between adjacent levels of a
+// NUCExceptions snapshot.
+const sealMergeFactor = 8
+
+// containsLevel reports whether any level holds v.
+func containsLevel[T comparable](levels []map[T]struct{}, v T) bool {
+	for _, m := range levels {
+		if _, ok := m[v]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// sealLevels returns levels grown by the values of vals they do not hold
+// yet, or grew=false when there are none. The input levels are shared
+// with the result, never written.
+func sealLevels[T comparable](levels []map[T]struct{}, vals []T) (out []map[T]struct{}, grew bool) {
+	var fresh map[T]struct{}
+	for _, v := range vals {
+		if containsLevel(levels, v) {
+			continue
+		}
+		if fresh == nil {
+			fresh = make(map[T]struct{}, len(vals))
+		}
+		fresh[v] = struct{}{}
+	}
+	if fresh == nil {
+		return levels, false
+	}
+	n := len(levels)
+	for n > 0 && len(levels[n-1]) < sealMergeFactor*len(fresh) {
+		for v := range levels[n-1] {
+			fresh[v] = struct{}{}
+		}
+		n--
+	}
+	return append(levels[:n:n], fresh), true
 }
 
 // ContainsInt64 reports whether v is a sealed duplicated value.
-func (e *NUCExceptions) ContainsInt64(v int64) bool {
-	_, ok := e.ints[v]
-	return ok
-}
+func (e *NUCExceptions) ContainsInt64(v int64) bool { return containsLevel(e.ints, v) }
 
 // ContainsString reports whether v is a sealed duplicated value.
-func (e *NUCExceptions) ContainsString(v string) bool {
-	_, ok := e.strs[v]
-	return ok
-}
+func (e *NUCExceptions) ContainsString(v string) bool { return containsLevel(e.strs, v) }
 
 // Len returns the number of sealed duplicated values.
-func (e *NUCExceptions) Len() int { return len(e.ints) + len(e.strs) }
+func (e *NUCExceptions) Len() int {
+	var n int
+	for _, m := range e.ints {
+		n += len(m)
+	}
+	for _, m := range e.strs {
+		n += len(m)
+	}
+	return n
+}
 
 // hashString folds a string value into the int64 key space of the Bloom
 // filters (inline FNV-1a — the hasher object and []byte conversion of
@@ -152,56 +206,54 @@ func bloomFor(n int) *partitionBloom {
 
 // NewNUCStateInt64 builds the collision state of an int64 column from
 // its per-partition value counts (as produced by CountNUCValuesInt64 —
-// index discovery and state construction share the counting pass).
+// index discovery and state construction share the counting pass). It
+// takes ownership of the maps: they become the state's partition-local
+// counts, so the caller must not touch them afterwards.
 func NewNUCStateInt64(counts []map[int64]uint32) *NUCState {
-	st := &NUCState{
-		localInt: make([]map[int64]uint32, len(counts)),
-		blooms:   make([]atomic.Pointer[partitionBloom], len(counts)),
-		inflight: make([]inflightLedger, len(counts)),
-	}
+	st := newNUCState(len(counts))
+	st.localInt = counts
 	for p, c := range counts {
-		cp := make(map[int64]uint32, len(c))
 		var n int
-		for v, k := range c {
-			cp[v] = k
+		for _, k := range c {
 			n += int(k)
 		}
-		st.localInt[p] = cp
 		pb := bloomFor(n)
-		for v := range cp {
+		for v := range c {
 			pb.f.Add(v)
 		}
 		st.blooms[p].Store(pb)
-		st.inflight[p].keys = make(map[int64]int)
 	}
-	st.sealed.Store(&NUCExceptions{ints: MergeNUCDuplicatesInt64(counts)})
+	st.sealed.Store(&NUCExceptions{ints: []map[int64]struct{}{MergeNUCDuplicatesInt64(counts)}})
 	return st
 }
 
 // NewNUCStateString is NewNUCStateInt64 for string columns.
 func NewNUCStateString(counts []map[string]uint32) *NUCState {
-	st := &NUCState{
-		localStr: make([]map[string]uint32, len(counts)),
-		isString: true,
-		blooms:   make([]atomic.Pointer[partitionBloom], len(counts)),
-		inflight: make([]inflightLedger, len(counts)),
-	}
+	st := newNUCState(len(counts))
+	st.localStr, st.isString = counts, true
 	for p, c := range counts {
-		cp := make(map[string]uint32, len(c))
 		var n int
-		for v, k := range c {
-			cp[v] = k
+		for _, k := range c {
 			n += int(k)
 		}
-		st.localStr[p] = cp
 		pb := bloomFor(n)
-		for v := range cp {
+		for v := range c {
 			pb.f.Add(hashString(v))
 		}
 		st.blooms[p].Store(pb)
+	}
+	st.sealed.Store(&NUCExceptions{strs: []map[string]struct{}{MergeNUCDuplicatesString(counts)}})
+	return st
+}
+
+func newNUCState(nparts int) *NUCState {
+	st := &NUCState{
+		blooms:   make([]atomic.Pointer[partitionBloom], nparts),
+		inflight: make([]inflightLedger, nparts),
+	}
+	for p := range st.inflight {
 		st.inflight[p].keys = make(map[int64]int)
 	}
-	st.sealed.Store(&NUCExceptions{strs: MergeNUCDuplicatesString(counts)})
 	return st
 }
 
@@ -375,24 +427,16 @@ func (st *NUCState) PendingPublications(p int) int {
 }
 
 // SealDuplicatesInt64 publishes newly duplicated values into a fresh
-// exception-set snapshot. The swap is a compare-and-swap loop, so
-// concurrent sealers (parallel insert batches publishing at once)
-// compose without a lock and without losing each other's values;
-// concurrent Sealed() readers keep their older, still-correct snapshot.
+// exception-set snapshot (see NUCExceptions for its O(batch) amortised
+// cost). The swap is a compare-and-swap loop, so concurrent sealers
+// (parallel insert batches publishing at once) compose without a lock
+// and without losing each other's values; concurrent Sealed() readers
+// keep their older, still-correct snapshot.
 func (st *NUCState) SealDuplicatesInt64(vals []int64) {
-	if len(vals) == 0 {
-		return
-	}
 	for {
 		old := st.sealed.Load()
-		next := make(map[int64]struct{}, len(old.ints)+len(vals))
-		for v := range old.ints {
-			next[v] = struct{}{}
-		}
-		for _, v := range vals {
-			next[v] = struct{}{}
-		}
-		if st.sealed.CompareAndSwap(old, &NUCExceptions{ints: next, strs: old.strs}) {
+		levels, grew := sealLevels(old.ints, vals)
+		if !grew || st.sealed.CompareAndSwap(old, &NUCExceptions{ints: levels, strs: old.strs}) {
 			return
 		}
 	}
@@ -400,19 +444,10 @@ func (st *NUCState) SealDuplicatesInt64(vals []int64) {
 
 // SealDuplicatesString is SealDuplicatesInt64 for string columns.
 func (st *NUCState) SealDuplicatesString(vals []string) {
-	if len(vals) == 0 {
-		return
-	}
 	for {
 		old := st.sealed.Load()
-		next := make(map[string]struct{}, len(old.strs)+len(vals))
-		for v := range old.strs {
-			next[v] = struct{}{}
-		}
-		for _, v := range vals {
-			next[v] = struct{}{}
-		}
-		if st.sealed.CompareAndSwap(old, &NUCExceptions{ints: old.ints, strs: next}) {
+		levels, grew := sealLevels(old.strs, vals)
+		if !grew || st.sealed.CompareAndSwap(old, &NUCExceptions{ints: old.ints, strs: levels}) {
 			return
 		}
 	}

@@ -178,6 +178,107 @@ func TestNUCStateSealedReadersRaceFree(t *testing.T) {
 	}
 }
 
+// TestSealedOverlayProperty checks the layered exception set against a
+// plain set: unsynchronized sealers publishing random, overlapping
+// batches at once (the CAS loop is their only coordination) lose no
+// value; every snapshot a reader took keeps answering exactly as it did
+// when taken, whatever was sealed since; and the level sizes keep the
+// geometric shape that bounds a lookup.
+func TestSealedOverlayProperty(t *testing.T) {
+	for _, str := range []bool{false, true} {
+		var st *NUCState
+		var seal func(vals []int64)
+		var contains func(e *NUCExceptions, v int64) bool
+		if str {
+			st = NewNUCStateString([]map[string]uint32{{"s-1": 2}})
+			name := func(v int64) string { return fmt.Sprintf("s%d", v) }
+			seal = func(vals []int64) {
+				strs := make([]string, len(vals))
+				for i, v := range vals {
+					strs[i] = name(v)
+				}
+				st.SealDuplicatesString(strs)
+			}
+			contains = func(e *NUCExceptions, v int64) bool { return e.ContainsString(name(v)) }
+		} else {
+			st = NewNUCStateInt64([]map[int64]uint32{{-1: 2}})
+			seal = st.SealDuplicatesInt64
+			contains = func(e *NUCExceptions, v int64) bool { return e.ContainsInt64(v) }
+		}
+
+		const sealers, batches, domain = 4, 300, 5000
+		type held struct {
+			snap *NUCExceptions
+			has  []bool // contains(snap, v) for v < probe, when taken
+		}
+		const probe = 64
+		var wg sync.WaitGroup
+		sealed := make([]map[int64]bool, sealers)
+		snaps := make([][]held, sealers)
+		for w := 0; w < sealers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w) + 1))
+				sealed[w] = make(map[int64]bool)
+				for b := 0; b < batches; b++ {
+					vals := make([]int64, rng.Intn(6)) // empty batches included
+					for i := range vals {
+						vals[i] = rng.Int63n(domain)
+						sealed[w][vals[i]] = true
+					}
+					seal(vals)
+					if b%50 == 0 {
+						h := held{snap: st.Sealed(), has: make([]bool, probe)}
+						for v := range h.has {
+							h.has[v] = contains(h.snap, int64(v))
+						}
+						snaps[w] = append(snaps[w], h)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		want := map[int64]bool{}
+		for _, m := range sealed {
+			for v := range m {
+				want[v] = true
+			}
+		}
+		final := st.Sealed()
+		for v := int64(0); v < domain; v++ {
+			if contains(final, v) != want[v] {
+				t.Fatalf("string=%v: value %d sealed=%v, want %v", str, v, contains(final, v), want[v])
+			}
+		}
+		if got := final.Len(); got != len(want)+1 { // +1: the discovery-time duplicate
+			t.Fatalf("string=%v: Len = %d, want %d", str, got, len(want)+1)
+		}
+		for _, hs := range snaps {
+			for _, h := range hs {
+				for v := range h.has {
+					if contains(h.snap, int64(v)) != h.has[v] {
+						t.Fatalf("string=%v: an old snapshot changed its answer for %d", str, v)
+					}
+				}
+			}
+		}
+		sizes := make([]int, 0, 8)
+		for _, m := range final.ints {
+			sizes = append(sizes, len(m))
+		}
+		for _, m := range final.strs {
+			sizes = append(sizes, len(m))
+		}
+		for i := 1; i < len(sizes); i++ {
+			if sizes[i-1] < sealMergeFactor*sizes[i] {
+				t.Fatalf("string=%v: level sizes %v are not geometric", str, sizes)
+			}
+		}
+	}
+}
+
 // TestNUCStateRebuildOverfullBlooms: a saturated filter is rebuilt from
 // the live local map — shrinking after deletes, never forgetting a live
 // value.

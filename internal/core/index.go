@@ -76,9 +76,18 @@ type Options struct {
 	// Zero disables monitoring.
 	RecomputeThreshold float64
 	// CondenseThreshold triggers an automatic sharded-bitmap condense
-	// when utilization falls below it. Zero disables auto-condense.
+	// when delete handling leaves utilization below it. Zero selects
+	// DefaultCondenseThreshold, so a bitmap stays bounded under a
+	// delete/insert stream with no maintenance daemon running; a negative
+	// value disables auto-condense.
 	CondenseThreshold float64
 }
+
+// DefaultCondenseThreshold is the utilization below which HandleDelete
+// condenses a bitmap whose Options leave CondenseThreshold zero: a
+// condense then reclaims at least half the physical slots, which pays
+// for its rebuild.
+const DefaultCondenseThreshold = 0.5
 
 // Index is a PatchIndex over one column of one partition. It is not safe
 // for concurrent mutation; the engine serializes updates per partition.
@@ -313,7 +322,11 @@ func (x *Index) HandleDelete(rowIDs []uint64) {
 			}
 		}
 		x.bm.BulkDelete(rowIDs)
-		if x.opts.CondenseThreshold > 0 && x.bm.Utilization() < x.opts.CondenseThreshold {
+		threshold := x.opts.CondenseThreshold
+		if threshold == 0 {
+			threshold = DefaultCondenseThreshold
+		}
+		if x.bm.Utilization() < threshold {
 			x.bm.Condense()
 		}
 	} else {

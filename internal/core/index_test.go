@@ -205,18 +205,33 @@ func TestMemoryBytesTable3(t *testing.T) {
 }
 
 func TestCondenseThresholdAutoCondense(t *testing.T) {
-	opts := Options{Design: DesignBitmap, ShardBits: 64, CondenseThreshold: 0.9}
-	x := New(NearlyUnique, 1000, nil, opts)
-	del := make([]uint64, 200)
-	for i := range del {
-		del[i] = uint64(i)
+	cases := []struct {
+		name      string
+		threshold float64
+		deleted   int // of 1000 rows
+		condensed bool
+	}{
+		{"explicit 0.9, 80% live", 0.9, 200, true},
+		{"default (zero), 80% live", 0, 200, false},
+		{"default (zero), 40% live", 0, 600, true},
+		{"negative disables, 40% live", -1, 600, false},
 	}
-	x.HandleDelete(del)
-	if x.Utilization() < 0.9 {
-		t.Fatalf("auto-condense did not trigger: utilization %f", x.Utilization())
-	}
-	if err := x.Validate(); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		x := New(NearlyUnique, 1000, []uint64{999}, Options{Design: DesignBitmap, ShardBits: 64, CondenseThreshold: c.threshold})
+		del := make([]uint64, c.deleted)
+		for i := range del {
+			del[i] = uint64(i)
+		}
+		x.HandleDelete(del)
+		if got := x.Utilization() > 0.85; got != c.condensed { // a condensed bitmap still rounds up to whole shards
+			t.Fatalf("%s: utilization %f after the delete, condensed=%v want %v", c.name, x.Utilization(), got, c.condensed)
+		}
+		if !x.IsPatch(uint64(999 - c.deleted)) {
+			t.Fatalf("%s: the patch did not follow its row", c.name)
+		}
+		if err := x.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 	}
 }
 

@@ -3,11 +3,14 @@ package core
 import "patchindex/internal/lis"
 
 // Update handling per Table 1 of the paper. Delete handling for both
-// constraints is Index.HandleDelete. The NUC insert/modify path runs the
-// join query of Fig. 5 — that query is built from executor operators by
-// the engine package, which then feeds the resulting rowIDs into
-// AddPatches; see engine.(*Database).Insert. The NSC handlers below are
-// local computations on the inserted/modified values and live here.
+// constraints is Index.HandleDelete. NUC insert handling runs the join
+// query of Fig. 5 — that query is built from executor operators by the
+// engine package, which then feeds the resulting rowIDs into
+// AddPatches; see engine.(*Database).Insert. The engine's NUC modify
+// handling and its batched inserts find the same rowIDs from the
+// sharded collision state (NUCState) instead of the join. The NSC
+// handlers below are local computations on the inserted/modified values
+// and live here.
 
 // HandleInsertNSC processes an insert of the given values (appended at
 // the logical end of the indexed column, in order) for a nearly sorted
@@ -106,7 +109,9 @@ func (x *Index) HandleInsertNUC(inserted int, join NUCJoinResult) {
 
 // HandleModifyNUC merges the join result of the NUC modify handling
 // query (same shape as insert handling, without the extend — the table
-// cardinality does not change, Section 5.2).
+// cardinality does not change, Section 5.2). The engine's Modify
+// classifies from NUCState and never runs that query; the handler
+// serves the join-based oracle its tests compare Modify against.
 func (x *Index) HandleModifyNUC(join NUCJoinResult) {
 	if x.constraint != NearlyUnique {
 		panic("core: HandleModifyNUC on a non-NUC index")

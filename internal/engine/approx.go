@@ -148,8 +148,9 @@ func (t *Table) PartitionSortedness(column string, p int) (float64, error) {
 // occur).
 
 // EnableBloomFilter builds per-partition Bloom filters for the
-// NUC-indexed BIGINT column, used to skip collision joins on insert and
-// modify.
+// NUC-indexed BIGINT column, used to skip Insert's collision join.
+// Modify runs no join to skip (it classifies from the collision state);
+// it only teaches the filters its new values.
 func (t *Table) EnableBloomFilter(column string, fpRate float64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -148,23 +148,42 @@ func TestBloomFilterModifyPath(t *testing.T) {
 	if err := tb.EnableBloomFilter("v", 0.01); err != nil {
 		t.Fatal(err)
 	}
-	// Modify to a fresh value: join skipped.
+	// Modify classifies exactly from the collision state: it neither
+	// consults the opt-in filters nor counts a skip...
 	if err := db.Modify("t", 0, []uint64{5}, "v", []storage.Value{storage.I64(99999)}); err != nil {
 		t.Fatal(err)
 	}
-	if tb.BloomSkips("v") != 1 {
-		t.Fatalf("BloomSkips = %d, want 1", tb.BloomSkips("v"))
+	if tb.BloomSkips("v") != 0 {
+		t.Fatalf("BloomSkips = %d after a Modify, want 0", tb.BloomSkips("v"))
+	}
+	// ...but it teaches them the new value, so an Insert of that value
+	// must not skip its collision join.
+	if err := db.Insert("t", []storage.Row{{storage.I64(99999)}}); err != nil {
+		t.Fatal(err)
+	}
+	if tb.BloomSkips("v") != 0 {
+		t.Fatal("Insert of a modified-in value skipped the collision join")
+	}
+	x := tb.PatchIndexes("v")[0]
+	if !x.IsPatch(5) || !x.IsPatch(100) {
+		t.Fatalf("collision with a modified-in value not detected: %v", x.Patches())
 	}
 	// Modify to an existing value: collision detected.
 	if err := db.Modify("t", 0, []uint64{6}, "v", []storage.Value{storage.I64(10)}); err != nil {
 		t.Fatal(err)
 	}
-	x := tb.PatchIndexes("v")[0]
+	x = tb.PatchIndexes("v")[0]
 	if !x.IsPatch(6) || !x.IsPatch(10) {
 		t.Fatalf("collision after modify not detected: %v", x.Patches())
 	}
-	tb.DisableBloomFilter("v")
 	if err := db.Insert("t", []storage.Row{{storage.I64(123456)}}); err != nil {
+		t.Fatal(err)
+	}
+	if tb.BloomSkips("v") != 1 {
+		t.Fatalf("BloomSkips = %d after a fresh Insert, want 1", tb.BloomSkips("v"))
+	}
+	tb.DisableBloomFilter("v")
+	if err := db.Insert("t", []storage.Row{{storage.I64(123457)}}); err != nil {
 		t.Fatal(err)
 	}
 	if tb.BloomSkips("v") != 1 {

@@ -566,3 +566,62 @@ func BenchmarkInsertWALOverhead(b *testing.B) {
 	b.Run("wal=off", func(b *testing.B) { run(b, false) })
 	b.Run("wal=on", func(b *testing.B) { run(b, true) })
 }
+
+// TestModifyValidatesBeforeLogging: a Modify the engine must refuse — a
+// rowID beyond the partition, a value of another kind than the column's,
+// an unknown column — returns an error BEFORE its record reaches the WAL.
+// Logged first, the record panicked in the delta on every later replay
+// ("pdt: logical position 9999 out of range"): an unrecoverable
+// directory. Both lock modes are covered: k is NSC-indexed
+// (partition-scoped), s NUC-indexed (exclusive).
+func TestModifyValidatesBeforeLogging(t *testing.T) {
+	dir := t.TempDir()
+	db := NewDatabase()
+	tb, err := db.CreateTable("t", durSchema(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed []storage.Row
+	for k := int64(0); k < 8; k++ {
+		seed = append(seed, durRow(k))
+	}
+	if err := tb.Load(seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreatePatchIndex("k", core.NearlySorted, tinyOpts(core.DesignBitmap)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreatePatchIndex("s", core.NearlyUnique, tinyOpts(core.DesignBitmap)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableWAL(dir, wal.SyncNone); err != nil {
+		t.Fatal(err)
+	}
+	mixedWorkload(t, db)
+	want := tableContents(tb)
+	logged := tb.wal.lsn.Load()
+
+	bad := []struct {
+		name   string
+		rowIDs []uint64
+		column string
+		values []storage.Value
+	}{
+		{"rowID out of range, NSC column", []uint64{0, 9999}, "k", []storage.Value{storage.I64(1), storage.I64(2)}},
+		{"rowID out of range, NUC column", []uint64{9999}, "s", []storage.Value{storage.Str("x")}},
+		{"string into BIGINT column", []uint64{0}, "k", []storage.Value{storage.Str("x")}},
+		{"int into string column", []uint64{0}, "s", []storage.Value{storage.I64(1)}},
+		{"unknown column", []uint64{0}, "nope", []storage.Value{storage.I64(1)}},
+	}
+	for _, c := range bad {
+		if err := db.Modify("t", 0, c.rowIDs, c.column, c.values); err == nil {
+			t.Fatalf("%s: Modify returned no error", c.name)
+		}
+		if got := tb.wal.lsn.Load(); got != logged {
+			t.Fatalf("%s: the refused Modify appended %d WAL record(s)", c.name, got-logged)
+		}
+	}
+	comparePartitions(t, "after refused modifies", tableContents(tb), want)
+	got, _ := recoveredContents(t, dir, "t", "k")
+	comparePartitions(t, "recovered", got, want)
+}

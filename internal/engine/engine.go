@@ -65,9 +65,10 @@
 //   - structure write lock alone: table-wide operations that mutate
 //     shared table state — DDL (CreatePatchIndex, DropPatchIndex, Load),
 //     Bloom filter management, and updates whose index maintenance
-//     needs a global table view: Insert and NUC-column Modify (their
-//     collision join probes every partition), and the fallback of the
-//     partition-parallel insert path.
+//     needs a global table view: Insert (its collision join probes
+//     every partition), NUC-column Modify and the fallback of the
+//     partition-parallel insert path (both read every partition's
+//     collision counts and patch the partitions that really collide).
 //   - structure read lock + one partition lock: partition-scoped
 //     updates — DeleteRowIDs, Modify of columns without a NUC index,
 //     and each partition chunk of a batched insert (InsertRows,
@@ -270,9 +271,10 @@ import (
 // including inserts into NUC-indexed tables, whose collision handling
 // probes sharded per-partition state instead of joining globally and
 // falls back to the exclusive-lock join only on cross-partition
-// candidate collisions. Table-wide updates (Insert, Modify of a
-// NUC-indexed column — their index maintenance joins against every
-// partition) and DDL serialize on the table's structure lock.
+// candidate collisions. Table-wide updates (Insert, whose index
+// maintenance joins against every partition, and Modify of a
+// NUC-indexed column, which reads every partition's collision counts)
+// and DDL serialize on the table's structure lock.
 //
 // Queries are snapshot-isolated from updates (the MVCC-lite analogue of
 // the host system's snapshot isolation the paper assumes, Section 5.4):
@@ -396,9 +398,10 @@ type Table struct {
 
 	// collisionJoins counts executions of the global collision handling
 	// (the Fig. 5 join and its string-column equivalent) — the paper's
-	// Insert/Modify path of record. The partition-parallel insert path
-	// never runs it (its exact retry patches foreign partitions from
-	// the count maps); CollisionJoins lets tests pin that.
+	// path of record, which only Insert still runs. The
+	// partition-parallel insert path and NUC-column Modify never do
+	// (they patch colliding partitions from the count maps);
+	// CollisionJoins lets tests pin that.
 	collisionJoins atomic.Uint64
 
 	// blooms[column] holds optional per-partition Bloom filters over a

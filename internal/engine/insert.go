@@ -32,8 +32,12 @@ import (
 //     patch, so only the new tuple is patched, locally;
 //  3. the per-partition Bloom filters of the OTHER partitions: a hit is
 //     a cross-partition candidate collision, and the batch falls back
-//     to the exclusive-lock collision join. False positives cost a
-//     redundant fallback; false negatives cannot occur.
+//     to the exclusive structure lock, where every partition's exact
+//     counts are readable: real collisions are patched by value scans
+//     of just the partitions that hold them (valuescan.go), the way
+//     NUC-column Modify resolves its own (maintenance.go) — the Fig. 5
+//     join runs on neither path. False positives cost a redundant
+//     fallback; false negatives cannot occur.
 //
 // Batches racing the SAME value are caught without any shared mutex, by
 // an optimistic pre-publication protocol: a batch first adds every
@@ -42,9 +46,9 @@ import (
 // operations are sequentially consistent, so two racing batches cannot
 // both order their probes before the other's adds — at least one of
 // them observes the other's value, treats it as a cross-partition
-// candidate, and falls back to the exclusive join, whose lock waits out
-// the other batch (which holds the structure lock shared) before
-// joining against the committed table. Races confined to ONE partition
+// candidate, and falls back to the exclusive lock, which waits out the
+// other batch (it holds the structure lock shared) before classifying
+// against the committed counts. Races confined to ONE partition
 // need no filters at all: the partition lock serializes the chunks and
 // the second one sees the first's rows in the partition-local counts.
 //
@@ -74,9 +78,10 @@ type fastInsertCol struct {
 	// foreignHits[q] (exact mode only): batch values that already occur
 	// in foreign partition q per the count maps — real cross-partition
 	// collisions. The retry patches q's existing occurrences straight
-	// from these sets instead of re-running the Fig. 5 global join.
-	foreignHitsInt map[int]map[int64]struct{}
-	foreignHitsStr map[int]map[string]struct{}
+	// from these with one value scan per partition (valuescan.go)
+	// instead of re-running the Fig. 5 global join.
+	foreignHitsInt valueHits[int64]
+	foreignHitsStr valueHits[string]
 	// dupTargets maps a batch-internal duplicate value to the set of
 	// partitions the batch inserts it into: those partitions are
 	// excluded from the value's foreign probes (the pre-published bits
@@ -114,9 +119,9 @@ func (t *Table) InsertStats() (fast, fallback uint64) {
 
 // CollisionJoins reports how many global collision handling queries
 // (the Fig. 5 join, or its string-column equivalent) the table has run.
-// Insert and NUC-column Modify are its only sources; the
-// partition-parallel insert path resolves even real cross-partition
-// collisions from the count maps without it.
+// Insert is its only source: the partition-parallel insert path and
+// NUC-column Modify resolve even real cross-partition collisions from
+// the count maps without it.
 func (t *Table) CollisionJoins() uint64 { return t.collisionJoins.Load() }
 
 // roundRobin distributes rows over partitions the way Insert always
@@ -228,8 +233,9 @@ func (db *Database) InsertRowsPartition(table string, partition int, rows []stor
 // re-classification against the count maps resolves even REAL
 // cross-partition collisions shardedly: the colliding values are known
 // per foreign partition, so their existing occurrences are patched by
-// per-partition value scans, never the Fig. 5 global join (which stays
-// the paper's Insert path of record).
+// per-partition value scans (valuescan.go), never the Fig. 5 global
+// join (which stays the paper's Insert path of record). NUC-column
+// Modify (maintenance.go) resolves its collisions the same way.
 func (t *Table) insertPartitioned(db *Database, perPart [][]storage.Row) error {
 	rejected, done, err := t.insertFastPath(db, perPart)
 	if done {
@@ -384,27 +390,8 @@ func (t *Table) patchForeignCollisionsLocked(plan *fastInsertPlan) {
 	for ci := range plan.cols {
 		fc := &plan.cols[ci]
 		idx := t.mutableIndexesLocked(fc.column)
-		if fc.isInt {
-			for q, hits := range fc.foreignHitsInt {
-				var rids []uint64
-				for r, v := range t.viewLocked(q).MaterializeInt64(fc.col) {
-					if _, ok := hits[v]; ok {
-						rids = append(rids, uint64(r))
-					}
-				}
-				idx[q].AddPatches(rids)
-			}
-		} else {
-			for q, hits := range fc.foreignHitsStr {
-				var rids []uint64
-				for r, v := range t.viewLocked(q).MaterializeString(fc.col) {
-					if _, ok := hits[v]; ok {
-						rids = append(rids, uint64(r))
-					}
-				}
-				idx[q].AddPatches(rids)
-			}
-		}
+		patchValueHits(idx, fc.foreignHitsInt, func(q int) []int64 { return t.viewLocked(q).MaterializeInt64(fc.col) })
+		patchValueHits(idx, fc.foreignHitsStr, func(q int) []string { return t.viewLocked(q).MaterializeString(fc.col) })
 	}
 }
 
@@ -550,16 +537,8 @@ func (t *Table) planFastInsert(perPart [][]storage.Row, exact bool) (*fastInsert
 								// row and q's existing occurrences all become
 								// patches, and v gets sealed at publication.
 								fc.knownPatch[p][i] = true
-								if fc.foreignHitsInt == nil {
-									fc.foreignHitsInt = make(map[int]map[int64]struct{})
-								}
-								if fc.foreignHitsInt[q] == nil {
-									fc.foreignHitsInt[q] = make(map[int64]struct{})
-								}
-								if _, seen := fc.foreignHitsInt[q][v]; !seen {
-									fc.foreignHitsInt[q][v] = struct{}{}
-									fc.newDupInt = append(fc.newDupInt, v)
-								}
+								fc.foreignHitsInt.add(q, v)
+								fc.newDupInt = append(fc.newDupInt, v)
 							}
 						} else if fc.state.PartitionMayContainInt64(q, v) {
 							return plan, false
@@ -581,16 +560,8 @@ func (t *Table) planFastInsert(perPart [][]storage.Row, exact bool) (*fastInsert
 						if exact {
 							if fc.state.LocalCountString(q, v) > 0 {
 								fc.knownPatch[p][i] = true
-								if fc.foreignHitsStr == nil {
-									fc.foreignHitsStr = make(map[int]map[string]struct{})
-								}
-								if fc.foreignHitsStr[q] == nil {
-									fc.foreignHitsStr[q] = make(map[string]struct{})
-								}
-								if _, seen := fc.foreignHitsStr[q][v]; !seen {
-									fc.foreignHitsStr[q][v] = struct{}{}
-									fc.newDupStr = append(fc.newDupStr, v)
-								}
+								fc.foreignHitsStr.add(q, v)
+								fc.newDupStr = append(fc.newDupStr, v)
 							}
 						} else if fc.state.PartitionMayContainString(q, v) {
 							return plan, false
@@ -623,8 +594,8 @@ func (t *Table) insertChunkLocked(db *Database, p int, prows []storage.Row, plan
 	joins := make([]core.NUCJoinResult, len(plan.cols))
 	for ci := range plan.cols {
 		fc := &plan.cols[ci]
-		var scanInt map[int64]struct{}
-		var scanStr map[string]struct{}
+		var scanInt []int64
+		var scanStr []string
 		for i := range prows {
 			patch := fc.knownPatch[p][i]
 			if fc.isInt {
@@ -635,20 +606,14 @@ func (t *Table) insertChunkLocked(db *Database, p int, prows []storage.Row, plan
 					// scan below (collisions are rare on nearly unique
 					// columns, so the scan rarely runs).
 					patch = true
-					if scanInt == nil {
-						scanInt = make(map[int64]struct{})
-					}
-					scanInt[v] = struct{}{}
+					scanInt = append(scanInt, v)
 					fc.newDupInt = append(fc.newDupInt, v)
 				}
 			} else {
 				v := fc.strVals[p][i]
 				if !fc.sealed.ContainsString(v) && fc.state.LocalCountString(p, v) > 0 {
 					patch = true
-					if scanStr == nil {
-						scanStr = make(map[string]struct{})
-					}
-					scanStr[v] = struct{}{}
+					scanStr = append(scanStr, v)
 					fc.newDupStr = append(fc.newDupStr, v)
 				}
 			}
@@ -657,18 +622,10 @@ func (t *Table) insertChunkLocked(db *Database, p int, prows []storage.Row, plan
 			}
 		}
 		if scanInt != nil {
-			for r, v := range t.viewLocked(p).MaterializeInt64(fc.col) {
-				if _, ok := scanInt[v]; ok {
-					joins[ci].TableSide = append(joins[ci].TableSide, uint64(r))
-				}
-			}
+			joins[ci].TableSide = matchingRowIDs(t.viewLocked(p).MaterializeInt64(fc.col), scanInt)
 		}
 		if scanStr != nil {
-			for r, v := range t.viewLocked(p).MaterializeString(fc.col) {
-				if _, ok := scanStr[v]; ok {
-					joins[ci].TableSide = append(joins[ci].TableSide, uint64(r))
-				}
-			}
+			joins[ci].TableSide = matchingRowIDs(t.viewLocked(p).MaterializeString(fc.col), scanStr)
 		}
 	}
 

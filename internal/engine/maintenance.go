@@ -23,16 +23,19 @@ import (
 // DeleteRowIDs, and Modify of a column without a NUC index, touch only
 // their target partition (delete handling and NSC modify handling are
 // partition-local, Table 1), so they run under that partition's lock
-// alone and disjoint-partition updates proceed in parallel. Insert and
-// NUC-column Modify run their collision join against every partition
-// (uniqueness is a global property, Section 5.1) and take the exclusive
-// structure lock; InsertRows (insert.go) is the partition-parallel
-// insert path, which replaces the global join with the sharded
-// collision state and falls back here on cross-partition candidate
-// collisions. An auto-checkpoint inside a partition-scoped update
-// propagates only that partition's delta; other partitions' deltas
-// (pending from AutoCheckpoint-off phases) are left for their own
-// updates or an explicit Checkpoint.
+// alone and disjoint-partition updates proceed in parallel. Uniqueness
+// is a global property (Section 5.1), so the NUC update handlers need
+// the whole table and take the exclusive structure lock: Insert runs
+// the paper's collision join against every partition; NUC-column Modify
+// reads every partition's exact value counts from the sharded collision
+// state instead, and scans only the partitions that hold a colliding
+// value (modifyNUCInt64Locked) — none at all when the new values are
+// fresh. InsertRows (insert.go) is the partition-parallel insert path,
+// which falls back to the exclusive lock on cross-partition candidate
+// collisions and resolves them there the same way. An auto-checkpoint
+// inside a partition-scoped update propagates only that partition's
+// delta; other partitions' deltas (pending from AutoCheckpoint-off
+// phases) are left for their own updates or an explicit Checkpoint.
 //
 // Every path that changes a NUC column's values also maintains that
 // column's sharded collision state (core.NUCState): inserts raise the
@@ -91,8 +94,9 @@ func (t *Table) hasNUCIndex() bool {
 	return false
 }
 
-// nucCollisions runs the insert/modify handling query of Fig. 5 against
-// every partition: the changed tuples are the build side of a HashJoin
+// nucCollisions runs the insert handling query of Fig. 5 against every
+// partition (the tests also run it over modified tuples, as the oracle
+// for Modify): the changed tuples are the build side of a HashJoin
 // whose build phase propagates the changed values as scan ranges onto
 // each partition's table scan (dynamic range propagation); the rowIDs of
 // both join sides are projected through an intermediate result cache and
@@ -319,11 +323,17 @@ func (db *Database) DeleteWhereInt64(table, column string, pred func(int64) bool
 // rowIDs and maintains all PatchIndexes (Section 5.2):
 //
 //   - NSC on the modified column: all modified tuples become patches.
-//   - NUC on the modified column: the same collision join as insert
-//     handling, over the new values and against all partitions (no
-//     bitmap reallocation — the cardinality is unchanged).
+//   - NUC on the modified column: the new values are classified exactly
+//     from the sharded collision state (modifyNUCInt64Locked) — the
+//     paper's modify handling query, the collision join of Fig. 5 over
+//     the new values, is not run; the bitmap is not reallocated either
+//     (the cardinality is unchanged).
 //   - Indexes on other columns are untouched (their values didn't
 //     change).
+//
+// A rowID beyond the partition, an unknown column or a value of another
+// kind than the column's is an error, reported before anything is logged
+// or changed.
 func (db *Database) Modify(table string, partition int, rowIDs []uint64, column string, values []storage.Value) error {
 	t, err := db.LookupTable(table)
 	if err != nil {
@@ -344,15 +354,25 @@ func (db *Database) Modify(table string, partition int, rowIDs []uint64, column 
 	if partition < 0 || partition >= t.NumPartitions() {
 		return fmt.Errorf("engine: table %q has no partition %d", table, partition)
 	}
+	col := t.store.Schema().ColumnIndex(column)
+	if col < 0 {
+		return fmt.Errorf("engine: table %q has no column %q", table, column)
+	}
+	for _, v := range values {
+		if want := t.store.Schema()[col].Kind; v.Kind != want {
+			return fmt.Errorf("engine: modify of %s.%s: value of kind %v, column is %v", table, column, v.Kind, want)
+		}
+	}
 
 	if scoped, err := t.modifyPartitionScoped(db, partition, rowIDs, column, values); scoped {
 		return err
 	}
 
-	// NUC maintenance runs the global collision join against every
-	// partition: exclusive structure lock. modifyLocked re-reads the
-	// index map under it, so a DropPatchIndex racing the dispatch gap
-	// simply downgrades this to the (correct, coarser-locked) NSC path.
+	// NUC maintenance reads the count maps of every partition and patches
+	// whichever of them hold a colliding value: exclusive structure lock.
+	// modifyLocked re-reads the index map under it, so a DropPatchIndex
+	// racing the dispatch gap simply downgrades this to the (correct,
+	// coarser-locked) NSC path.
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	//pilint:ignore lockblock write-ahead: the WAL append inside must be ordered by the same lock that orders the mutation it logs (Durability, package docs)
@@ -382,20 +402,23 @@ func (t *Table) modifyPartitionScoped(db *Database, partition int, rowIDs []uint
 // modifyLocked applies one partition's modify and its index
 // maintenance. The caller holds partition `partition` — via its
 // partition lock when the modified column has no NUC index, via the
-// exclusive structure lock (which the global collision join needs)
-// otherwise.
+// exclusive structure lock (NUC maintenance reads and patches foreign
+// partitions) otherwise — and has checked column and value kinds.
 func (t *Table) modifyLocked(db *Database, partition int, rowIDs []uint64, column string, values []storage.Value) error {
-	col := t.store.Schema().MustColumnIndex(column)
-	// As in Insert: reject payload overflow before mutating the delta,
-	// so the error path leaves table and indexes consistent. Only the
-	// modified column's own NUC index consumes the packed payload.
-	if idx := t.indexes[column]; len(idx) > 0 && idx[0].ConstraintKind() == core.NearlyUnique {
-		for _, r := range rowIDs {
-			if _, err := encodeRef(partition, r); err != nil {
-				return fmt.Errorf("engine: modify on %s.%s: %w", t.name, column, err)
-			}
-		}
+	if len(rowIDs) == 0 {
+		return nil
 	}
+	// Bounds-check before the record is logged: an out-of-range rowID
+	// panics in the delta, and once logged it would do so again on every
+	// replay — an unrecoverable directory. Ascending order makes checking
+	// the last rowID sufficient.
+	if n := t.viewLocked(partition).NumRows(); int(rowIDs[len(rowIDs)-1]) >= n {
+		return fmt.Errorf("engine: modify rowID %d out of range [0,%d) in partition %d",
+			rowIDs[len(rowIDs)-1], n, partition)
+	}
+	col := t.store.Schema().MustColumnIndex(column)
+	idx := t.mutableIndexesLocked(column)
+	isNUC := len(idx) > 0 && idx[0].ConstraintKind() == core.NearlyUnique
 	// Write-ahead, after validation and before any mutation. The segment
 	// mirrors the lock mode the dispatch chose (re-checked here, exactly
 	// like the maintenance dispatch below): NUC-column modifies run under
@@ -404,131 +427,23 @@ func (t *Table) modifyLocked(db *Database, partition int, rowIDs []uint64, colum
 	// segment.
 	if t.wal != nil {
 		seg := t.wal.segs[partition]
-		if idx := t.indexes[column]; len(idx) > 0 && idx[0].ConstraintKind() == core.NearlyUnique {
+		if isNUC {
 			seg = t.wal.excl
 		}
 		if err := t.logWAL(seg, walOpModify, encodeModify(t.store.Schema(), partition, column, rowIDs, values)); err != nil {
 			return err
 		}
 	}
-	// The modified column's collision state needs the outgoing values
-	// before the delta overwrites them. Only NUC-column modifies carry
-	// state (and they run under the exclusive structure lock, so the
-	// whole-table bookkeeping below is safe); rowIDs are assumed
-	// distinct, as the ascending contract implies.
-	st := t.nuc[column]
-	var oldInt []int64
-	var oldStr []string
-	if st != nil {
-		view := t.viewLocked(partition)
-		if st.IsString() {
-			oldStr = make([]string, len(rowIDs))
-			for i, r := range rowIDs {
-				oldStr[i] = view.Get(int(r), col).S
-			}
-		} else {
-			oldInt = make([]int64, len(rowIDs))
-			for i, r := range rowIDs {
-				oldInt[i] = view.Get(int(r), col).I
-			}
-		}
-	}
-	d := t.mutableDeltaLocked(partition)
-	for i, r := range rowIDs {
-		d.Modify(int(r), col, values[i])
-	}
-	for idxCol := range t.indexes {
-		if idxCol != column {
-			continue
-		}
-		idx := t.mutableIndexesLocked(idxCol)
-		switch idx[0].ConstraintKind() {
-		case core.NearlySorted:
+	switch {
+	case isNUC && t.store.Schema()[col].Kind == storage.KindString:
+		t.modifyNUCStringLocked(partition, rowIDs, column, col, values)
+	case isNUC:
+		t.modifyNUCInt64Locked(partition, rowIDs, column, col, values)
+	default:
+		t.modifyDeltaLocked(partition, rowIDs, col, values)
+		if len(idx) > 0 {
 			idx[partition].HandleModifyNSC(rowIDs)
-		case core.NearlyUnique:
-			isInt := t.store.Schema()[col].Kind == storage.KindInt64
-			changed := make([]changedRef, len(rowIDs))
-			changedStrs := make([][]string, t.store.NumPartitions())
-			var changedVals []int64
-			for i, r := range rowIDs {
-				changed[i] = changedRef{part: partition, rid: r, val: values[i].I}
-				if isInt {
-					changedVals = append(changedVals, values[i].I)
-				} else {
-					changedStrs[partition] = append(changedStrs[partition], values[i].S)
-				}
-			}
-			if isInt && !t.mayCollide(column, changedVals) {
-				if t.bloomSkips == nil {
-					t.bloomSkips = make(map[string]int)
-				}
-				t.bloomSkips[column]++
-			} else {
-				joins, err := t.nucModifyCollisions(col, changed, changedStrs)
-				if err != nil {
-					return fmt.Errorf("engine: modify handling on %s.%s: %w", t.name, column, err)
-				}
-				for p := range idx {
-					idx[p].HandleModifyNUC(joins[p])
-				}
-			}
-			if isInt {
-				t.bloomAddPart(column, partition, changedVals)
-			}
 		}
-	}
-	// Re-point the collision state from the outgoing to the incoming
-	// values: remove old counts, add new ones, force-patch rows whose
-	// NEW value is already sealed (the parallel insert path assumes
-	// every live occurrence of a sealed value is a patch, and the
-	// collision join can come back empty for a sealed value whose other
-	// occurrences were deleted), seal values the modify just
-	// duplicated, and teach the partition filter the new values.
-	if st != nil {
-		var forced []uint64
-		if st.IsString() {
-			for _, v := range oldStr {
-				st.RemoveLocalString(partition, v)
-			}
-			for i := range rowIDs {
-				v := values[i].S
-				st.AddLocalString(partition, v)
-				st.AddBloomString(partition, v)
-			}
-			sealed := st.Sealed()
-			var newDup []string
-			for i := range rowIDs {
-				v := values[i].S
-				if sealed.ContainsString(v) {
-					forced = append(forced, rowIDs[i])
-				} else if st.GlobalCountString(v) > 1 {
-					newDup = append(newDup, v)
-				}
-			}
-			st.SealDuplicatesString(newDup)
-		} else {
-			for _, v := range oldInt {
-				st.RemoveLocalInt64(partition, v)
-			}
-			for i := range rowIDs {
-				v := values[i].I
-				st.AddLocalInt64(partition, v)
-				st.AddBloomInt64(partition, v)
-			}
-			sealed := st.Sealed()
-			var newDup []int64
-			for i := range rowIDs {
-				v := values[i].I
-				if sealed.ContainsInt64(v) {
-					forced = append(forced, rowIDs[i])
-				} else if st.GlobalCountInt64(v) > 1 {
-					newDup = append(newDup, v)
-				}
-			}
-			st.SealDuplicatesInt64(newDup)
-		}
-		t.mutableIndexesLocked(column)[partition].AddPatches(forced)
-		st.RebuildOverfullBlooms()
 	}
 	if db.AutoCheckpoint {
 		t.checkpointPartitionLocked(partition)
@@ -536,36 +451,115 @@ func (t *Table) modifyLocked(db *Database, partition int, rowIDs []uint64, colum
 	return nil
 }
 
-// nucModifyCollisions mirrors nucCollisions for modified tuples. String
-// columns cannot reuse stringCollisions' positional assumptions (the
-// changed tuples are not at the end), so they use a direct lookup.
-func (t *Table) nucModifyCollisions(col int, changed []changedRef, changedStrs [][]string) ([]core.NUCJoinResult, error) {
-	if t.store.Schema()[col].Kind != storage.KindString {
-		return t.nucCollisions(col, changed, nil)
+// modifyDeltaLocked overwrites the cells in the partition's delta.
+func (t *Table) modifyDeltaLocked(partition int, rowIDs []uint64, col int, values []storage.Value) {
+	d := t.mutableDeltaLocked(partition)
+	for i, r := range rowIDs {
+		d.Modify(int(r), col, values[i])
 	}
-	t.collisionJoins.Add(1)
-	nparts := t.store.NumPartitions()
-	out := make([]core.NUCJoinResult, nparts)
-	type ref struct {
-		part int
-		rid  uint64
+}
+
+// modifyNUCInt64Locked is NUC modify handling on a BIGINT column. Where
+// the paper joins the new values against a scan of the whole table
+// (Section 5.2, the Fig. 5 query), this resolves them the way the exact
+// InsertRows retry does, from the sharded collision state, whose count
+// maps are all readable under the exclusive structure lock the caller
+// holds:
+//
+//  1. fold the outgoing values out of the partition's counts, so a row
+//     never collides with the value it is losing (new == old, or two
+//     rows of the batch swapping values);
+//  2. classify every new value exactly (classifyNUCModify);
+//  3. apply the delta and re-point counts and filter to the new values;
+//  4. patch the modified rows that collide and, for each partition with
+//     a count-map hit, the occurrences a partition-local value scan
+//     finds there (valuescan.go) — no hit, the common case of fresh
+//     values, means no table access at all;
+//  5. seal the values the modify duplicated.
+//
+// Nothing here can fail, so a logged modify always applies whole.
+func (t *Table) modifyNUCInt64Locked(partition int, rowIDs []uint64, column string, col int, values []storage.Value) {
+	st := t.nuc[column]
+	view := t.viewLocked(partition)
+	news := make([]int64, len(values))
+	for i, r := range rowIDs {
+		st.RemoveLocalInt64(partition, view.Get(int(r), col).I)
+		news[i] = values[i].I
 	}
-	byVal := make(map[string][]ref)
-	for p := 0; p < nparts; p++ {
-		for i, v := range t.viewLocked(p).MaterializeString(col) {
-			byVal[v] = append(byVal[v], ref{part: p, rid: uint64(i)})
+	patched, hits, newDup := classifyNUCModify(rowIDs, news, t.store.NumPartitions(), st.Sealed().ContainsInt64, st.LocalCountInt64)
+	t.modifyDeltaLocked(partition, rowIDs, col, values)
+	for _, v := range news {
+		st.AddLocalInt64(partition, v)
+		st.AddBloomInt64(partition, v)
+	}
+	t.bloomAddPart(column, partition, news)
+	idx := t.mutableIndexesLocked(column)
+	idx[partition].AddPatches(patched)
+	patchValueHits(idx, hits, func(q int) []int64 { return t.viewLocked(q).MaterializeInt64(col) })
+	st.SealDuplicatesInt64(newDup)
+	st.RebuildBloomPartition(partition)
+}
+
+// modifyNUCStringLocked is modifyNUCInt64Locked for string columns.
+func (t *Table) modifyNUCStringLocked(partition int, rowIDs []uint64, column string, col int, values []storage.Value) {
+	st := t.nuc[column]
+	view := t.viewLocked(partition)
+	news := make([]string, len(values))
+	for i, r := range rowIDs {
+		st.RemoveLocalString(partition, view.Get(int(r), col).S)
+		news[i] = values[i].S
+	}
+	patched, hits, newDup := classifyNUCModify(rowIDs, news, t.store.NumPartitions(), st.Sealed().ContainsString, st.LocalCountString)
+	t.modifyDeltaLocked(partition, rowIDs, col, values)
+	for _, v := range news {
+		st.AddLocalString(partition, v)
+		st.AddBloomString(partition, v)
+	}
+	idx := t.mutableIndexesLocked(column)
+	idx[partition].AddPatches(patched)
+	patchValueHits(idx, hits, func(q int) []string { return t.viewLocked(q).MaterializeString(col) })
+	st.SealDuplicatesString(newDup)
+	st.RebuildBloomPartition(partition)
+}
+
+// classifyNUCModify decides the fate of each new value of a NUC-column
+// modify from the collision state, read after the outgoing values were
+// folded out of it: count(q, v) is partition q's exact occurrence count
+// of v, sealed the exception-set snapshot.
+//
+//   - A sealed value patches only its own row: every other live
+//     occurrence already is a patch — and the row must be patched even
+//     when deletes eroded the value to no occurrence at all, or the
+//     parallel insert path's sealed shortcut stops being sound.
+//   - A value the batch carries more than once, or that some partition
+//     still counts, is a new duplicate: its rows are patched, it is
+//     sealed (newDup), and each partition counting it is recorded in
+//     hits for a value scan.
+//   - Any other value is fresh: nothing to do.
+//
+// patched lists the rowIDs (of the modified partition, in order) that
+// become patches.
+func classifyNUCModify[T int64 | string](rowIDs []uint64, news []T, nparts int, sealed func(T) bool, count func(q int, v T) uint32) (patched []uint64, hits valueHits[T], newDup []T) {
+	inBatch := make(map[T]int, len(news))
+	for _, v := range news {
+		inBatch[v]++
+	}
+	for i, v := range news {
+		if sealed(v) {
+			patched = append(patched, rowIDs[i])
+			continue
 		}
-	}
-	for _, c := range changed {
-		v := t.viewLocked(c.part).Get(int(c.rid), col).S
-		self := ref{part: c.part, rid: c.rid}
-		for _, r := range byVal[v] {
-			if r == self {
-				continue
+		dup := inBatch[v] > 1
+		for q := 0; q < nparts; q++ {
+			if count(q, v) > 0 {
+				dup = true
+				hits.add(q, v)
 			}
-			out[c.part].InsertedSide = append(out[c.part].InsertedSide, c.rid)
-			out[r.part].TableSide = append(out[r.part].TableSide, r.rid)
+		}
+		if dup {
+			patched = append(patched, rowIDs[i])
+			newDup = append(newDup, v)
 		}
 	}
-	return out, nil
+	return patched, hits, newDup
 }
