@@ -8,9 +8,9 @@ import (
 )
 
 // Sharded NUC collision state. The paper makes uniqueness a GLOBAL
-// property with per-partition exceptions (Section 5.1), which forces the
-// insert-handling collision join to probe every partition — the last
-// per-table serialization point on the update path. NUCState shards
+// property with per-partition exceptions (Section 5.1), which forces its
+// insert-handling collision join to probe every partition — a per-table
+// serialization point on the update path. NUCState shards
 // that collision knowledge by partition so an insert into partition p
 // can usually decide "does this value collide?" from p-local state plus
 // two read-only global digests:
@@ -28,7 +28,7 @@ import (
 //     marks are never removed from surviving rows, and the engine's
 //     exclusive insert/modify paths force-patch any fresh occurrence
 //     of a sealed value (deletes may have eroded the value back to
-//     uniqueness, so the collision join alone would leave it
+//     uniqueness, so a collision check alone would leave it
 //     unpatched). Colliding with a sealed value therefore needs no
 //     cross-partition write: only the NEW tuple becomes a patch,
 //     locally. The snapshot is swapped copy-on-write and read
@@ -37,9 +37,10 @@ import (
 //     Probing the filters of the OTHER partitions answers "may this
 //     value exist elsewhere as a unique occurrence?" — a hit is a
 //     cross-partition candidate collision, on which the caller falls
-//     back to the exclusive-lock collision join. False positives cost a
-//     redundant fallback; false negatives cannot occur (the filter only
-//     ever grows), so no violation is missed.
+//     back to the exclusive lock and the exact counts of every
+//     partition. False positives cost a redundant fallback; false
+//     negatives cannot occur (the filter only ever grows), so no
+//     violation is missed.
 //
 // # The in-flight pre-publication ledger
 //
@@ -302,25 +303,6 @@ func (st *NUCState) RemoveLocalString(p int, v string) {
 	}
 }
 
-// GlobalCountInt64 sums v's occurrence count across all partitions. The
-// caller owns every partition (exclusive-lock contexts).
-func (st *NUCState) GlobalCountInt64(v int64) uint64 {
-	var n uint64
-	for p := range st.localInt {
-		n += uint64(st.localInt[p][v])
-	}
-	return n
-}
-
-// GlobalCountString is GlobalCountInt64 for string columns.
-func (st *NUCState) GlobalCountString(v string) uint64 {
-	var n uint64
-	for p := range st.localStr {
-		n += uint64(st.localStr[p][v])
-	}
-	return n
-}
-
 // PartitionMayContainInt64 probes partition q's Bloom filter for v with
 // a lock-free atomic read. A false answer is definitive for values
 // whose adds happened-before the probe; for adds racing the probe, the
@@ -336,29 +318,6 @@ func (st *NUCState) PartitionMayContainInt64(q int, v int64) bool {
 // columns.
 func (st *NUCState) PartitionMayContainString(q int, v string) bool {
 	return st.blooms[q].Load().f.MayContainConcurrent(hashString(v))
-}
-
-// ForeignMayContainInt64 probes the Bloom filters of every partition
-// except p for v: true means v may exist in another partition — a
-// cross-partition candidate collision.
-func (st *NUCState) ForeignMayContainInt64(p int, v int64) bool {
-	for q := range st.blooms {
-		if q != p && st.blooms[q].Load().f.MayContainConcurrent(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// ForeignMayContainString is ForeignMayContainInt64 for string columns.
-func (st *NUCState) ForeignMayContainString(p int, v string) bool {
-	h := hashString(v)
-	for q := range st.blooms {
-		if q != p && st.blooms[q].Load().f.MayContainConcurrent(h) {
-			return true
-		}
-	}
-	return false
 }
 
 // AddBloomInt64 registers an inserted occurrence of v in partition p's
@@ -416,15 +375,6 @@ func (st *NUCState) UnpublishInt64(p int, v int64) { st.unpublish(p, v) }
 
 // UnpublishString retires one PrePublishString registration.
 func (st *NUCState) UnpublishString(p int, v string) { st.unpublish(p, hashString(v)) }
-
-// PendingPublications returns the number of distinct ledgered keys of
-// partition p — a diagnostic for tests asserting the ledger drains.
-func (st *NUCState) PendingPublications(p int) int {
-	led := &st.inflight[p]
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	return len(led.keys)
-}
 
 // SealDuplicatesInt64 publishes newly duplicated values into a fresh
 // exception-set snapshot (see NUCExceptions for its O(batch) amortised

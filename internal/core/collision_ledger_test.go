@@ -24,6 +24,15 @@ func saturate(st *NUCState, p int) {
 	}
 }
 
+// pendingPublications returns the number of distinct ledgered keys of
+// partition p, for asserting that the ledger drains.
+func pendingPublications(st *NUCState, p int) int {
+	led := &st.inflight[p]
+	led.mu.Lock()
+	defer led.mu.Unlock()
+	return len(led.keys)
+}
+
 // TestBloomRebuildPreservesPrePublished is the stale-Bloom regression:
 // a batch pre-publishes its values into the partition filter BEFORE
 // committing them to the count maps, and a filter rebuild sourced from
@@ -50,7 +59,7 @@ func TestBloomRebuildPreservesPrePublished(t *testing.T) {
 	// through yet another rebuild, now via the counts.
 	st.AddLocalInt64(0, inflight)
 	st.UnpublishInt64(0, inflight)
-	if n := st.PendingPublications(0); n != 0 {
+	if n := pendingPublications(st, 0); n != 0 {
 		t.Fatalf("ledger did not drain: %d pending", n)
 	}
 	saturate(st, 0)
@@ -79,7 +88,7 @@ func TestBloomRebuildLedgerRefcounts(t *testing.T) {
 		t.Fatalf("value %d lost while one of two registrations was still in flight", v)
 	}
 	st.UnpublishInt64(0, v)
-	if n := st.PendingPublications(0); n != 0 {
+	if n := pendingPublications(st, 0); n != 0 {
 		t.Fatalf("ledger did not drain: %d pending", n)
 	}
 }
@@ -173,7 +182,7 @@ func TestBloomRebuildRacingPrePublishers(t *testing.T) {
 	if rebuilds == 0 {
 		t.Fatalf("rebuilder never fired; the race window was not exercised")
 	}
-	if n := st.PendingPublications(0); n != 0 {
+	if n := pendingPublications(st, 0); n != 0 {
 		t.Fatalf("ledger did not drain: %d pending", n)
 	}
 }

@@ -75,20 +75,20 @@ func TestNUCStateClassification(t *testing.T) {
 	}
 	// 4 lives only in partition 1: from partition 0's perspective it is
 	// a cross-partition candidate; from partition 1's it is local.
-	if !st.ForeignMayContainInt64(0, 4) {
+	if !st.PartitionMayContainInt64(1, 4) {
 		t.Fatal("foreign probe missed a real foreign value (filters cannot be false-negative)")
 	}
-	if st.ForeignMayContainInt64(1, 4) {
+	if st.PartitionMayContainInt64(0, 4) {
 		t.Fatal("foreign probe hit the probing partition's own value (or an implausible false positive)")
 	}
-	if got := st.GlobalCountInt64(3); got != 2 {
+	if got := st.LocalCountInt64(0, 3) + st.LocalCountInt64(1, 3); got != 2 {
 		t.Fatalf("global count of 3 = %d", got)
 	}
 
 	// Mutation round-trip: insert 5 into partition 0, then delete it.
 	st.AddLocalInt64(0, 5)
 	st.AddBloomInt64(0, 5)
-	if !st.ForeignMayContainInt64(1, 5) {
+	if !st.PartitionMayContainInt64(0, 5) {
 		t.Fatal("filter did not learn the inserted value")
 	}
 	st.RemoveLocalInt64(0, 5)
@@ -96,7 +96,7 @@ func TestNUCStateClassification(t *testing.T) {
 		t.Fatalf("count after delete = %d", got)
 	}
 	// The filter stays a superset after deletes — false positives only.
-	if !st.ForeignMayContainInt64(1, 5) {
+	if !st.PartitionMayContainInt64(0, 5) {
 		t.Fatal("filter forgot a value (would risk a false negative under re-insert races)")
 	}
 
@@ -125,7 +125,7 @@ func TestNUCStateStringHashing(t *testing.T) {
 	if !st.Sealed().ContainsString("b") {
 		t.Fatal("cross-partition duplicate not sealed")
 	}
-	if !st.ForeignMayContainString(0, "c") {
+	if !st.PartitionMayContainString(1, "c") {
 		t.Fatal("foreign probe missed a real foreign string")
 	}
 	if got := st.LocalCountString(1, "c"); got != 1 {
@@ -293,17 +293,16 @@ func TestNUCStateRebuildOverfullBlooms(t *testing.T) {
 		st.RemoveLocalInt64(0, v)
 	}
 	st.RebuildOverfullBlooms()
-	// Live values must survive the rebuild (probed as a foreign
-	// partition would: via a second state sharing the slice shape).
+	// Live values must survive the rebuild.
 	for v := int64(0); v < 100; v++ {
-		if !st.ForeignMayContainInt64(-1, v) {
+		if !st.PartitionMayContainInt64(0, v) {
 			t.Fatalf("rebuild lost live value %d", v)
 		}
 	}
 	// The rebuilt filter is tight again: dead values mostly vanish.
 	var hits int
 	for v := int64(100_000); v < 101_000; v++ {
-		if st.ForeignMayContainInt64(-1, v) {
+		if st.PartitionMayContainInt64(0, v) {
 			hits++
 		}
 	}
@@ -352,7 +351,7 @@ func ExampleNUCState() {
 		CountNUCValuesInt64([]int64{1, 2}),
 		CountNUCValuesInt64([]int64{3}),
 	})
-	fmt.Println(st.LocalCountInt64(0, 1), st.GlobalCountInt64(3), st.Sealed().Len())
+	fmt.Println(st.LocalCountInt64(0, 1), st.LocalCountInt64(1, 3), st.Sealed().Len())
 	// Output: 1 1 0
 }
 

@@ -3,14 +3,13 @@ package core
 import "patchindex/internal/lis"
 
 // Update handling per Table 1 of the paper. Delete handling for both
-// constraints is Index.HandleDelete. NUC insert handling runs the join
-// query of Fig. 5 — that query is built from executor operators by the
-// engine package, which then feeds the resulting rowIDs into
-// AddPatches; see engine.(*Database).Insert. The engine's NUC modify
-// handling and its batched inserts find the same rowIDs from the
-// sharded collision state (NUCState) instead of the join. The NSC
-// handlers below are local computations on the inserted/modified values
-// and live here.
+// constraints is Index.HandleDelete. The paper's NUC insert and modify
+// handling runs the join query of Fig. 5; the engine finds the same
+// rowIDs from the sharded collision state (NUCState) instead and feeds
+// them into HandleInsertNUC / AddPatches (see engine.(*Database).Insert),
+// keeping the join, built from executor operators, as its test oracle.
+// The NSC handlers below are local computations on the inserted/modified
+// values and live here.
 
 // HandleInsertNSC processes an insert of the given values (appended at
 // the logical end of the indexed column, in order) for a nearly sorted
@@ -84,20 +83,21 @@ func (x *Index) HandleModifyNSC(rowIDs []uint64) {
 	x.AddPatches(sortedU64(rowIDs))
 }
 
-// NUCJoinResult carries the projected rowIDs of the insert-handling join
-// (Fig. 5): pairs of (inserted-tuple rowID, matching-table-tuple rowID)
+// NUCJoinResult carries the rowIDs the insert-handling join (Fig. 5)
+// projects: pairs of (inserted-tuple rowID, matching-table-tuple rowID)
 // for every value collision. Both sides become patches.
 type NUCJoinResult struct {
 	InsertedSide []uint64
 	TableSide    []uint64
 }
 
-// HandleInsertNUC merges the join result of the NUC insert handling
-// query into the patch set after the index has been extended by the
-// inserted tuples. The caller (the engine) runs the Fig. 5 query —
-// scanning the inserted tuples from the PDT, joining them against the
-// table with dynamic range propagation, and projecting both sides'
-// rowIDs via intermediate result caching.
+// HandleInsertNUC merges the result of the NUC insert handling query
+// into the patch set after the index has been extended by the inserted
+// tuples. The caller (the engine) computes it — from the collision
+// state's counts plus partition-local value scans in production, by
+// the Fig. 5 query itself (inserted tuples joined against the table
+// with dynamic range propagation, both sides' rowIDs projected via
+// intermediate result caching) in the test oracle.
 func (x *Index) HandleInsertNUC(inserted int, join NUCJoinResult) {
 	if x.constraint != NearlyUnique {
 		panic("core: HandleInsertNUC on a non-NUC index")

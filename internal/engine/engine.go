@@ -63,12 +63,12 @@
 // per partition slot. Writers pick one of three modes:
 //
 //   - structure write lock alone: table-wide operations that mutate
-//     shared table state — DDL (CreatePatchIndex, DropPatchIndex, Load),
-//     Bloom filter management, and updates whose index maintenance
-//     needs a global table view: Insert (its collision join probes
-//     every partition), NUC-column Modify and the fallback of the
-//     partition-parallel insert path (both read every partition's
-//     collision counts and patch the partitions that really collide).
+//     shared table state — DDL (CreatePatchIndex, DropPatchIndex, Load)
+//     and updates whose index maintenance needs a global table view:
+//     Insert, the fallback of the partition-parallel insert path and
+//     NUC-column Modify. All three classify the changed values exactly
+//     from every partition's collision counts and patch the partitions
+//     that really collide.
 //   - structure read lock + one partition lock: partition-scoped
 //     updates — DeleteRowIDs, Modify of columns without a NUC index,
 //     and each partition chunk of a batched insert (InsertRows,
@@ -92,10 +92,13 @@
 // Insert handling of a NUC-indexed column is the one update whose
 // maintenance is inherently global — uniqueness has per-partition
 // exceptions but table-wide meaning, so the paper's Fig. 5 collision
-// join probes every partition, which is why Insert serializes on the
-// structure lock. InsertRows/InsertRowsPartition remove that last
-// per-table serialization point for the common case: each NUC column
-// carries a core.NUCState that shards the collision knowledge — exact
+// join probes every partition. No production path runs that join (it
+// is the test oracle insertViaJoin): Insert takes the exclusive
+// structure lock, reads the exact value counts of every partition and
+// scans only the partitions that hold a colliding value.
+// InsertRows/InsertRowsPartition remove even that per-table
+// serialization point for the common case: each NUC column carries a
+// core.NUCState that shards the collision knowledge — exact
 // per-partition value counts owned by the partition locks, an immutable
 // sealed set of known-duplicated values read lock-free, and
 // per-partition Bloom filters probed and updated with lock-free atomics
@@ -103,12 +106,11 @@
 // then probe the foreign filters; sequentially consistent atomics stop
 // two racing batches from both missing each other). A batch that stays
 // classifiable locally commits chunk by chunk in partition-lock mode; a
-// cross-partition candidate collision falls back to the exclusive lock,
-// which re-checks exactly against the count maps and only joins when
-// the collision is real. A concurrent snapshot observes a prefix of a
-// multi-partition batch's chunks (each chunk atomically); Insert and
-// single-partition batches remain all-or-nothing. See insert.go for the
-// full protocol.
+// cross-partition candidate collision falls back to the exclusive lock
+// and Insert's exact classification — one insert body serves both. A
+// concurrent snapshot observes a prefix of a multi-partition batch's
+// chunks (each chunk atomically); Insert and single-partition batches
+// remain all-or-nothing. See insert.go for the full protocol.
 //
 // # The maintenance daemon
 //
@@ -254,7 +256,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"patchindex/internal/bloom"
 	"patchindex/internal/core"
 	"patchindex/internal/pdt"
 	"patchindex/internal/plan"
@@ -270,11 +271,10 @@ import (
 // so updates to disjoint partitions of the same table run in parallel —
 // including inserts into NUC-indexed tables, whose collision handling
 // probes sharded per-partition state instead of joining globally and
-// falls back to the exclusive-lock join only on cross-partition
-// candidate collisions. Table-wide updates (Insert, whose index
-// maintenance joins against every partition, and Modify of a
-// NUC-indexed column, which reads every partition's collision counts)
-// and DDL serialize on the table's structure lock.
+// falls back to the exclusive lock only on cross-partition candidate
+// collisions. Table-wide updates (Insert and Modify of a NUC-indexed
+// column, which read every partition's collision counts) and DDL
+// serialize on the table's structure lock.
 //
 // Queries are snapshot-isolated from updates (the MVCC-lite analogue of
 // the host system's snapshot isolation the paper assumes, Section 5.4):
@@ -341,9 +341,9 @@ func NewDatabase() *Database {
 // multi-partition captures hold mu shared plus every pmu in index
 // order. Per-partition state (delta[p], deltaShared[p], the store's
 // partition p, and each column's index[p]) is owned by whoever holds
-// partition p under this protocol; the indexes/blooms maps themselves
-// change only under the exclusive structure lock. See the package
-// comment for the full lock order.
+// partition p under this protocol; the indexes map itself changes only
+// under the exclusive structure lock. See the package comment for the
+// full lock order.
 //
 // Snapshot generation tracking: capturing a snapshot (Snapshot, a query
 // entry point, ScanAll) retains one refcount on every partition's
@@ -397,18 +397,12 @@ type Table struct {
 	fallbackInserts atomic.Uint64
 
 	// collisionJoins counts executions of the global collision handling
-	// (the Fig. 5 join and its string-column equivalent) — the paper's
-	// path of record, which only Insert still runs. The
-	// partition-parallel insert path and NUC-column Modify never do
-	// (they patch colliding partitions from the count maps);
-	// CollisionJoins lets tests pin that.
+	// (the paper's Fig. 5 join and its string-column equivalent). No
+	// production path runs it — inserts and NUC-column modifies patch
+	// colliding partitions from the count maps — so only the test
+	// oracles (insertViaJoin, modifyViaJoin) ever raise it; the field
+	// stays for the benchmark probe reading CollisionJoins.
 	collisionJoins atomic.Uint64
-
-	// blooms[column] holds optional per-partition Bloom filters over a
-	// NUC column's values (see EnableBloomFilter); bloomSkips counts the
-	// collision joins they avoided.
-	blooms     map[string][]*bloom.Filter
-	bloomSkips map[string]int
 
 	// wal is the table's write-ahead state when logging is enabled
 	// (durability.go), nil otherwise. The pointer is installed under the

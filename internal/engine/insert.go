@@ -7,18 +7,26 @@ import (
 	"patchindex/internal/storage"
 )
 
-// Insert paths. Two entry points append rows:
+// Insert paths. Every entry point classifies its batch from the sharded
+// collision state (core.NUCState) and applies it chunk by chunk with the
+// same two functions — planFastInsert and insertChunkLocked. They
+// differ in the lock they hold and in what a snapshot may see:
 //
-//   - Insert: the original table-wide update query. It holds the
-//     exclusive structure lock for the whole insert because NUC insert
-//     handling runs the Fig. 5 collision join against every partition
-//     (uniqueness is a global property, Section 5.1).
+//   - Insert: the table-wide update query. It holds the exclusive
+//     structure lock for the whole insert, where every partition's count
+//     map is readable, so the batch is classified exactly, logged as one
+//     WAL record and becomes visible atomically.
 //   - InsertRows / InsertRowsPartition: the partition-parallel path.
 //     The batch is pre-partitioned, and each partition chunk is applied
 //     under the shared structure lock plus that partition's lock (the
 //     same writer mode DeleteRowIDs uses), so concurrent batches — and
 //     concurrent deletes, modifies, and snapshot queries — interleave
 //     at partition granularity instead of serializing on the table.
+//
+// The paper's insert handling (Section 5.1, Fig. 5) joins the inserted
+// tuples against every partition. No production path runs that join; it
+// is the test oracle insertViaJoin, against which both entry points are
+// compared step by step.
 //
 // What makes the parallel path safe for NUC-indexed tables is the
 // sharded collision state (core.NUCState): instead of joining against
@@ -35,9 +43,9 @@ import (
 //     to the exclusive structure lock, where every partition's exact
 //     counts are readable: real collisions are patched by value scans
 //     of just the partitions that hold them (valuescan.go), the way
-//     NUC-column Modify resolves its own (maintenance.go) — the Fig. 5
-//     join runs on neither path. False positives cost a redundant
-//     fallback; false negatives cannot occur.
+//     Insert and NUC-column Modify (maintenance.go) resolve theirs.
+//     False positives cost a redundant fallback; false negatives cannot
+//     occur.
 //
 // Batches racing the SAME value are caught without any shared mutex, by
 // an optimistic pre-publication protocol: a batch first adds every
@@ -77,9 +85,8 @@ type fastInsertCol struct {
 	knownPatch [][]bool
 	// foreignHits[q] (exact mode only): batch values that already occur
 	// in foreign partition q per the count maps — real cross-partition
-	// collisions. The retry patches q's existing occurrences straight
-	// from these with one value scan per partition (valuescan.go)
-	// instead of re-running the Fig. 5 global join.
+	// collisions. q's existing occurrences are patched straight from
+	// these with one value scan per partition (valuescan.go).
 	foreignHitsInt valueHits[int64]
 	foreignHitsStr valueHits[string]
 	// dupTargets maps a batch-internal duplicate value to the set of
@@ -111,17 +118,18 @@ func (pl *fastInsertPlan) colIndex(column string) int {
 
 // InsertStats reports how many InsertRows/InsertRowsPartition batches
 // took the partition-parallel fast path vs fell back to the
-// exclusive-lock collision join — the observability hook tests and
-// benchmarks use to pin the fast path's coverage.
+// exclusive-lock exact retry — the observability hook tests and
+// benchmarks use to pin the fast path's coverage. Insert counts as
+// neither: it never attempts the fast path.
 func (t *Table) InsertStats() (fast, fallback uint64) {
 	return t.fastInserts.Load(), t.fallbackInserts.Load()
 }
 
 // CollisionJoins reports how many global collision handling queries
 // (the Fig. 5 join, or its string-column equivalent) the table has run.
-// Insert is its only source: the partition-parallel insert path and
-// NUC-column Modify resolve even real cross-partition collisions from
-// the count maps without it.
+// Only the test oracles (insertViaJoin, modifyViaJoin) run that join,
+// so it reads 0 on every production table; it is kept for the benchmark
+// probe that reports it.
 func (t *Table) CollisionJoins() uint64 { return t.collisionJoins.Load() }
 
 // roundRobin distributes rows over partitions the way Insert always
@@ -148,14 +156,14 @@ func (t *Table) validateRowWidths(rows []storage.Row) error {
 // Insert appends rows, distributing them over partitions round-robin,
 // and maintains all PatchIndexes:
 //
-//   - NUC: the Fig. 5 insert handling query — scan the inserted tuples
-//     (from the PDT), join them against the table including the inserts,
-//     with dynamic range propagation pruning the table scan, and merge
-//     the rowIDs of both join sides into the patches. Uniqueness relies
-//     on a global view, so the join probes every partition — Insert
-//     holds the exclusive structure lock throughout and the whole batch
-//     becomes visible atomically. InsertRows is the partition-parallel
-//     alternative.
+//   - NUC: uniqueness relies on a global view, so Insert holds the
+//     exclusive structure lock throughout, where the collision state's
+//     count maps answer exactly which inserted values already occur and
+//     in which partitions (insertExactLocked); the inserted rows and the
+//     occurrences found by value scans of just those partitions become
+//     patches — the result of the paper's Fig. 5 insert handling join,
+//     without the join. The whole batch becomes visible atomically.
+//     InsertRows is the partition-parallel alternative.
 //   - NSC: extend the materialized sorted subsequence with a longest
 //     sorted subsequence of the inserted values; the rest become patches
 //     (partition-local).
@@ -185,9 +193,8 @@ func (db *Database) Insert(table string, rows []storage.Row) error {
 // inserted value is classifiable from partition-local state and the
 // sealed exception set; a cross-partition candidate collision — real,
 // a filter false positive, or a value raced by a concurrent batch —
-// falls the whole batch back to the exclusive lock, which re-checks
-// exactly and runs Insert's collision join only for genuine
-// cross-partition collisions.
+// falls the whole batch back to the exclusive lock, which classifies it
+// exactly the way Insert does.
 //
 // Chunks commit in ascending partition order; a concurrent snapshot may
 // observe a prefix of them (each chunk atomically). Use Insert or
@@ -229,13 +236,9 @@ func (db *Database) InsertRowsPartition(table string, partition int, rows []stor
 // its partition lock, then seal the discovered duplicates. A planning
 // rejection — a cross-partition candidate collision, including a value
 // raced by a concurrent batch and seen through its pre-published
-// filter bits — falls back to the exclusive lock, where an exact
-// re-classification against the count maps resolves even REAL
-// cross-partition collisions shardedly: the colliding values are known
-// per foreign partition, so their existing occurrences are patched by
-// per-partition value scans (valuescan.go), never the Fig. 5 global
-// join (which stays the paper's Insert path of record). NUC-column
-// Modify (maintenance.go) resolves its collisions the same way.
+// filter bits — falls back to the exclusive lock and Insert's exact
+// classification (insertExactLocked). Most fallbacks are filter
+// artifacts (saturation or a false positive), not real collisions.
 func (t *Table) insertPartitioned(db *Database, perPart [][]storage.Row) error {
 	rejected, done, err := t.insertFastPath(db, perPart)
 	if done {
@@ -249,43 +252,51 @@ func (t *Table) insertPartitioned(db *Database, perPart [][]storage.Row) error {
 	t.fallbackInserts.Add(1)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Most fallbacks are filter artifacts (saturation or a false
-	// positive), not real collisions. Under the exclusive lock the
-	// count maps of every partition are readable, so the retry
-	// re-classifies EXACTLY: foreign count hits become foreignHits
-	// entries (patched after the chunks land) instead of rejections.
-	// The exact plan consults no filters and publishes no bits (the
-	// rejected attempt already pre-published this batch's values);
-	// saturated filters are rebuilt AFTER the chunks commit, when the
-	// count maps include the batch, and the still-ledgered values
-	// cover any concurrent batch's uncommitted ones.
-	plan, ok := t.planFastInsert(perPart, true)
-	if !ok {
-		// Degenerate only: a NUC index without collision state
-		// (defensive for externally restored indexes) cannot be
-		// classified shardedly; run the global join path.
-		//pilint:ignore lockblock write-ahead: the WAL append inside must be ordered by the same lock that orders the mutation it logs (Durability, package docs)
-		return t.insertExclusiveLocked(db, perPart)
-	}
-	// A chunk can fail only on its WAL append, before mutating anything:
-	// stop there (the committed chunks are a legal prefix) but still run
-	// the publication steps — sealing the discovered duplicates and
-	// patching foreign collisions is conservative-safe for the chunks
-	// that did land (an extra patch costs plan optimality, never
-	// correctness).
+	//pilint:ignore lockblock write-ahead: the WAL append inside must be ordered by the same lock that orders the mutation it logs (Durability, package docs)
+	return t.insertExactLocked(db, perPart, true)
+}
+
+// insertExactLocked is the one insert body that runs under the exclusive
+// structure lock, where the count maps of every partition are readable:
+// the batch is classified EXACTLY (foreign count hits become foreignHits
+// entries instead of rejections), each chunk is applied, the foreign
+// occurrences of real cross-partition collisions are patched, and the
+// discovered duplicates are sealed. Saturated filters are rebuilt last,
+// when the count maps include the batch.
+//
+// retry tells the two callers apart. true is the InsertRows fallback: a
+// rejected fast-path attempt came first, so the batch's values are
+// already pre-published (and still ledgered, which covers them against
+// the rebuild), and every chunk logs its own WAL record like a fast-path
+// chunk. A chunk can fail only on that append, before mutating anything:
+// the loop stops there (the committed chunks are a legal prefix) but the
+// publication steps still run — sealing the discovered duplicates and
+// patching foreign collisions is conservative-safe for the chunks that
+// did land (an extra patch costs plan optimality, never correctness).
+// false is Insert: the caller logged the whole batch as one record, so
+// no chunk logs and nothing can fail; and since the exact plan consults
+// and publishes no filter bits, the partition filters learn the batch's
+// values here — without them a later fast-path batch carrying one of
+// these values into another partition would get a false negative.
+func (t *Table) insertExactLocked(db *Database, perPart [][]storage.Row, retry bool) error {
+	plan, _ := t.planFastInsert(perPart, true)
 	var chunkErr error
 	for p := range perPart {
 		if len(perPart[p]) == 0 {
 			continue
 		}
-		//pilint:ignore lockblock write-ahead: the WAL append inside must be ordered by the same lock that orders the mutation it logs (Durability, package docs)
-		if err := t.insertChunkLocked(db, p, perPart[p], plan); err != nil {
-			chunkErr = err
-			break
+		if retry {
+			if chunkErr = t.logInsertChunk(p, perPart[p]); chunkErr != nil {
+				break
+			}
 		}
+		t.insertChunkLocked(db, p, perPart[p], plan)
 	}
 	t.patchForeignCollisionsLocked(plan)
 	t.publishFastInsert(plan)
+	if !retry {
+		plan.eachValue((*core.NUCState).AddBloomInt64, (*core.NUCState).AddBloomString)
+	}
 	for _, st := range t.nuc {
 		st.RebuildOverfullBlooms()
 	}
@@ -315,7 +326,11 @@ func (t *Table) insertFastPath(db *Database, perPart [][]storage.Row) (rejected 
 			t.pmu[p].Lock()
 			defer t.pmu[p].Unlock()
 			//pilint:ignore lockblock write-ahead: the WAL append inside must be ordered by the same lock that orders the mutation it logs (Durability, package docs)
-			return t.insertChunkLocked(db, p, perPart[p], plan)
+			if err := t.logInsertChunk(p, perPart[p]); err != nil {
+				return err
+			}
+			t.insertChunkLocked(db, p, perPart[p], plan)
+			return nil
 		}()
 		if err != nil {
 			break
@@ -330,56 +345,41 @@ func (t *Table) insertFastPath(db *Database, perPart [][]storage.Row) (rejected 
 	return nil, true, err
 }
 
+// eachValue calls onInt or onStr (by column kind) for every value of the
+// plan's batch with the column's collision state and the value's target
+// partition.
+func (pl *fastInsertPlan) eachValue(onInt func(*core.NUCState, int, int64), onStr func(*core.NUCState, int, string)) {
+	for ci := range pl.cols {
+		fc := &pl.cols[ci]
+		for p := range fc.intVals {
+			for _, v := range fc.intVals[p] {
+				onInt(fc.state, p, v)
+			}
+		}
+		for p := range fc.strVals {
+			for _, v := range fc.strVals[p] {
+				onStr(fc.state, p, v)
+			}
+		}
+	}
+}
+
 // prePublish registers every value of the plan's batch in its target
 // partition's filter and in-flight ledger: the bits make racing batches
 // see this one, the ledger entries survive filter rebuilds until the
 // counts commit. Paired with exactly one unpublish.
 func prePublish(plan *fastInsertPlan) {
-	for ci := range plan.cols {
-		fc := &plan.cols[ci]
-		if fc.isInt {
-			for p := range fc.intVals {
-				for _, v := range fc.intVals[p] {
-					fc.state.PrePublishInt64(p, v)
-				}
-			}
-		} else {
-			for p := range fc.strVals {
-				for _, v := range fc.strVals[p] {
-					fc.state.PrePublishString(p, v)
-				}
-			}
-		}
-	}
+	plan.eachValue((*core.NUCState).PrePublishInt64, (*core.NUCState).PrePublishString)
 }
 
 // unpublish retires the plan's pre-publication ledger entries, after
-// its values are committed to the count maps. nil-safe (a plan rejected
-// before pre-publication is nil).
+// its values are committed to the count maps.
 func unpublish(plan *fastInsertPlan) {
-	if plan == nil {
-		return
-	}
-	for ci := range plan.cols {
-		fc := &plan.cols[ci]
-		if fc.isInt {
-			for p := range fc.intVals {
-				for _, v := range fc.intVals[p] {
-					fc.state.UnpublishInt64(p, v)
-				}
-			}
-		} else {
-			for p := range fc.strVals {
-				for _, v := range fc.strVals[p] {
-					fc.state.UnpublishString(p, v)
-				}
-			}
-		}
-	}
+	plan.eachValue((*core.NUCState).UnpublishInt64, (*core.NUCState).UnpublishString)
 }
 
 // patchForeignCollisionsLocked patches the pre-existing foreign
-// occurrences of the exact retry's real cross-partition collisions: for
+// occurrences of the exact plan's real cross-partition collisions: for
 // each foreign partition with count-map hits, one partition-local value
 // scan finds the colliding rowIDs (the batch's own rows are already
 // patched via knownPatch; AddPatches ignores re-marks). The caller
@@ -405,23 +405,21 @@ func (t *Table) patchForeignCollisionsLocked(plan *fastInsertPlan) {
 //     filter hit — a candidate collision, real or false positive —
 //     rejects (ok=false, with the returned plan's values pre-published
 //     and ledgered for the caller to retire after the retry).
-//   - exact=true (the fallback retry, structure lock held exclusively):
-//     foreign presence is read from the partition-local count maps —
-//     the exact ground truth, safe to read across partitions under the
-//     exclusive lock. Nothing rejects: a real foreign occurrence marks
-//     the inserted row a known patch and records a foreignHits entry,
-//     which the retry resolves with a partition-local value scan — the
-//     Fig. 5 global join never runs on this path.
+//   - exact=true (Insert and the fallback retry, structure lock held
+//     exclusively): foreign presence is read from the partition-local
+//     count maps — the exact ground truth, safe to read across
+//     partitions under the exclusive lock. Nothing rejects (ok is always
+//     true): a real foreign occurrence marks the inserted row a known
+//     patch and records a foreignHits entry, which insertExactLocked
+//     resolves with a partition-local value scan.
 func (t *Table) planFastInsert(perPart [][]storage.Row, exact bool) (*fastInsertPlan, bool) {
 	plan := &fastInsertPlan{}
 	for column, idx := range t.indexes {
 		if len(idx) == 0 || idx[0] == nil || idx[0].ConstraintKind() != core.NearlyUnique {
 			continue
 		}
+		// Every site that installs a NUC index installs its state.
 		st := t.nuc[column]
-		if st == nil {
-			return nil, false // restored index without state; be conservative
-		}
 		col := t.store.Schema().MustColumnIndex(column)
 		fc := fastInsertCol{
 			column: column,
@@ -511,9 +509,9 @@ func (t *Table) planFastInsert(perPart [][]storage.Row, exact bool) (*fastInsert
 	// behind; they only ever cost a false positive, and the retry
 	// inserts the same values anyway — its ledger entries retire once
 	// the retry commits. Exact mode skips the publication: it consults
-	// count maps, not filters, and the batch's bits are already
-	// published (and still ledgered) by the rejected non-exact attempt
-	// that every exact retry follows.
+	// count maps, not filters; the retry's bits are already published
+	// (and still ledgered) by the rejected attempt it follows, and
+	// Insert adds its own after the counts commit (insertExactLocked).
 	if !exact {
 		prePublish(plan)
 	}
@@ -574,22 +572,26 @@ func (t *Table) planFastInsert(perPart [][]storage.Row, exact bool) (*fastInsert
 	return plan, true
 }
 
-// insertChunkLocked applies one partition's chunk: the write-ahead
-// record, local collision scans against the pre-insert state, the delta
-// append, index maintenance (all partition-local), collision-state
-// counts, and the partition's auto-checkpoint. Its only failure is the
-// WAL append, reported before anything is mutated (the entry points
-// validate row widths and partition indexes before any chunk runs, and
-// nothing after the append returns an error). The caller owns partition
-// p — via the shared structure lock plus p's partition lock (the
-// parallel path), or via the exclusive structure lock (the exact
-// retry).
-func (t *Table) insertChunkLocked(db *Database, p int, prows []storage.Row, plan *fastInsertPlan) error {
-	if t.wal != nil {
-		if err := t.logWAL(t.wal.segs[p], walOpInsertChunk, encodeInsertChunk(t.store.Schema(), p, prows)); err != nil {
-			return err
-		}
+// logInsertChunk appends the write-ahead record of one partition's
+// chunk to that partition's segment (a no-op with logging off). The
+// caller owns partition p and applies the chunk right after: the entry
+// points validate row widths and partition indexes before any chunk
+// runs, so the append is the only step of a chunk that can fail.
+func (t *Table) logInsertChunk(p int, prows []storage.Row) error {
+	if t.wal == nil {
+		return nil
 	}
+	return t.logWAL(t.wal.segs[p], walOpInsertChunk, encodeInsertChunk(t.store.Schema(), p, prows))
+}
+
+// insertChunkLocked applies one partition's chunk, already logged by
+// the caller: local collision scans against the pre-insert state, the
+// delta append, index maintenance (all partition-local), collision-state
+// counts, and the partition's auto-checkpoint. It cannot fail. The
+// caller owns partition p — via the shared structure lock plus p's
+// partition lock (the parallel path), or via the exclusive structure
+// lock (insertExactLocked).
+func (t *Table) insertChunkLocked(db *Database, p int, prows []storage.Row, plan *fastInsertPlan) {
 	base := t.viewLocked(p).NumRows()
 	joins := make([]core.NUCJoinResult, len(plan.cols))
 	for ci := range plan.cols {
@@ -652,7 +654,6 @@ func (t *Table) insertChunkLocked(db *Database, p int, prows []storage.Row, plan
 			for _, v := range fc.intVals[p] {
 				fc.state.AddLocalInt64(p, v)
 			}
-			t.bloomAddPart(fc.column, p, fc.intVals[p])
 		} else {
 			for _, v := range fc.strVals[p] {
 				fc.state.AddLocalString(p, v)
@@ -663,14 +664,13 @@ func (t *Table) insertChunkLocked(db *Database, p int, prows []storage.Row, plan
 	if db.AutoCheckpoint {
 		t.checkpointPartitionLocked(p)
 	}
-	return nil
 }
 
-// publishFastInsert completes a fast-path batch by sealing the values
-// it discovered to be duplicated — batch-internal duplicates from
-// planning plus local collisions from the chunk workers. The filters
-// already learned the batch's values during pre-publication; sealing is
-// a lock-free compare-and-swap, so concurrent publishers compose.
+// publishFastInsert completes a batch by sealing the values it
+// discovered to be duplicated — batch-internal duplicates and (exact
+// mode) foreign hits from planning plus local collisions from the chunk
+// workers. Sealing is a lock-free compare-and-swap, so concurrent
+// publishers compose.
 func (t *Table) publishFastInsert(plan *fastInsertPlan) {
 	for ci := range plan.cols {
 		fc := &plan.cols[ci]
@@ -682,196 +682,24 @@ func (t *Table) publishFastInsert(plan *fastInsertPlan) {
 	}
 }
 
-// insertExclusiveLocked is the table-wide insert: deltas, NSC insert
-// handling, the global NUC collision join of Fig. 5, and the sharded
-// collision state's bookkeeping. The caller holds the structure lock
-// exclusively; perPart fixes each row's target partition.
+// insertExclusiveLocked is the table-wide insert behind Insert and the
+// replay of its WAL record. The caller holds the structure lock
+// exclusively; perPart fixes each row's target partition. The whole
+// batch is logged as one record to the exclusive-op segment, before any
+// mutation, so a logged batch either fully replays or (torn record)
+// never started; an empty batch logs nothing.
 func (t *Table) insertExclusiveLocked(db *Database, perPart [][]storage.Row) error {
-	baseRows := make([]int, len(perPart))
-	for p := range perPart {
-		baseRows[p] = t.viewLocked(p).NumRows()
+	var n int
+	for _, prows := range perPart {
+		n += len(prows)
 	}
-	// Validate the NUC join payload packing BEFORE mutating anything:
-	// failing after the deltas (and other columns' indexes) were updated
-	// would leave the table and the failing index permanently divergent.
-	if t.hasNUCIndex() {
-		for p, prows := range perPart {
-			if len(prows) == 0 {
-				continue
-			}
-			if _, err := encodeRef(p, uint64(baseRows[p]+len(prows)-1)); err != nil {
-				return fmt.Errorf("engine: insert into %s: %w", t.name, err)
-			}
-		}
+	if n == 0 {
+		return nil
 	}
-	// Log the whole batch as one record to the exclusive-op segment —
-	// after validation, before any mutation, so a logged batch either
-	// fully replays or (torn record) never started.
 	if t.wal != nil {
 		if err := t.logWAL(t.wal.excl, walOpInsertExcl, encodePerPart(t.store.Schema(), perPart)); err != nil {
 			return err
 		}
 	}
-	for p, prows := range perPart {
-		if len(prows) == 0 {
-			continue
-		}
-		t.mutableDeltaLocked(p).InsertRows(prows)
-	}
-	for column := range t.indexes {
-		idx := t.mutableIndexesLocked(column)
-		col := t.store.Schema().MustColumnIndex(column)
-		switch idx[0].ConstraintKind() {
-		case core.NearlySorted:
-			for p, prows := range perPart {
-				if len(prows) == 0 {
-					continue
-				}
-				vals := make([]int64, len(prows))
-				for i, r := range prows {
-					vals[i] = r[col].I
-				}
-				idx[p].HandleInsertNSC(vals)
-			}
-		case core.NearlyUnique:
-			isInt := t.store.Schema()[col].Kind == storage.KindInt64
-			var changed []changedRef
-			var changedVals []int64
-			for p, prows := range perPart {
-				for i := range prows {
-					ref := changedRef{part: p, rid: uint64(baseRows[p] + i)}
-					if isInt {
-						ref.val = prows[i][col].I
-						changedVals = append(changedVals, ref.val)
-					}
-					changed = append(changed, ref)
-				}
-			}
-			if isInt && !t.mayCollide(column, changedVals) {
-				// Bloom filters prove no collision is possible: skip the
-				// join, extend the indexes (future-work optimization).
-				if t.bloomSkips == nil {
-					t.bloomSkips = make(map[string]int)
-				}
-				t.bloomSkips[column]++
-				for p := range idx {
-					idx[p].HandleInsertNUC(len(perPart[p]), core.NUCJoinResult{})
-				}
-			} else {
-				joins, err := t.nucCollisions(col, changed, perPartStrings(perPart, col, t.store.Schema()[col].Kind))
-				if err != nil {
-					return fmt.Errorf("engine: insert handling on %s.%s: %w", t.name, column, err)
-				}
-				for p := range idx {
-					idx[p].HandleInsertNUC(len(perPart[p]), joins[p])
-				}
-			}
-			if isInt {
-				for p := range perPart {
-					vals := make([]int64, 0, len(perPart[p]))
-					for _, r := range perPart[p] {
-						vals = append(vals, r[col].I)
-					}
-					t.bloomAddPart(column, p, vals)
-				}
-			}
-			if st := t.nuc[column]; st != nil {
-				// Keep the sealed-set invariant the parallel path relies
-				// on — every LIVE occurrence of a sealed value is a
-				// patch. A sealed value may have had all its occurrences
-				// deleted, so the collision join legitimately comes back
-				// empty for a fresh one; patch it anyway (conservative:
-				// the extra patch costs plan optimality, never
-				// correctness — deletes already erode optimality the
-				// same way).
-				sealed := st.Sealed()
-				for p, prows := range perPart {
-					var forced []uint64
-					for i, r := range prows {
-						if isInt && sealed.ContainsInt64(r[col].I) ||
-							!isInt && sealed.ContainsString(r[col].S) {
-							forced = append(forced, uint64(baseRows[p]+i))
-						}
-					}
-					idx[p].AddPatches(forced)
-				}
-				t.maintainNUCStateInsertLocked(st, col, perPart)
-			}
-		}
-	}
-	if db.AutoCheckpoint {
-		t.checkpointLocked()
-	}
-	return nil
-}
-
-// maintainNUCStateInsertLocked folds an exclusive-lock insert into the
-// sharded collision state: local counts rise, values that just became
-// duplicated are sealed, the partition filters learn the inserted
-// values, and saturated filters are rebuilt (safe only here, where the
-// caller owns every partition). The fallback path's healing happens
-// through this call: a batch that fell back because a filter degraded
-// rebuilds it while it holds the exclusive lock anyway.
-func (t *Table) maintainNUCStateInsertLocked(st *core.NUCState, col int, perPart [][]storage.Row) {
-	if st.IsString() {
-		for p, prows := range perPart {
-			for _, r := range prows {
-				st.AddLocalString(p, r[col].S)
-				st.AddBloomString(p, r[col].S)
-			}
-		}
-		sealed := st.Sealed()
-		seen := make(map[string]struct{})
-		var newDup []string
-		for _, prows := range perPart {
-			for _, r := range prows {
-				v := r[col].S
-				if _, ok := seen[v]; ok {
-					continue
-				}
-				seen[v] = struct{}{}
-				if st.GlobalCountString(v) > 1 && !sealed.ContainsString(v) {
-					newDup = append(newDup, v)
-				}
-			}
-		}
-		st.SealDuplicatesString(newDup)
-	} else {
-		for p, prows := range perPart {
-			for _, r := range prows {
-				st.AddLocalInt64(p, r[col].I)
-				st.AddBloomInt64(p, r[col].I)
-			}
-		}
-		sealed := st.Sealed()
-		seen := make(map[int64]struct{})
-		var newDup []int64
-		for _, prows := range perPart {
-			for _, r := range prows {
-				v := r[col].I
-				if _, ok := seen[v]; ok {
-					continue
-				}
-				seen[v] = struct{}{}
-				if st.GlobalCountInt64(v) > 1 && !sealed.ContainsInt64(v) {
-					newDup = append(newDup, v)
-				}
-			}
-		}
-		st.SealDuplicatesInt64(newDup)
-	}
-	st.RebuildOverfullBlooms()
-}
-
-func perPartStrings(perPart [][]storage.Row, col int, kind storage.Kind) [][]string {
-	if kind != storage.KindString {
-		return nil
-	}
-	out := make([][]string, len(perPart))
-	for p, rows := range perPart {
-		for _, r := range rows {
-			out[p] = append(out[p], r[col].S)
-		}
-	}
-	return out
+	return t.insertExactLocked(db, perPart, false)
 }

@@ -7,6 +7,7 @@ import (
 
 	"patchindex/internal/core"
 	"patchindex/internal/storage"
+	"patchindex/internal/wal"
 )
 
 // nucTable creates an n-partition table with one NUC-indexed BIGINT
@@ -439,34 +440,228 @@ func TestInsertRowsStringNUC(t *testing.T) {
 	}
 }
 
-// TestInsertRowsErrors: the new entry points keep the engine's
-// error-returning conventions — unknown tables, out-of-range
-// partitions, and malformed rows error before any mutation.
+// TestInsertRowsErrors: every insert entry point refuses an unknown
+// table, an out-of-range partition and a malformed row BEFORE anything
+// is logged or changed — no WAL record (the table's LSN stands still),
+// no mutation, and the directory still recovers to the same contents.
 func TestInsertRowsErrors(t *testing.T) {
+	dir := t.TempDir()
+	db := newDB(t)
+	tb := nucTable(t, db, "t", seqVals(10), 2)
+	if err := db.EnableWAL(dir, wal.SyncNone); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("t", i64Rows(100, 101, 102)); err != nil {
+		t.Fatal(err)
+	}
+	want := tableContents(tb)
+	logged := tb.wal.lsn.Load()
+
+	wide := []storage.Row{{storage.I64(1)}, {storage.I64(2), storage.I64(3)}}
+	entries := []struct {
+		name   string
+		scoped bool // takes a partition argument
+		insert func(table string, partition int, rows []storage.Row) error
+	}{
+		{"Insert", false, func(table string, _ int, rows []storage.Row) error { return db.Insert(table, rows) }},
+		{"InsertRows", false, func(table string, _ int, rows []storage.Row) error { return db.InsertRows(table, rows) }},
+		{"InsertRowsPartition", true, db.InsertRowsPartition},
+	}
+	bad := []struct {
+		name      string
+		table     string
+		partition int // a bad one concerns scoped entry points only
+		rows      []storage.Row
+	}{
+		{"unknown table", "missing", 0, i64Rows(1)},
+		{"wrong width", "t", 0, wide},
+		{"partition beyond the table", "t", 5, i64Rows(1)},
+		{"negative partition", "t", -1, i64Rows(1)},
+	}
+	for _, e := range entries {
+		for _, c := range bad {
+			if c.partition != 0 && !e.scoped {
+				continue
+			}
+			if err := e.insert(c.table, c.partition, c.rows); err == nil {
+				t.Fatalf("%s, %s: no error", e.name, c.name)
+			}
+			if got := tb.wal.lsn.Load(); got != logged {
+				t.Fatalf("%s, %s: the refused insert appended %d WAL record(s)", e.name, c.name, got-logged)
+			}
+		}
+	}
+	comparePartitions(t, "after refused inserts", tableContents(tb), want)
+	got, _ := recoveredContents(t, dir, "t", "v")
+	comparePartitions(t, "recovered", got, want)
+}
+
+// TestInsertEmptyBatchLogsNothing: an Insert without rows is a no-op
+// like an InsertRows without rows — it appends no WAL record and burns
+// no LSN.
+func TestInsertEmptyBatchLogsNothing(t *testing.T) {
+	dir := t.TempDir()
 	db := newDB(t)
 	tb := singleColTable(t, db, "t", seqVals(10), 2)
+	if err := db.EnableWAL(dir, wal.SyncNone); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("t", i64Rows(100)); err != nil {
+		t.Fatal(err)
+	}
+	want := tableContents(tb)
+	logged := tb.wal.lsn.Load()
+	for _, rows := range [][]storage.Row{nil, {}} {
+		if err := db.Insert("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.InsertRows("t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tb.wal.lsn.Load(); got != logged {
+		t.Fatalf("empty inserts appended %d WAL record(s)", got-logged)
+	}
+	got, stats := recoveredContents(t, dir, "t", "")
+	comparePartitions(t, "recovered", got, want)
+	if stats.Applied != 1 {
+		t.Fatalf("recovery applied %d records, want the one real insert", stats.Applied)
+	}
+}
 
-	if err := db.InsertRows("missing", i64Rows(1)); err == nil {
-		t.Fatal("InsertRows into unknown table did not error")
+// TestInsertTeachesPartitionFilters: Insert classifies from the count
+// maps and consults no filter, but it must still TEACH the partition
+// filters its values — the parallel path proves freshness from them. A
+// value Insert put into partition p and a later batch carries into
+// q != p must read as a cross-partition candidate (fallback), after
+// which both rows are patches and the value is sealed.
+func TestInsertTeachesPartitionFilters(t *testing.T) {
+	for _, k := range nucKinds {
+		t.Run(k.name, func(t *testing.T) {
+			db := newDB(t)
+			tb, err := db.CreateTable("t", storage.Schema{{Name: "v", Kind: k.kind}}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := make([]storage.Row, 20)
+			for i := range rows {
+				rows[i] = storage.Row{k.mk(i)}
+			}
+			if err := tb.Load(rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.CreatePatchIndex("v", core.NearlyUnique, tinyOpts(core.DesignBitmap)); err != nil {
+				t.Fatal(err)
+			}
+			// Round-robin puts a one-row batch into partition 0, at rowID 10.
+			if err := db.Insert("t", []storage.Row{{k.mk(7777)}}); err != nil {
+				t.Fatal(err)
+			}
+			assertPatchAt(t, tb, "v", 0, 10, false)
+			if err := db.InsertRowsPartition("t", 1, []storage.Row{{k.mk(7777)}}); err != nil {
+				t.Fatal(err)
+			}
+			if fast, fallback := tb.InsertStats(); fast != 0 || fallback != 1 {
+				t.Fatalf("stats after re-inserting an Insert-ed value elsewhere: fast=%d fallback=%d, want 0/1", fast, fallback)
+			}
+			assertPatchAt(t, tb, "v", 0, 10, true)
+			assertPatchAt(t, tb, "v", 1, 10, true)
+			if v := k.mk(7777); !nucSealed(tb, v) {
+				t.Fatalf("%v not sealed after its cross-partition collision", v)
+			}
+		})
 	}
-	if err := db.InsertRowsPartition("t", 5, i64Rows(1)); err == nil {
-		t.Fatal("InsertRowsPartition on unknown partition did not error")
+}
+
+// TestBloomFilterSkipsCollisionJoins: the always-on partition filters of
+// the collision state prove fresh values collision-free, so batches of
+// them — after Inserts taught the filters plenty of other values — stay
+// on the fast path with no exclusive-lock retry, while a real collision
+// is still caught (no false negatives).
+func TestBloomFilterSkipsCollisionJoins(t *testing.T) {
+	db := newDB(t)
+	tb := nucTable(t, db, "t", seqVals(5000), 2)
+	// Fresh values far outside the existing domain.
+	for i := 0; i < 5; i++ {
+		if err := db.Insert("t", i64Rows(int64(1_000_000+i*2), int64(1_000_001+i*2))); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.InsertRows("t", i64Rows(int64(2_000_000+i*2), int64(2_000_001+i*2))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := db.InsertRowsPartition("t", -1, i64Rows(1)); err == nil {
-		t.Fatal("InsertRowsPartition on negative partition did not error")
+	if fast, fallback := tb.InsertStats(); fast != 5 || fallback != 0 {
+		t.Fatalf("fresh batches: fast=%d fallback=%d, want 5/0", fast, fallback)
 	}
-	if err := db.InsertRows("t", []storage.Row{{storage.I64(1), storage.I64(2)}}); err == nil {
-		t.Fatal("InsertRows with a too-wide row did not error")
+	patches := func() (n uint64) {
+		for _, x := range tb.PatchIndexes("v") {
+			n += x.NumPatches()
+		}
+		return n
 	}
-	// Insert validates widths too — BEFORE any delta mutation, so a
-	// malformed row in a late partition chunk cannot leave earlier
-	// chunks appended without index maintenance.
-	if err := db.Insert("t", []storage.Row{{storage.I64(1)}, {storage.I64(2), storage.I64(3)}}); err == nil {
-		t.Fatal("Insert with a too-wide row did not error")
+	if n := patches(); n != 0 {
+		t.Fatalf("fresh inserts produced %d patches", n)
 	}
-	if got := tb.NumRows(); got != 10 {
-		t.Fatalf("failed inserts mutated the table: %d rows", got)
+	// A real collision must still be caught.
+	if err := db.Insert("t", i64Rows(42)); err != nil {
+		t.Fatal(err)
 	}
+	if n := patches(); n != 2 {
+		t.Fatalf("patches after colliding insert = %d, want 2 (both 42s)", n)
+	}
+	// Results stay correct.
+	op, _ := db.Distinct("t", "v", QueryOptions{Mode: PlanPatchIndex})
+	ref, _ := db.Distinct("t", "v", QueryOptions{Mode: PlanReference})
+	n1, _ := CollectInt64(op)
+	n2, _ := CollectInt64(ref)
+	if len(n1) != len(n2) {
+		t.Fatalf("plans disagree: %d vs %d", len(n1), len(n2))
+	}
+}
+
+// TestBloomFilterCatchesDuplicateWithinBatch: two equal fresh values in
+// one Insert collide with each other although no filter or count map
+// knows the value yet.
+func TestBloomFilterCatchesDuplicateWithinBatch(t *testing.T) {
+	db := newDB(t)
+	tb := nucTable(t, db, "t", seqVals(100), 1)
+	if err := db.Insert("t", i64Rows(7777, 7777)); err != nil {
+		t.Fatal(err)
+	}
+	x := tb.PatchIndexes("v")[0]
+	if x.NumPatches() != 2 {
+		t.Fatalf("patches = %d, want 2", x.NumPatches())
+	}
+	if !tb.nuc["v"].Sealed().ContainsInt64(7777) {
+		t.Fatal("in-batch duplicate not sealed")
+	}
+}
+
+// TestBloomFilterModifyPath: a NUC-column Modify teaches the partition
+// filters its new value, so a parallel batch carrying that value into
+// another partition is a cross-partition candidate, not a false
+// negative.
+func TestBloomFilterModifyPath(t *testing.T) {
+	db := newDB(t)
+	tb := nucTable(t, db, "t", seqVals(100), 2)
+	if err := db.Modify("t", 0, []uint64{5}, "v", []storage.Value{storage.I64(99999)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRowsPartition("t", 1, i64Rows(99999)); err != nil {
+		t.Fatal(err)
+	}
+	if fast, fallback := tb.InsertStats(); fast != 0 || fallback != 1 {
+		t.Fatalf("insert of a modified-in value: fast=%d fallback=%d, want 0/1", fast, fallback)
+	}
+	assertPatchAt(t, tb, "v", 0, 5, true)
+	assertPatchAt(t, tb, "v", 1, 50, true)
+	// Modify to an existing value: collision detected, also across
+	// partitions.
+	if err := db.Modify("t", 0, []uint64{6}, "v", []storage.Value{storage.I64(60)}); err != nil {
+		t.Fatal(err)
+	}
+	assertPatchAt(t, tb, "v", 0, 6, true)
+	assertPatchAt(t, tb, "v", 1, 10, true)
 }
 
 // TestSealedValueErosionReinsert: the sealed-exception shortcut stays

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"patchindex/internal/core"
-	"patchindex/internal/exec"
 	"patchindex/internal/storage"
 )
 
@@ -25,14 +24,16 @@ import (
 // partition-local, Table 1), so they run under that partition's lock
 // alone and disjoint-partition updates proceed in parallel. Uniqueness
 // is a global property (Section 5.1), so the NUC update handlers need
-// the whole table and take the exclusive structure lock: Insert runs
-// the paper's collision join against every partition; NUC-column Modify
-// reads every partition's exact value counts from the sharded collision
-// state instead, and scans only the partitions that hold a colliding
-// value (modifyNUCInt64Locked) — none at all when the new values are
-// fresh. InsertRows (insert.go) is the partition-parallel insert path,
-// which falls back to the exclusive lock on cross-partition candidate
-// collisions and resolves them there the same way. An auto-checkpoint
+// the whole table and take the exclusive structure lock. Where the
+// paper joins the changed tuples against every partition (Fig. 5), both
+// Insert (insert.go) and NUC-column Modify read every partition's exact
+// value counts from the sharded collision state and scan only the
+// partitions that hold a colliding value (modifyNUCInt64Locked) — none
+// at all when the new values are fresh; the join survives as the test
+// oracle (insertViaJoin, modifyViaJoin). InsertRows is the
+// partition-parallel insert path, which falls back to the exclusive
+// lock on cross-partition candidate collisions and resolves them there
+// the way Insert does. An auto-checkpoint
 // inside a partition-scoped update propagates only that partition's
 // delta; other partitions' deltas (pending from AutoCheckpoint-off
 // phases) are left for their own updates or an explicit Checkpoint.
@@ -43,163 +44,6 @@ import (
 // lower them, NUC-column modifies do both. The state's per-partition
 // maps follow the same ownership as the index slots, so partition-
 // scoped updates touch only their partition's map.
-
-// changedRef identifies one inserted or modified tuple across the
-// partitioned table, together with its (new) value in the indexed
-// column.
-type changedRef struct {
-	part int
-	rid  uint64
-	val  int64
-}
-
-// The NUC insert-handling join carries (partition, rowID) pairs packed
-// into a single int64 payload column: the low ridBits bits hold the
-// partition-local rowID, the bits above hold the partition number. The
-// packing silently corrupts for values outside these widths, so
-// encodeRef rejects them; a partition beyond 2^23 or 2^40 rows in one
-// partition is far past this reproduction's scale.
-const (
-	ridBits = 40
-	maxRID  = uint64(1)<<ridBits - 1 // largest packable partition-local rowID
-	maxPart = int(1)<<23 - 1         // keeps part<<ridBits within int64
-)
-
-// encodeRef packs a changedRef into one int64 join payload. It returns
-// an error instead of corrupting the packed bits when either component
-// exceeds its field width.
-func encodeRef(part int, rid uint64) (int64, error) {
-	if rid > maxRID {
-		return 0, fmt.Errorf("engine: rowID %d exceeds the %d-bit NUC join payload (max %d)", rid, ridBits, maxRID)
-	}
-	if part < 0 || part > maxPart {
-		return 0, fmt.Errorf("engine: partition %d exceeds the NUC join payload (max %d)", part, maxPart)
-	}
-	return int64(part)<<ridBits | int64(rid), nil
-}
-
-func decodeRef(enc int64) (part int, rid uint64) {
-	return int(enc >> ridBits), uint64(enc & (1<<ridBits - 1))
-}
-
-// hasNUCIndex reports whether any column carries a NearlyUnique index —
-// the only consumers of the packed join payload. Callers hold the table
-// lock.
-func (t *Table) hasNUCIndex() bool {
-	for _, idx := range t.indexes {
-		if len(idx) > 0 && idx[0].ConstraintKind() == core.NearlyUnique {
-			return true
-		}
-	}
-	return false
-}
-
-// nucCollisions runs the insert handling query of Fig. 5 against every
-// partition (the tests also run it over modified tuples, as the oracle
-// for Modify): the changed tuples are the build side of a HashJoin
-// whose build phase propagates the changed values as scan ranges onto
-// each partition's table scan (dynamic range propagation); the rowIDs of
-// both join sides are projected through an intermediate result cache and
-// returned per partition. Self-matches (a changed tuple seeing itself)
-// are filtered.
-func (t *Table) nucCollisions(col int, changed []changedRef, changedStrs [][]string) ([]core.NUCJoinResult, error) {
-	nparts := t.store.NumPartitions()
-	out := make([]core.NUCJoinResult, nparts)
-	if len(changed) == 0 {
-		return out, nil
-	}
-	t.collisionJoins.Add(1)
-	if t.store.Schema()[col].Kind == storage.KindString {
-		t.stringCollisions(col, changedStrs, out)
-		return out, nil
-	}
-
-	buildVals := make([]int64, len(changed))
-	buildEnc := make([]int64, len(changed))
-	for i, c := range changed {
-		enc, err := encodeRef(c.part, c.rid)
-		if err != nil {
-			return nil, err
-		}
-		buildVals[i] = c.val
-		buildEnc[i] = enc
-	}
-	buildSchema := storage.Schema{
-		{Name: "v", Kind: storage.KindInt64},
-		{Name: "enc", Kind: storage.KindInt64},
-	}
-	for p := 0; p < nparts; p++ {
-		build := exec.NewVecSource(buildSchema, []exec.Vec{
-			{Kind: storage.KindInt64, I64: buildVals},
-			{Kind: storage.KindInt64, I64: buildEnc},
-		}, nil)
-		tableScan := exec.NewScan(t.viewLocked(p), []int{col})
-		tableScan.SetPruneColumn(col)
-		probe := exec.NewWithRowIDColumn(tableScan, "trid")
-		join := exec.NewHashJoin(probe, build, 0, 0)
-		join.EnableRangePropagation(tableScan, storage.BlockRows)
-
-		cache := exec.NewReuseCache(join)
-		if err := cache.MaterializeNow(); err != nil {
-			return nil, err
-		}
-		load := cache.Load()
-		for {
-			b, err := load.Next()
-			if err != nil {
-				load.Close()
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			trids := b.Cols[1].I64 // probe: [value, trid]
-			encs := b.Cols[3].I64  // build: [value, enc]
-			for i := range trids {
-				bp, brid := decodeRef(encs[i])
-				if bp == p && brid == uint64(trids[i]) {
-					continue // a changed tuple matching itself
-				}
-				out[p].TableSide = append(out[p].TableSide, uint64(trids[i]))
-				out[bp].InsertedSide = append(out[bp].InsertedSide, brid)
-			}
-		}
-		load.Close()
-	}
-	return out, nil
-}
-
-// stringCollisions is the string-column variant of the collision query.
-// The executor joins on int64 keys only, so string columns use an
-// equivalent global hash lookup.
-func (t *Table) stringCollisions(col int, changedStrs [][]string, out []core.NUCJoinResult) {
-	nparts := t.store.NumPartitions()
-	type ref struct {
-		part int
-		rid  uint64
-	}
-	byVal := make(map[string][]ref)
-	baseRows := make([]int, nparts)
-	for p := 0; p < nparts; p++ {
-		all := t.viewLocked(p).MaterializeString(col)
-		baseRows[p] = len(all) - len(changedStrs[p])
-		for i, v := range all {
-			byVal[v] = append(byVal[v], ref{part: p, rid: uint64(i)})
-		}
-	}
-	for p := range changedStrs {
-		for i, v := range changedStrs[p] {
-			self := ref{part: p, rid: uint64(baseRows[p] + i)}
-			for _, r := range byVal[v] {
-				if r == self {
-					continue
-				}
-				out[p].InsertedSide = append(out[p].InsertedSide, self.rid)
-				out[r.part].TableSide = append(out[r.part].TableSide, r.rid)
-			}
-		}
-	}
-}
 
 // DeleteRowIDs removes the tuples at the given strictly ascending
 // partition-local rowIDs and maintains all PatchIndexes by dropping
@@ -461,8 +305,8 @@ func (t *Table) modifyDeltaLocked(partition int, rowIDs []uint64, col int, value
 
 // modifyNUCInt64Locked is NUC modify handling on a BIGINT column. Where
 // the paper joins the new values against a scan of the whole table
-// (Section 5.2, the Fig. 5 query), this resolves them the way the exact
-// InsertRows retry does, from the sharded collision state, whose count
+// (Section 5.2, the Fig. 5 query), this resolves them the way Insert
+// does (insertExactLocked), from the sharded collision state, whose count
 // maps are all readable under the exclusive structure lock the caller
 // holds:
 //
@@ -492,7 +336,6 @@ func (t *Table) modifyNUCInt64Locked(partition int, rowIDs []uint64, column stri
 		st.AddLocalInt64(partition, v)
 		st.AddBloomInt64(partition, v)
 	}
-	t.bloomAddPart(column, partition, news)
 	idx := t.mutableIndexesLocked(column)
 	idx[partition].AddPatches(patched)
 	patchValueHits(idx, hits, func(q int) []int64 { return t.viewLocked(q).MaterializeInt64(col) })

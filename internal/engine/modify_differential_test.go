@@ -57,7 +57,7 @@ func modifyViaJoin(db *Database, t *Table, partition int, rowIDs []uint64, colum
 		for i, v := range values {
 			if sealed.ContainsString(v.S) {
 				forced = append(forced, rowIDs[i])
-			} else if st.GlobalCountString(v.S) > 1 {
+			} else if globalCount(st, st.LocalCountString, v.S) > 1 {
 				newDup = append(newDup, v.S)
 			}
 		}
@@ -75,7 +75,7 @@ func modifyViaJoin(db *Database, t *Table, partition int, rowIDs []uint64, colum
 		for i, v := range values {
 			if sealed.ContainsInt64(v.I) {
 				forced = append(forced, rowIDs[i])
-			} else if st.GlobalCountInt64(v.I) > 1 {
+			} else if globalCount(st, st.LocalCountInt64, v.I) > 1 {
 				newDup = append(newDup, v.I)
 			}
 		}
@@ -149,16 +149,8 @@ func partitionColumn(tb *Table, p int) []storage.Value {
 // no Modify may run a global collision join.
 func TestModifyNUCDifferentialVsJoin(t *testing.T) {
 	const parts, domain = 4, 160
-	kinds := []struct {
-		name string
-		kind storage.Kind
-		mk   func(d int) storage.Value
-	}{
-		{"int64", storage.KindInt64, func(d int) storage.Value { return storage.I64(int64(d)) }},
-		{"string", storage.KindString, func(d int) storage.Value { return storage.Str(fmt.Sprintf("v%03d", d)) }},
-	}
 	var eroded, swaps, own, foreign int // scenario coverage over all runs
-	for _, k := range kinds {
+	for _, k := range nucKinds {
 		for seed := *modDiffSeed; seed < *modDiffSeed+6; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", k.name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
@@ -188,20 +180,8 @@ func TestModifyNUCDifferentialVsJoin(t *testing.T) {
 				a, b := twin("a"), twin("b") // a: the join, b: Modify
 				fresh := domain              // values beyond the domain are unique
 
-				isSealed := func(tb *Table, d int) bool {
-					if v := k.mk(d); k.kind == storage.KindString {
-						return tb.nuc["v"].Sealed().ContainsString(v.S)
-					} else {
-						return tb.nuc["v"].Sealed().ContainsInt64(v.I)
-					}
-				}
-				localCount := func(tb *Table, p, d int) uint32 {
-					if v := k.mk(d); k.kind == storage.KindString {
-						return tb.nuc["v"].LocalCountString(p, v.S)
-					} else {
-						return tb.nuc["v"].LocalCountInt64(p, v.I)
-					}
-				}
+				isSealed := func(tb *Table, d int) bool { return nucSealed(tb, k.mk(d)) }
+				localCount := func(tb *Table, p, d int) uint32 { return nucLocalCount(tb, p, k.mk(d)) }
 				compare := func(step string) {
 					t.Helper()
 					ap, bp := partitionPatches(a, "v"), partitionPatches(b, "v")

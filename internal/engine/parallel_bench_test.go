@@ -35,8 +35,8 @@ func BenchmarkParallelDisjointUpdates(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelInserts measures the partition-parallel insert path
-// of this PR's tentpole: concurrent InsertRowsPartition batches into
+// BenchmarkParallelInserts measures the partition-parallel insert
+// path: concurrent InsertRowsPartition batches into
 // disjoint partitions of a NUC-indexed table. Each op appends one
 // 16-row batch of worker-unique values — sharded collision
 // classification (sealed/exception probes, pre-publication, foreign
@@ -48,11 +48,11 @@ func BenchmarkParallelDisjointUpdates(b *testing.B) {
 //
 //   - serialized: the identical InsertRowsPartition calls funneled
 //     through one global mutex — isolates pure lock contention;
-//   - exclusive: the pre-existing Insert path (exclusive structure
-//     lock + the global Fig. 5 collision join probing every partition)
-//     — the behavior this PR replaces. Its per-op cost grows with the
-//     table, which is exactly the global-probe tax the sharded state
-//     removes.
+//   - exclusive: Insert — the same batches classified exactly from
+//     the count maps of all partitions under the exclusive structure
+//     lock (round-robin placement, one probe per value and partition,
+//     no filters): the price of the exclusive lock and the
+//     per-partition probes.
 //
 // Occasional fallbacks (filter saturation or a false positive, healed
 // by the exclusive-lock exact retry) are part of the measured fast-path
@@ -60,10 +60,8 @@ func BenchmarkParallelDisjointUpdates(b *testing.B) {
 // numbers on the single-vCPU dev runner (batch=16, 8 partitions):
 // ~13-16 µs/op for the parallel variants and the lock-only serialized
 // control alike — at this op size the global mutex handoff is <2% of an
-// op, so with no hardware parallelism the control ties — while the
-// exclusive old path costs ~1.05-1.09 ms/op and keeps growing with the
-// table: the ~70x win IS the removed global probe, which is what made
-// insert the last per-table serialization point. ~Nx scaling of the
+// op, so with no hardware parallelism the control ties; the exclusive
+// variant stays within a small factor of both. ~Nx scaling of the
 // parallel variants needs as many cores as workers.
 func BenchmarkParallelInserts(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
@@ -135,9 +133,8 @@ func runParallelInserts(b *testing.B, workers int, mode insertMode) {
 					err = db.InsertRowsPartition("t", w, rows)
 					gmu.Unlock()
 				case insertExclusive:
-					// The old path: exclusive structure lock + global
-					// collision join (round-robin distribution, as
-					// Insert always did).
+					// Insert: exclusive structure lock, round-robin
+					// distribution, exact classification.
 					err = db.Insert("t", rows)
 				}
 				if err != nil {

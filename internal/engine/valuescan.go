@@ -10,10 +10,10 @@ import (
 // the sharded collision state (core.NUCState) shows live in partition q,
 // q's existing occurrences must join the patch set too. Their rowIDs are
 // not tracked anywhere, so one scan of q's column finds them — the only
-// table access NUC maintenance performs outside the Fig. 5 join, and it
-// runs only for partitions with a real count-map hit. The exact
-// InsertRows retry, the insert chunks' local collisions and NUC-column
-// Modify all resolve their collisions through it.
+// table access NUC maintenance performs, and it runs only for
+// partitions with a real count-map hit. Insert and the exact InsertRows
+// retry, the insert chunks' local collisions and NUC-column Modify all
+// resolve their collisions through it.
 
 // valueHits maps a partition to the column values whose occurrences
 // there must become patches. Repeated values are fine.

@@ -19,9 +19,10 @@
 //     queries (Section 5.4). Updates lock at partition granularity:
 //     Database.InsertRows / InsertRowsPartition append through the
 //     partition-parallel insert path (sharded NUC collision state;
-//     cross-partition candidate collisions fall back to the global
-//     collision join), while Database.Insert keeps the paper's
-//     exclusive-lock insert handling verbatim
+//     cross-partition candidate collisions fall back to the exclusive
+//     lock), while Database.Insert holds the exclusive lock throughout
+//     and makes the whole batch visible atomically; both classify
+//     collisions from the same state instead of the paper's join
 //   - internal/matview, internal/sortkey, internal/joinindex: the
 //     comparator materialization approaches of the evaluation
 //   - internal/datagen, internal/tpch: the paper's data generator and
