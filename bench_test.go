@@ -176,19 +176,19 @@ func benchTable(b *testing.B, constraint core.Constraint, e float64) (*engine.Da
 	return db, t
 }
 
-func runBenchQuery(b *testing.B, db *engine.Database, constraint core.Constraint, mode engine.PlanMode) {
+func runBenchQuery(b *testing.B, db *Database, constraint core.Constraint, mode PlanMode) {
 	b.Helper()
-	var op exec.Operator
-	var err error
+	p := From("t", "val")
 	if constraint == core.NearlyUnique {
-		op, err = db.Distinct("t", "val", engine.QueryOptions{Mode: mode})
+		p = p.Distinct("val")
 	} else {
-		op, err = db.SortQuery("t", "val", false, engine.QueryOptions{Mode: mode})
+		p = p.OrderBy(Asc("val"))
 	}
+	c, err := Run(db, p, QueryOptions{Mode: mode})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := exec.Count(op); err != nil {
+	if _, err := Count(c.Root); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -202,7 +202,7 @@ func BenchmarkFig7QueryPerformance(b *testing.B) {
 				db, _ := benchTable(b, constraint, e)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					runBenchQuery(b, db, constraint, engine.PlanReference)
+					runBenchQuery(b, db, constraint, PlanReference)
 				}
 			})
 			b.Run(fmt.Sprintf("%v/e=%.1f/materialization", constraint, e), func(b *testing.B) {
@@ -236,7 +236,7 @@ func BenchmarkFig7QueryPerformance(b *testing.B) {
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						runBenchQuery(b, db, constraint, engine.PlanPatchIndex)
+						runBenchQuery(b, db, constraint, PlanPatchIndex)
 					}
 				})
 			}
@@ -354,7 +354,7 @@ func BenchmarkFig9Updates(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if t.View(i%benchParts).NumRows() < granularity*4 {
+					if _, n := t.SampleInt64Column(i%benchParts, "val", 1); n < granularity*4 {
 						// The table would drain over many iterations;
 						// rebuild it outside the timer.
 						b.StopTimer()
@@ -521,11 +521,11 @@ func BenchmarkPublicAPI(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op, err := db.Distinct("t", "v", QueryOptions{Mode: PlanPatchIndex})
+		c, err := Run(db, From("t", "v").Distinct("v"), QueryOptions{Mode: PlanPatchIndex})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Count(op); err != nil {
+		if _, err := Count(c.Root); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -608,11 +608,11 @@ func BenchmarkQueryUnderUpdateStream(b *testing.B) {
 						b.Fatal("update stream died") // b.Error was already reported
 					}
 				}
-				op, err := db.Distinct("t", "v", QueryOptions{Mode: PlanPatchIndex})
+				c, err := Run(db, From("t", "v").Distinct("v"), QueryOptions{Mode: PlanPatchIndex})
 				if err != nil {
 					b.Fatal(err)
 				}
-				n, err := Count(op)
+				n, err := Count(c.Root)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,7 +10,6 @@ import (
 
 	"patchindex"
 	"patchindex/internal/core"
-	"patchindex/internal/query"
 )
 
 func main() {
@@ -46,8 +45,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	op, _ := db.SortQuery("demo", "v", false, patchindex.QueryOptions{Mode: patchindex.PlanPatchIndex})
-	sorted, _ := patchindex.CollectInt64(op)
+	// ORDER BY v as a logical plan; forcing the mode pins the patch plan
+	// the cost model would not pick on ten rows (see the last section).
+	byV := patchindex.From("demo", "v").OrderBy(patchindex.Asc("v"))
+	sortedVia := func(opts patchindex.QueryOptions) ([]int64, *patchindex.Compiled) {
+		c, err := patchindex.Run(db, byV, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sorted, err := patchindex.CollectInt64(c.Root)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return sorted, c
+	}
+	sorted, _ := sortedVia(patchindex.QueryOptions{Mode: patchindex.PlanPatchIndex})
 	fmt.Println("ORDER BY v via PatchIndex plan (merge of sorted run + sorted patches):")
 	fmt.Println("  ", sorted)
 
@@ -63,12 +75,11 @@ func main() {
 		log.Fatal(err)
 	}
 	// PatchIndexes hands out a frozen snapshot copy, so re-fetch to
-	// observe the post-delete state rather than the pinned capture.
+	// observe the post-delete state rather than the earlier capture.
 	x = t.PatchIndexes("v")[0]
 	fmt.Printf("   patches now: %v, rows=%d\n", x.Patches(), x.Rows())
 
-	op, _ = db.SortQuery("demo", "v", false, patchindex.QueryOptions{Mode: patchindex.PlanPatchIndex})
-	sorted, _ = patchindex.CollectInt64(op)
+	sorted, _ = sortedVia(patchindex.QueryOptions{Mode: patchindex.PlanPatchIndex})
 	fmt.Println("   ORDER BY v still correct:", sorted)
 
 	// Checkpoint & recovery (Section 3.4).
@@ -84,18 +95,13 @@ func main() {
 	fmt.Printf("\ncheckpoint/recovery: %d bytes, restored index has %d patches over %d rows\n",
 		size, restored.NumPatches(), restored.Rows())
 
-	// The general query layer: the same ORDER BY as a logical plan. The
-	// optimizer consults the cost model with the index's live row and
-	// patch counts; on a table this small the clone overhead of the
-	// patch plan never pays, so it picks the full-scan reference plan —
-	// the Decisions record shows the reasoning.
-	p := query.From("demo", "v").OrderBy(query.Asc("v"))
-	c, err := query.Run(db, p, query.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sorted, _ = patchindex.CollectInt64(c.Root)
-	fmt.Println("\ngeneral query layer: From(demo, v).OrderBy(v):")
+	// The same plan with the choice left to the optimizer: it consults
+	// the cost model with the index's live row and patch counts; on a
+	// table this small the clone overhead of the patch plan never pays,
+	// so it picks the full-scan reference plan — the Decisions record
+	// shows the reasoning.
+	sorted, c := sortedVia(patchindex.QueryOptions{})
+	fmt.Println("\nFrom(demo, v).OrderBy(v) in Auto mode:")
 	fmt.Println("  ", sorted)
 	for _, d := range c.Decisions {
 		fmt.Printf("   optimizer: %s -> %s (rows=%d patches=%d, forced=%v)\n",

@@ -44,13 +44,14 @@ func main() {
 		table.ExceptionRate("user_id"), table.IndexMemoryBytes("user_id"))
 
 	// DISTINCT with and without the index.
+	distinctIDs := patchindex.From("users", "user_id").Distinct("user_id")
 	for _, mode := range []patchindex.PlanMode{patchindex.PlanReference, patchindex.PlanPatchIndex} {
-		op, err := db.Distinct("users", "user_id", patchindex.QueryOptions{Mode: mode})
+		c, err := patchindex.Run(db, distinctIDs, patchindex.QueryOptions{Mode: mode})
 		if err != nil {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		count, err := patchindex.Count(op)
+		count, err := patchindex.Count(c.Root)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,8 +71,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	op, _ := db.Distinct("users", "user_id", patchindex.QueryOptions{Mode: patchindex.PlanPatchIndex})
-	count, _ := patchindex.Count(op)
+	c, err := patchindex.Run(db, distinctIDs, patchindex.QueryOptions{Mode: patchindex.PlanPatchIndex})
+	if err != nil {
+		log.Fatal(err)
+	}
+	count, _ := patchindex.Count(c.Root)
 	fmt.Printf("after insert: %d distinct user ids, exception rate %.4f\n",
 		count, table.ExceptionRate("user_id"))
 }

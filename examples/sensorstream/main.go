@@ -52,13 +52,14 @@ func main() {
 
 	// ORDER BY ts: the PatchIndex plan sorts only the late arrivals and
 	// merges them into the already-ordered stream.
+	byTime := patchindex.From("events", "ts").OrderBy(patchindex.Asc("ts"))
 	for _, mode := range []patchindex.PlanMode{patchindex.PlanReference, patchindex.PlanPatchIndex} {
-		op, err := db.SortQuery("events", "ts", false, patchindex.QueryOptions{Mode: mode})
+		c, err := patchindex.Run(db, byTime, patchindex.QueryOptions{Mode: mode})
 		if err != nil {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		got, err := patchindex.CollectInt64(op)
+		got, err := patchindex.CollectInt64(c.Root)
 		if err != nil {
 			log.Fatal(err)
 		}

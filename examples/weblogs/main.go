@@ -51,17 +51,18 @@ func main() {
 	fmt.Printf("NUC PatchIndex on requests.session_id: exception rate %.4f, memory %.1f KB\n",
 		table.ExceptionRate("session_id"), float64(table.IndexMemoryBytes("session_id"))/1024)
 
+	sessions := patchindex.From("requests", "session_id").Distinct("session_id")
 	countDistinct := func(mode patchindex.PlanMode) (int, time.Duration) {
-		op, err := db.Distinct("requests", "session_id", patchindex.QueryOptions{Mode: mode, Parallel: true})
+		c, err := patchindex.Run(db, sessions, patchindex.QueryOptions{Mode: mode, Parallel: true})
 		if err != nil {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		c, err := patchindex.Count(op)
+		n, err := patchindex.Count(c.Root)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return c, time.Since(start)
+		return n, time.Since(start)
 	}
 	cRef, tRef := countDistinct(patchindex.PlanReference)
 	cPI, tPI := countDistinct(patchindex.PlanPatchIndex)

@@ -114,20 +114,17 @@ func Funcs(files []*ast.File, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) 
 }
 
 // AcqMethods names the resource constructors across the engine,
-// storage, and tpch packages, shared by the snapclose and closeowner
-// analyzers. A call only counts when its first result is closeable
-// (see IsAcquisition), so a same-named method elsewhere that returns
-// plain data is ignored.
+// storage, query, and tpch packages, shared by the snapclose and
+// closeowner analyzers. A call only counts when its first result is
+// closeable (see IsAcquisition), so a same-named function elsewhere
+// that returns plain data (t.Run, cmd.Run) is ignored.
 var AcqMethods = map[string]bool{
 	"Snapshot":         true,
 	"MustSnapshot":     true,
 	"SnapshotAll":      true,
 	"SnapshotTable":    true,
-	"snapshotColumn":   true,
-	"ScanAll":          true,
 	"ScanPartition":    true,
-	"Distinct":         true,
-	"SortQuery":        true,
+	"Run":              true,
 	"Retain":           true,
 	"RetainPartitions": true,
 	"Queries":          true,
@@ -137,18 +134,19 @@ var AcqMethods = map[string]bool{
 // CloseMethods names the release entry points of acquired handles.
 var CloseMethods = map[string]bool{"Close": true, "Release": true}
 
-// IsAcquisition reports whether call invokes a listed method whose
-// first result is closeable.
+// IsAcquisition reports whether call invokes a listed method or
+// function — or a func-typed variable re-exporting one, as the facade's
+// `var Run = query.Run` does — whose first result is closeable.
 func IsAcquisition(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !AcqMethods[sel.Sel.Name] {
 		return false
 	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok {
+	obj := info.Uses[sel.Sel]
+	if obj == nil {
 		return false
 	}
-	sig, ok := fn.Type().(*types.Signature)
+	sig, ok := obj.Type().(*types.Signature)
 	if !ok || sig.Results().Len() == 0 {
 		return false
 	}

@@ -15,7 +15,9 @@
 //   - an escape: returned, passed to another call, stored in a struct
 //     or captured by a closure — ownership moved, the receiver is
 //     responsible now. Passing the bound method value (s.Close) counts:
-//     that is how exec.OnClose takes ownership.
+//     that is how exec.OnClose takes ownership. So does passing a
+//     closeable field of the handle (c.Root of a query.Run result): the
+//     field is the handle's resource, and whoever drains it releases it.
 //
 // Dropping the result on the floor — a bare call statement, assignment
 // to blank, or a chained call on the unbound result — is always
@@ -305,6 +307,9 @@ func (w *walker) useEscapes(id *ast.Ident, stack []ast.Node) bool {
 			if p.X != child {
 				return false // our ident IS the selector name of something else
 			}
+			if w.closeableField(p) {
+				continue // c.Root stands for c from here up
+			}
 			if !lintutil.CloseMethods[p.Sel.Name] {
 				return false // reading a field / calling another method: plain use
 			}
@@ -368,6 +373,14 @@ func (w *walker) useEscapes(id *ast.Ident, stack []ast.Node) bool {
 		}
 	}
 	return false
+}
+
+// closeableField reports whether sel picks a struct field whose type is
+// itself closeable — the operator a Run result wraps. Handing that
+// field on, or closing it, is handing on or closing the handle.
+func (w *walker) closeableField(sel *ast.SelectorExpr) bool {
+	s, ok := w.pass.TypesInfo.Selections[sel]
+	return ok && s.Kind() == types.FieldVal && lintutil.Closeable(s.Type())
 }
 
 // isDeferred reports whether the enclosing statement chain passes
@@ -553,7 +566,11 @@ func (w *walker) isCloseCall(e ast.Expr) bool {
 	if !ok || !lintutil.CloseMethods[sel.Sel.Name] {
 		return false
 	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	x := ast.Unparen(sel.X)
+	if f, ok := x.(*ast.SelectorExpr); ok && w.closeableField(f) {
+		x = ast.Unparen(f.X) // c.Root.Close() closes c
+	}
+	id, ok := x.(*ast.Ident)
 	return ok && w.pass.TypesInfo.Uses[id] == w.res
 }
 

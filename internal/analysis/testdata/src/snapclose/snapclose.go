@@ -12,13 +12,28 @@ type Op struct{}
 
 func (o *Op) Close() {}
 
+// Compiled is the shape of a query.Run result: a handle whose resource
+// is the closeable operator in its Root field.
+type Compiled struct {
+	Root      *Op
+	Decisions int
+}
+
+func (c *Compiled) Close() { c.Root.Close() }
+
 type Table struct{}
 
-func (t *Table) Snapshot() *Snap                  { return &Snap{} }
-func (t *Table) ScanAll(col string) *Op           { return &Op{} }
-func (t *Table) Distinct(col string) (*Op, error) { return nil, errors.New("no index") }
+func (t *Table) Snapshot() *Snap { return &Snap{} }
+
+// Run is reached through a func-typed variable, as the facade re-exports
+// it (`var Run = query.Run`); the analyzer must see through that.
+var db = struct {
+	Run func(plan string) (*Compiled, error)
+}{Run: func(string) (*Compiled, error) { return nil, errors.New("unknown table") }}
 
 func sink(s *Snap) {}
+
+func drain(o *Op) {}
 
 var keep *Snap
 
@@ -30,9 +45,33 @@ func blankAssigned(t *Table) {
 	_ = t.Snapshot() // want `result of Snapshot is assigned to _`
 }
 
-func blankWithErr(t *Table) error {
-	_, err := t.Distinct("v") // want `result of Distinct is assigned to _`
+func blankWithErr() error {
+	_, err := db.Run("q") // want `result of Run is assigned to _`
 	return err
+}
+
+func droppedRun() {
+	db.Run("q") // want `result of Run is dropped`
+}
+
+// neverDrainedNorClosed: reading the result is plain use; nothing here
+// releases the snapshot.
+func neverDrainedNorClosed() (int, error) {
+	c, err := db.Run("q")
+	if err != nil {
+		return 0, err
+	}
+	return c.Decisions, nil // want `return without closing c`
+}
+
+// rootDrained: handing the root to a call is the escape it is.
+func rootDrained() error {
+	c, err := db.Run("q")
+	if err != nil {
+		return err
+	}
+	drain(c.Root)
+	return nil
 }
 
 func neverClosed(t *Table) int {
@@ -77,12 +116,12 @@ func escapeGlobal(t *Table) {
 }
 
 // errGuard: the acquisition's own error path carries no resource.
-func errGuard(t *Table) error {
-	op, err := t.Distinct("v")
+func errGuard() error {
+	c, err := db.Run("q")
 	if err != nil {
 		return err
 	}
-	op.Close()
+	c.Root.Close()
 	return nil
 }
 
@@ -125,9 +164,9 @@ func switchMissingDefault(t *Table, k int) {
 	}
 }
 
-func suppressedProbe(t *Table) {
+func suppressedProbe() {
 	//pilint:ignore snapclose fixture: error-path probe to test suppression
-	if _, err := t.Distinct("missing"); err == nil {
+	if _, err := db.Run("missing"); err == nil {
 		panic("unexpected success")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"patchindex/internal/core"
+	"patchindex/internal/exec"
 	"patchindex/internal/storage"
 )
 
@@ -34,8 +35,8 @@ func TestApproxDistinctBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi, _ = tb.ApproxDistinctBounds("v")
-	op, _ := db.Distinct("t", "v", QueryOptions{Mode: PlanReference})
-	got, _ := CollectInt64(op)
+	op, _ := distinctQuery(db, "t", "v", refPlan)
+	got, _ := exec.CollectInt64(op)
 	if uint64(len(got)) < lo || uint64(len(got)) > hi {
 		t.Fatalf("true distinct %d outside bounds [%d,%d]", len(got), lo, hi)
 	}

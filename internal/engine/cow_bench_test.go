@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"patchindex/internal/core"
+	"patchindex/internal/exec"
 	"patchindex/internal/storage"
 )
 
@@ -60,11 +61,11 @@ func BenchmarkDeleteCheckpointUnderQueryStream(b *testing.B) {
 					b.StopTimer()
 					// The query stream: one drained query per delete. Its
 					// snapshot is captured, used, and auto-released.
-					op, err := db.Distinct("t", "v", QueryOptions{Mode: PlanReference})
+					op, err := distinctQuery(db, "t", "v", refPlan)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := CollectInt64(op); err != nil {
+					if _, err := exec.CollectInt64(op); err != nil {
 						b.Fatal(err)
 					}
 					var snap *TableSnapshot

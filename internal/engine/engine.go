@@ -1,8 +1,12 @@
 // Package engine ties the substrates together into a small analytical
 // database: partitioned columnar tables with positional-delta updates,
 // PatchIndex DDL, update queries that drive the index maintenance of
-// Section 5, and query entry points that apply the planner's PatchIndex
-// rewrites under the cost model.
+// Section 5, and the snapshots queries read. The engine runs no queries
+// itself: internal/query (query.Run, query.CompileSnapshot) captures a
+// DatabaseSnapshot here and lowers logical plans — the PatchIndex
+// rewrites under the cost model included — onto its frozen views and
+// indexes. ScanPartition is the one operator the engine hands out
+// directly, for partition-scoped captures.
 //
 // # Snapshots
 //
@@ -225,9 +229,9 @@
 //     `// lock-rank: none <reason>` opting out; an unmarked mutex is
 //     invisible to the order checks and therefore a defect.
 //   - snapclose: every snapshot or query-internal capture
-//     (Snapshot, SnapshotTable, ScanAll, ScanPartition, Distinct,
-//     SortQuery, Retain, ...) must reach Close/Release on all paths, so
-//     generation refs cannot be wedged open.
+//     (Snapshot, SnapshotTable, ScanPartition, query.Run, Retain, ...)
+//     must reach Close/Release on all paths, so generation refs cannot
+//     be wedged open.
 //   - closeowner: once a handle's release is handed to a new owner
 //     (exec.OnClose(op, s.Close), Queries' internal snapshots), the
 //     original holder must neither close it again nor keep using it.
@@ -258,7 +262,6 @@ import (
 
 	"patchindex/internal/core"
 	"patchindex/internal/pdt"
-	"patchindex/internal/plan"
 	"patchindex/internal/storage"
 	"patchindex/internal/wal"
 )
@@ -278,7 +281,7 @@ import (
 //
 // Queries are snapshot-isolated from updates (the MVCC-lite analogue of
 // the host system's snapshot isolation the paper assumes, Section 5.4):
-// a query entry point captures an immutable TableSnapshot with all
+// query.Run captures an immutable TableSnapshot per table with all
 // partition locks briefly held — frozen partition views, the sealed
 // positional delta, and the per-partition PatchIndexes — then releases
 // the locks and executes the whole vectorized plan against the
@@ -289,8 +292,7 @@ import (
 // entirely before or entirely after any concurrent update query, with
 // one documented refinement — a multi-partition InsertRows batch
 // commits per-partition chunks in ascending order, and a snapshot may
-// capture a prefix of them (each chunk atomically; see insert.go). The
-// same holds for views handed out by View/Views/Inputs/ScanAll. Only
+// capture a prefix of them (each chunk atomically; see insert.go). Only
 // the evaluation comparators (SortKey's physical reorder) bypass the
 // engine and still need external synchronization.
 type Database struct {
@@ -345,27 +347,24 @@ func NewDatabase() *Database {
 // under the exclusive structure lock. See the package comment for the
 // full lock order.
 //
-// Snapshot generation tracking: capturing a snapshot (Snapshot, a query
-// entry point, ScanAll) retains one refcount on every partition's
-// current generation in the store's snapshot registry
+// Snapshot generation tracking: capturing a snapshot (Table.Snapshot,
+// or Database.Snapshot as query.Run does) retains one refcount on every
+// partition's current generation in the store's snapshot registry
 // (storage.Table.Retain) and hands out Freeze copies of the
 // PatchIndexes; closing the snapshot releases the refcounts exactly
 // once. A delete/modify checkpoint consults the registry and clones a
-// partition only while a live snapshot (or pinned raw view) references
-// its current generation; the clone is published as a new generation,
-// which starts unreferenced, so the next checkpoint mutates in place
-// again — base storage pays O(partitions touched by live snapshots),
-// never a sticky per-partition clone tax. The unclosable raw view
-// surfaces (View, Views, Inputs) pin their generations permanently
-// instead (storage.Table.Pin): their frozen views stay valid forever at
-// the cost of one clone per pinned generation. deltaShared seals the
-// positional deltas with a per-partition flag — a sealed delta
-// generation is copied before the next mutation. Frozen
-// PatchIndexes need no generation swap at all: their shard-granular
-// copy-on-write lets update handling mutate the live index directly,
-// copying only the shards it touches. Appends are exempt everywhere:
-// frozen partition views carry their own length-capped column headers,
-// so an insert-only checkpoint may append to the live arrays in place
+// partition only while a live snapshot references its current
+// generation; the clone is published as a new generation, which starts
+// unreferenced, so the next checkpoint mutates in place again — base
+// storage pays O(partitions touched by live snapshots), never a sticky
+// per-partition clone tax. deltaShared seals the positional deltas with
+// a per-partition flag — a sealed delta generation is copied before the
+// next mutation. Frozen PatchIndexes need no generation swap at all:
+// their shard-granular copy-on-write lets update handling mutate the
+// live index directly, copying only the shards it touches. Appends are
+// exempt everywhere: frozen partition views carry their own
+// length-capped column headers, so an insert-only checkpoint may append
+// to the live arrays in place
 // without disturbing any snapshot.
 type Table struct {
 	mu    sync.RWMutex // lock-rank: 20 (table structure lock)
@@ -536,18 +535,6 @@ func (t *Table) NumRows() int {
 	return n
 }
 
-// View returns a snapshot read view of partition p, valid for use after
-// the call returns even while updates proceed on the table. The view is
-// unclosable, so it pins the partition's current base generation
-// permanently (one clone at the next delete/modify checkpoint, nothing
-// after the swap); prefer Snapshot for a releasable capture.
-func (t *Table) View(p int) *pdt.View {
-	t.lockPartition(p)
-	defer t.unlockPartition(p)
-	t.store.Pin(p)
-	return t.snapshotViewLocked(p)
-}
-
 // viewLocked returns a live read view for use strictly while holding
 // partition p (update handling, index discovery). It does not mark
 // generations shared, so it must never escape the lock — handed-out
@@ -559,19 +546,18 @@ func (t *Table) viewLocked(p int) *pdt.View {
 // snapshotViewLocked returns a frozen read view of partition p and
 // seals the partition's delta generation, forcing copy-on-write on the
 // next delta mutation. Base-generation accounting is the caller's job:
-// snapshot captures Retain the whole table, raw view hand-outs Pin the
-// partition.
+// snapshot captures Retain the whole table, ScanPartition retains the
+// one partition.
 func (t *Table) snapshotViewLocked(p int) *pdt.View {
 	t.deltaShared[p] = true
 	return pdt.NewView(t.store.Partition(p).Freeze(), t.delta[p])
 }
 
 // ReadInt64Column returns a copy of one partition's int64 column
-// (including pending deltas) without retaining or pinning any
-// generation. Read-modify-write drivers (like the TPC-H refresh stream)
-// use it to pick rows they are about to update: going through View
-// would pin the base generation and force the subsequent delete
-// checkpoint to clone the whole partition for a view nobody keeps.
+// (including pending deltas) without retaining any generation.
+// Read-modify-write drivers (like the TPC-H refresh stream) use it to
+// pick rows they are about to update: a snapshot still open at the
+// delete would force that checkpoint to clone the whole partition.
 func (t *Table) ReadInt64Column(partition int, column string) []int64 {
 	t.lockPartition(partition)
 	defer t.unlockPartition(partition)
@@ -609,21 +595,6 @@ func (t *Table) SampleInt64Column(partition int, column string, max int) (vals [
 		vals[i] = v.Get(i*rows/n, col).I
 	}
 	return vals, rows
-}
-
-// Views returns snapshot read views of all partitions, capturing one
-// consistent table state. Like View, the views are unclosable and pin
-// every partition's current base generation permanently; prefer
-// Snapshot for a releasable capture.
-func (t *Table) Views() []*pdt.View {
-	t.lockAllPartitions()
-	defer t.unlockAllPartitions()
-	out := make([]*pdt.View, t.store.NumPartitions())
-	for p := range out {
-		t.store.Pin(p)
-		out[p] = t.snapshotViewLocked(p)
-	}
-	return out
 }
 
 // mutableDeltaLocked returns delta[p], copying it first when the current
@@ -865,29 +836,6 @@ func (t *Table) PatchIndexes(column string) []*core.Index {
 	return freezeIndexes(t.indexes[column])
 }
 
-// Inputs pairs each partition's snapshot view with its PatchIndex on
-// column for the planner. The returned inputs are one consistent
-// capture and stay valid while updates proceed on the table; like
-// View/Views they are unclosable, so the captured base generations are
-// pinned permanently. Query entry points use releasable snapshots
-// instead.
-func (t *Table) Inputs(column string) []plan.PartitionInput {
-	return t.pinnedColumnSnapshot(column).Inputs(column)
-}
-
-// pinnedColumnSnapshot captures the column's snapshot and permanently
-// pins every partition's current generation, all under the exclusive
-// structure lock.
-func (t *Table) pinnedColumnSnapshot(column string) *TableSnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := t.snapshotColumnLocked(column)
-	for p := 0; p < t.store.NumPartitions(); p++ {
-		t.store.Pin(p)
-	}
-	return s
-}
-
 // ExceptionRate returns the aggregate exception rate of the PatchIndexes
 // on column.
 func (t *Table) ExceptionRate(column string) float64 {
@@ -944,8 +892,8 @@ func (t *Table) checkpointLocked() {
 //     beyond the frozen length are invisible to them.
 //   - A delta with deletes or modifies would compact or overwrite shared
 //     arrays; when the snapshot registry reports the partition's current
-//     generation referenced by a live snapshot or pinned view, the
-//     checkpoint instead applies the delta to a clone and publishes it
+//     generation referenced by a live snapshot, the checkpoint
+//     instead applies the delta to a clone and publishes it
 //     atomically as the new partition generation (which starts
 //     unreferenced — once the snapshots close, later checkpoints mutate
 //     in place again).
@@ -956,7 +904,7 @@ func (t *Table) checkpointPartitionLocked(p int) {
 	if d.Empty() {
 		return
 	}
-	if t.store.GenerationShared(p) && !d.InsertsOnly() {
+	if t.store.PartitionRetained(p) && !d.InsertsOnly() {
 		next := t.store.Partition(p).Clone()
 		d.ApplyTo(next)
 		t.store.SetPartition(p, next)

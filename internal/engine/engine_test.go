@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"patchindex/internal/core"
+	"patchindex/internal/exec"
+	"patchindex/internal/plan"
 	"patchindex/internal/storage"
 )
 
@@ -100,12 +102,12 @@ func TestDistinctPlansAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := distinctSorted(vals)
-		for _, mode := range []PlanMode{PlanReference, PlanPatchIndex, PlanAuto} {
-			op, err := db.Distinct("t", "v", QueryOptions{Mode: mode})
+		for mode, tp := range []testPlan{refPlan, patchPlan} {
+			op, err := distinctQuery(db, "t", "v", tp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := CollectInt64(op)
+			got, err := exec.CollectInt64(op)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,11 +137,11 @@ func TestDistinctParallelAndZBP(t *testing.T) {
 	if got := tb.ExceptionRate("v"); got != 0 {
 		t.Fatalf("e = %f, want 0", got)
 	}
-	op, err := db.Distinct("t", "v", QueryOptions{Mode: PlanPatchIndex, ZeroBranchPruning: true, Parallel: true})
+	op, err := distinctQuery(db, "t", "v", testPlan{patch: true, Options: plan.Options{ZeroBranchPruning: true, Parallel: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectInt64(op)
+	got, err := exec.CollectInt64(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +166,12 @@ func TestSortPlansAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := sortedCopy(vals)
-		for _, mode := range []PlanMode{PlanReference, PlanPatchIndex, PlanAuto} {
-			op, err := db.SortQuery("t", "v", false, QueryOptions{Mode: mode})
+		for mode, tp := range []testPlan{refPlan, patchPlan} {
+			op, err := sortQuery(db, "t", "v", false, tp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := CollectInt64(op)
+			got, err := exec.CollectInt64(op)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,11 +196,11 @@ func TestSortDescendingPlans(t *testing.T) {
 	if err := tb.CreatePatchIndex("v", core.NearlySorted, opts); err != nil {
 		t.Fatal(err)
 	}
-	op, err := db.SortQuery("t", "v", true, QueryOptions{Mode: PlanPatchIndex})
+	op, err := sortQuery(db, "t", "v", true, patchPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectInt64(op)
+	got, err := exec.CollectInt64(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +232,8 @@ func TestInsertMaintainsNUC(t *testing.T) {
 		t.Fatalf("patches = %v", x.Patches())
 	}
 	// The distinct query over the updated table must stay correct.
-	op, _ := db.Distinct("t", "v", QueryOptions{Mode: PlanPatchIndex})
-	got, _ := CollectInt64(op)
+	op, _ := distinctQuery(db, "t", "v", patchPlan)
+	got, _ := exec.CollectInt64(op)
 	if len(got) != 5 {
 		t.Fatalf("distinct after insert = %v", got)
 	}
@@ -266,8 +268,8 @@ func TestInsertMaintainsNSC(t *testing.T) {
 	if x.NumPatches() != 1 || !x.IsPatch(4) {
 		t.Fatalf("patches = %v, want [4]", x.Patches())
 	}
-	op, _ := db.SortQuery("t", "v", false, QueryOptions{Mode: PlanPatchIndex})
-	got, _ := CollectInt64(op)
+	op, _ := sortQuery(db, "t", "v", false, patchPlan)
+	got, _ := exec.CollectInt64(op)
 	want := []int64{0, 1, 2, 3, 5}
 	for i := range want {
 		if got[i] != want[i] {
@@ -314,8 +316,8 @@ func TestDeleteWhere(t *testing.T) {
 	if tb.NumRows() != 90 {
 		t.Fatalf("rows = %d, want 90", tb.NumRows())
 	}
-	op, _ := db.SortQuery("t", "v", false, QueryOptions{Mode: PlanPatchIndex})
-	got, _ := CollectInt64(op)
+	op, _ := sortQuery(db, "t", "v", false, patchPlan)
+	got, _ := exec.CollectInt64(op)
 	if len(got) != 90 {
 		t.Fatalf("sort after delete returned %d rows", len(got))
 	}
@@ -339,8 +341,8 @@ func TestModifyMaintainsNSC(t *testing.T) {
 	if !x.IsPatch(1) {
 		t.Fatal("modified tuple must be a patch")
 	}
-	op, _ := db.SortQuery("t", "v", false, QueryOptions{Mode: PlanPatchIndex})
-	got, _ := CollectInt64(op)
+	op, _ := sortQuery(db, "t", "v", false, patchPlan)
+	got, _ := exec.CollectInt64(op)
 	want := []int64{1, 3, 4, 99}
 	for i := range want {
 		if got[i] != want[i] {
@@ -363,8 +365,8 @@ func TestModifyMaintainsNUC(t *testing.T) {
 	if !x.IsPatch(0) || !x.IsPatch(2) {
 		t.Fatalf("patches after modify = %v, want [0 2]", x.Patches())
 	}
-	op, _ := db.Distinct("t", "v", QueryOptions{Mode: PlanPatchIndex})
-	got, _ := CollectInt64(op)
+	op, _ := distinctQuery(db, "t", "v", patchPlan)
+	got, _ := exec.CollectInt64(op)
 	if len(got) != 2 {
 		t.Fatalf("distinct after modify = %v, want 2 values", got)
 	}
@@ -417,7 +419,7 @@ func TestRandomUpdateStreamPlansStayCorrect(t *testing.T) {
 				}
 			case 1:
 				p := rng.Intn(2)
-				n := tb.View(p).NumRows()
+				n := len(tb.ReadInt64Column(p, "v"))
 				if n == 0 {
 					continue
 				}
@@ -437,7 +439,7 @@ func TestRandomUpdateStreamPlansStayCorrect(t *testing.T) {
 				}
 			case 2:
 				p := rng.Intn(2)
-				n := tb.View(p).NumRows()
+				n := len(tb.ReadInt64Column(p, "v"))
 				if n == 0 {
 					continue
 				}
@@ -448,13 +450,13 @@ func TestRandomUpdateStreamPlansStayCorrect(t *testing.T) {
 				}
 			}
 			// Compare plans.
-			refOp, _ := db.SortQuery("t", "v", false, QueryOptions{Mode: PlanReference})
-			want, err := CollectInt64(refOp)
+			refOp, _ := sortQuery(db, "t", "v", false, refPlan)
+			want, err := exec.CollectInt64(refOp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			piOp, _ := db.SortQuery("t", "v", false, QueryOptions{Mode: PlanPatchIndex})
-			got, err := CollectInt64(piOp)
+			piOp, _ := sortQuery(db, "t", "v", false, patchPlan)
+			got, err := exec.CollectInt64(piOp)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"patchindex/internal/core"
+	"patchindex/internal/exec"
 	"patchindex/internal/storage"
 	"patchindex/internal/wal"
 )
@@ -260,7 +261,7 @@ func TestParallelInsertDisjointPartitions(t *testing.T) {
 				errc <- err
 				return
 			}
-			if _, err := CollectInt64(op); err != nil {
+			if _, err := exec.CollectInt64(op); err != nil {
 				errc <- err
 				return
 			}
@@ -286,19 +287,19 @@ func TestParallelInsertDisjointPartitions(t *testing.T) {
 		t.Fatalf("disjoint unique inserts produced %d spurious patches", patches)
 	}
 	// The maintained distinct plan agrees with the reference plan.
-	refOp, err := db.Distinct("t", "v", QueryOptions{Mode: PlanReference})
+	refOp, err := distinctQuery(db, "t", "v", refPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := CollectInt64(refOp)
+	ref, err := exec.CollectInt64(refOp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	piOp, err := db.Distinct("t", "v", QueryOptions{Mode: PlanPatchIndex})
+	piOp, err := distinctQuery(db, "t", "v", patchPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := CollectInt64(piOp)
+	pi, err := exec.CollectInt64(piOp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,10 +611,10 @@ func TestBloomFilterSkipsCollisionJoins(t *testing.T) {
 		t.Fatalf("patches after colliding insert = %d, want 2 (both 42s)", n)
 	}
 	// Results stay correct.
-	op, _ := db.Distinct("t", "v", QueryOptions{Mode: PlanPatchIndex})
-	ref, _ := db.Distinct("t", "v", QueryOptions{Mode: PlanReference})
-	n1, _ := CollectInt64(op)
-	n2, _ := CollectInt64(ref)
+	op, _ := distinctQuery(db, "t", "v", patchPlan)
+	ref, _ := distinctQuery(db, "t", "v", refPlan)
+	n1, _ := exec.CollectInt64(op)
+	n2, _ := exec.CollectInt64(ref)
 	if len(n1) != len(n2) {
 		t.Fatalf("plans disagree: %d vs %d", len(n1), len(n2))
 	}
@@ -781,19 +782,15 @@ func TestSnapshotCloseIdempotentAfterDrain(t *testing.T) {
 
 	// An ephemeral query snapshot releases itself on drain; Close on an
 	// explicit snapshot after that must not double-release.
-	op, err := db.Distinct("t", "v", QueryOptions{})
+	op, err := distinctQuery(db, "t", "v", refPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CollectInt64(op); err != nil { // drained: ref auto-released
+	if _, err := exec.CollectInt64(op); err != nil { // drained: ref auto-released
 		t.Fatal(err)
 	}
 	snap := tb.Snapshot()
-	sop, err := snap.Distinct("v", QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CollectInt64(sop); err != nil {
+	if _, err := exec.CollectInt64(distinctOn(snap, "v", refPlan)); err != nil {
 		t.Fatal(err)
 	}
 	snap.Close()

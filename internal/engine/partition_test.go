@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"patchindex/internal/core"
+	"patchindex/internal/exec"
 	"patchindex/internal/storage"
 )
 
@@ -45,7 +46,7 @@ func TestScanPartitionGatesOnlyItsPartition(t *testing.T) {
 	if err := db.DeleteRowIDs("t", 0, []uint64{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectInt64(op)
+	got, err := exec.CollectInt64(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +146,10 @@ func TestUnknownTableErrors(t *testing.T) {
 	if err := db.Modify("missing", 0, []uint64{0}, "v", []storage.Value{storage.I64(1)}); err == nil {
 		t.Fatal("Modify on unknown table did not error")
 	}
-	//pilint:ignore snapclose error-path probe; a non-nil operator fails the test
-	if _, err := db.Distinct("missing", "v", QueryOptions{}); err == nil {
-		t.Fatal("Distinct on unknown table did not error")
-	}
-	//pilint:ignore snapclose error-path probe; a non-nil operator fails the test
-	if _, err := db.SortQuery("missing", "v", false, QueryOptions{}); err == nil {
-		t.Fatal("SortQuery on unknown table did not error")
+	// The capture every query starts with (query.Run calls Snapshot).
+	//pilint:ignore snapclose error-path probe; a non-nil snapshot fails the test
+	if _, err := db.Snapshot("missing"); err == nil {
+		t.Fatal("Snapshot of unknown table did not error")
 	}
 	// Out-of-range partitions error too.
 	if err := db.DeleteRowIDs("t", 5, []uint64{0}); err == nil {
@@ -235,7 +233,7 @@ func TestParallelDisjointUpdates(t *testing.T) {
 				errc <- fmt.Errorf("partition scan: %w", err)
 				return
 			}
-			if _, err := CollectInt64(op); err != nil {
+			if _, err := exec.CollectInt64(op); err != nil {
 				errc <- fmt.Errorf("partition scan: %w", err)
 				return
 			}
@@ -257,19 +255,19 @@ func TestParallelDisjointUpdates(t *testing.T) {
 		}
 	}
 	// The maintained plan still matches the reference plan exactly.
-	refOp, err := db.SortQuery("t", "v", false, QueryOptions{Mode: PlanReference})
+	refOp, err := sortQuery(db, "t", "v", false, refPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVals, err := CollectInt64(refOp)
+	wantVals, err := exec.CollectInt64(refOp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	piOp, err := db.SortQuery("t", "v", false, QueryOptions{Mode: PlanPatchIndex})
+	piOp, err := sortQuery(db, "t", "v", false, patchPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotVals, err := CollectInt64(piOp)
+	gotVals, err := exec.CollectInt64(piOp)
 	if err != nil {
 		t.Fatal(err)
 	}

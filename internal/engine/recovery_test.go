@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"patchindex/internal/core"
+	"patchindex/internal/exec"
 	"patchindex/internal/storage"
 )
 
@@ -37,8 +38,8 @@ func TestDatabaseRestartWithCheckpoints(t *testing.T) {
 		checkpoints = append(checkpoints, buf)
 	}
 	// Reference result before "shutdown".
-	refOp, _ := db1.SortQuery("t", "v", false, QueryOptions{Mode: PlanPatchIndex})
-	want, err := CollectInt64(refOp)
+	refOp, _ := sortQuery(db1, "t", "v", false, patchPlan)
+	want, err := exec.CollectInt64(refOp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestDatabaseRestartWithCheckpoints(t *testing.T) {
 	}
 	tb2.RestorePatchIndexes("v", restored)
 
-	op, err := db2.SortQuery("t", "v", false, QueryOptions{Mode: PlanPatchIndex})
+	op, err := sortQuery(db2, "t", "v", false, patchPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectInt64(op)
+	got, err := exec.CollectInt64(op)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
+	"patchindex/internal/exec"
 	"patchindex/internal/storage"
 )
 
@@ -60,11 +60,11 @@ func TestDeleteCheckpointInPlaceAfterQueryStream(t *testing.T) {
 	tb := singleColTable(t, db, "t", seq(200), 2)
 	st := tb.Store()
 	for i := 0; i < 5; i++ {
-		op, err := db.Distinct("t", "v", QueryOptions{Mode: PlanReference})
+		op, err := distinctQuery(db, "t", "v", refPlan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := CollectInt64(op); err != nil {
+		if _, err := exec.CollectInt64(op); err != nil {
 			t.Fatal(err)
 		}
 		p0, p1 := st.Partition(0), st.Partition(1)
@@ -80,19 +80,21 @@ func TestDeleteCheckpointInPlaceAfterQueryStream(t *testing.T) {
 // TestEphemeralQuerySnapshotGatesReorder: a query-internal snapshot
 // must hold the physical-reorder guard for exactly the query's
 // lifetime — from the entry point returning an operator until that
-// operator is drained or closed.
+// operator is drained or closed. (The entry point itself, query.Run, is
+// pinned the same way — rejected plans included — by
+// TestRunReleasesSnapshot in internal/query.)
 func TestEphemeralQuerySnapshotGatesReorder(t *testing.T) {
 	db := newDB(t)
 	tb := singleColTable(t, db, "t", seq(50), 2)
 
-	op, err := db.SortQuery("t", "v", false, QueryOptions{Mode: PlanReference})
+	op, err := sortQuery(db, "t", "v", false, refPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reorderable(tb) {
 		t.Fatal("reorder allowed while a query is in flight")
 	}
-	if _, err := CollectInt64(op); err != nil {
+	if _, err := exec.CollectInt64(op); err != nil {
 		t.Fatal(err)
 	}
 	if !reorderable(tb) {
@@ -100,7 +102,7 @@ func TestEphemeralQuerySnapshotGatesReorder(t *testing.T) {
 	}
 
 	// Close without draining releases too.
-	op, err = db.Distinct("t", "v", QueryOptions{Mode: PlanReference})
+	op, err = distinctQuery(db, "t", "v", refPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,42 +112,6 @@ func TestEphemeralQuerySnapshotGatesReorder(t *testing.T) {
 	op.Close()
 	if !reorderable(tb) {
 		t.Fatal("closed query still holds the reorder guard")
-	}
-
-	// ScanAll is a query entry point like the others.
-	scan := tb.ScanAll("v")
-	if reorderable(tb) {
-		t.Fatal("reorder allowed while a scan is in flight")
-	}
-	if _, err := CollectInt64(scan); err != nil {
-		t.Fatal(err)
-	}
-	if !reorderable(tb) {
-		t.Fatal("drained scan still holds the reorder guard")
-	}
-
-	// A rejected query must not leak a ref.
-	//pilint:ignore snapclose error-path probe; a non-nil operator fails the test
-	if _, err := db.Distinct("t", "v", QueryOptions{Mode: PlanPatchIndex}); err == nil {
-		t.Fatal("PlanPatchIndex without an index accepted")
-	}
-	if !reorderable(tb) {
-		t.Fatal("rejected query leaked a snapshot ref")
-	}
-
-	// Neither must a ScanAll that panics on an unknown column (it
-	// validates before capturing).
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ScanAll accepted an unknown column")
-			}
-		}()
-		//pilint:ignore snapclose ScanAll panics before capturing a ref here
-		tb.ScanAll("missing")
-	}()
-	if !reorderable(tb) {
-		t.Fatal("panicked ScanAll leaked a snapshot ref")
 	}
 }
 
@@ -192,7 +158,7 @@ func TestScanPartitionErrorPathRetainsNoRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CollectInt64(op); err != nil {
+	if _, err := exec.CollectInt64(op); err != nil {
 		t.Fatal(err)
 	}
 
@@ -229,28 +195,5 @@ func TestSnapshotTableError(t *testing.T) {
 	//pilint:ignore snapclose error-path probe; a non-nil snapshot fails the test
 	if _, err := db.SnapshotTable("missing"); err == nil {
 		t.Fatal("SnapshotTable accepted an unknown table")
-	}
-}
-
-// TestPinnedViewsStayValidWithoutWedgingReorder: the unclosable view
-// surfaces keep their forever-valid contract (checkpoints clone pinned
-// generations) but never block physical reorganization — pins are not
-// snapshot refs.
-func TestPinnedViewsStayValidWithoutWedgingReorder(t *testing.T) {
-	db := newDB(t)
-	tb := singleColTable(t, db, "t", seq(30), 1)
-
-	view := tb.View(0)
-	if !reorderable(tb) {
-		t.Fatal("a raw view must not hold the reorder guard")
-	}
-	if err := db.DeleteRowIDs("t", 0, []uint64{0}); err != nil {
-		t.Fatal(err)
-	}
-	if got := view.NumRows(); got != 30 {
-		t.Fatalf("pinned view rows after delete = %d, want 30", got)
-	}
-	if fmt.Sprint(sortedCopy(view.MaterializeInt64(0))) != fmt.Sprint(seq(30)) {
-		t.Fatal("pinned view data changed under a delete checkpoint")
 	}
 }

@@ -49,8 +49,7 @@ type TableSnapshot struct {
 
 	// ref is this snapshot's hold on the store's snapshot registry:
 	// one refcount per captured partition generation, released exactly
-	// once by Close. Unclosable captures (Table.Inputs) leave it nil and
-	// pin their generations instead.
+	// once by Close.
 	ref *storage.TableRef
 }
 
@@ -90,7 +89,16 @@ func freezeIndexes(idx []*core.Index) []*core.Index {
 }
 
 func (t *Table) snapshotLocked() *TableSnapshot {
-	s := t.snapshotViewsLocked()
+	nparts := t.store.NumPartitions()
+	s := &TableSnapshot{
+		name:    t.name,
+		schema:  t.store.Schema(),
+		views:   make([]*pdt.View, nparts),
+		indexes: make(map[string][]*core.Index, len(t.indexes)),
+	}
+	for p := range s.views {
+		s.views[p] = t.snapshotViewLocked(p)
+	}
 	for column, idx := range t.indexes {
 		s.indexes[column] = freezeIndexes(idx)
 	}
@@ -107,20 +115,6 @@ func (t *Table) snapshotLocked() *TableSnapshot {
 // later in-place checkpoint or reorder may rewrite the arrays its
 // frozen views share, so finish reading before Close.
 func (s *TableSnapshot) Close() { s.ref.Release() }
-
-// snapshotColumnLocked captures a snapshot carrying only the PatchIndex
-// generation of the named column, without registering it in the
-// snapshot registry — the caller decides between Retain (closable query
-// snapshots) and Pin (unclosable Inputs). Single-column query entry
-// points use it so an update racing a Distinct("a") does not pay the
-// freeze bookkeeping of unrelated columns' indexes.
-func (t *Table) snapshotColumnLocked(column string) *TableSnapshot {
-	s := t.snapshotViewsLocked()
-	if idx := t.indexes[column]; idx != nil {
-		s.indexes[column] = freezeIndexes(idx)
-	}
-	return s
-}
 
 // DatabaseSnapshot is an immutable view of several tables captured at
 // one instant: the per-table locks are acquired together (in
@@ -237,20 +231,6 @@ func (s *DatabaseSnapshot) String() string {
 	return fmt.Sprintf("dbsnapshot%v", names)
 }
 
-func (t *Table) snapshotViewsLocked() *TableSnapshot {
-	nparts := t.store.NumPartitions()
-	s := &TableSnapshot{
-		name:    t.name,
-		schema:  t.store.Schema(),
-		views:   make([]*pdt.View, nparts),
-		indexes: make(map[string][]*core.Index, len(t.indexes)),
-	}
-	for p := range s.views {
-		s.views[p] = t.snapshotViewLocked(p)
-	}
-	return s
-}
-
 // Name returns the snapshotted table's name.
 func (s *TableSnapshot) Name() string { return s.name }
 
@@ -295,19 +275,6 @@ func (s *TableSnapshot) Inputs(column string) []plan.PartitionInput {
 	return out
 }
 
-// planStats aggregates index statistics for the cost model.
-func (s *TableSnapshot) planStats(column string) (rows, patches uint64, indexed bool) {
-	idx := s.indexes[column]
-	if idx == nil {
-		return 0, 0, false
-	}
-	for _, x := range idx {
-		rows += x.Rows()
-		patches += x.NumPatches()
-	}
-	return rows, patches, true
-}
-
 // ScanAll returns an operator scanning the given columns of every
 // partition of the snapshot (unioned).
 func (s *TableSnapshot) ScanAll(columns ...string) exec.Operator {
@@ -325,9 +292,34 @@ func (s *TableSnapshot) ScanAll(columns ...string) exec.Operator {
 	return exec.NewUnion(parts...)
 }
 
-// MustKind returns the kind of the named column.
-func (s *TableSnapshot) MustKind(column string) storage.Kind {
-	return s.schema[s.schema.MustColumnIndex(column)].Kind
+// ScanPartition returns an operator scanning the given columns of just
+// partition p, against an ephemeral partition-scoped snapshot: only
+// partition p's lock is taken for the capture, and only p's current
+// generation is retained in the snapshot registry. While the scan
+// drains, checkpoints of partition p clone-and-swap and a
+// partition-granular reorder of p refuses — but sibling partitions owe
+// the scan nothing: their checkpoints mutate in place and their
+// rebuilds (ExclusivePartition) proceed. The ref is released when the
+// operator is drained or closed, as query.Run's snapshot is. Unknown
+// columns and out-of-range partitions return an error — before the
+// capture, so the aborted call retains no generation refs.
+func (t *Table) ScanPartition(p int, columns ...string) (exec.Operator, error) {
+	cols := make([]int, len(columns))
+	for i, c := range columns {
+		ci := t.Schema().ColumnIndex(c)
+		if ci < 0 {
+			return nil, fmt.Errorf("engine: unknown column %q", c)
+		}
+		cols[i] = ci
+	}
+	if p < 0 || p >= len(t.pmu) {
+		return nil, fmt.Errorf("engine: table %q has no partition %d", t.name, p)
+	}
+	t.lockPartition(p)
+	view := t.snapshotViewLocked(p)
+	ref := t.store.RetainPartitions(p)
+	t.unlockPartition(p)
+	return exec.OnClose(exec.NewScan(view, cols), ref.Release), nil
 }
 
 // String summarizes the snapshot for debugging.

@@ -7,16 +7,17 @@ import (
 
 	"patchindex/internal/core"
 	"patchindex/internal/exec"
+	"patchindex/internal/plan"
 	"patchindex/internal/storage"
 )
 
-func collectSorted(t *testing.T, db *Database, table, column string, opts QueryOptions) []int64 {
+func collectSorted(t *testing.T, db *Database, table, column string, tp testPlan) []int64 {
 	t.Helper()
-	op, err := db.Distinct(table, column, opts)
+	op, err := distinctQuery(db, table, column, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := CollectInt64(op)
+	vals, err := exec.CollectInt64(op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +57,7 @@ func TestSnapshotSeesPreInsertState(t *testing.T) {
 			if got := snap.NumRows(); got != 100 {
 				t.Fatalf("snapshot NumRows = %d, want 100", got)
 			}
-			op, err := snap.Distinct("v", QueryOptions{Mode: PlanPatchIndex})
-			if err != nil {
-				t.Fatal(err)
-			}
-			vals, err := CollectInt64(op)
+			vals, err := exec.CollectInt64(distinctOn(snap, "v", patchPlan))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +65,7 @@ func TestSnapshotSeesPreInsertState(t *testing.T) {
 				t.Fatalf("snapshot distinct = %d values, want the 100 pre-insert values", len(got))
 			}
 			// The live table sees the new rows.
-			live := collectSorted(t, db, "t", "v", QueryOptions{Mode: PlanPatchIndex})
+			live := collectSorted(t, db, "t", "v", patchPlan)
 			if len(live) != 120 {
 				t.Fatalf("live distinct = %d values, want 120", len(live))
 			}
@@ -88,24 +85,20 @@ func TestSnapshotSeesPreDeleteState(t *testing.T) {
 	}
 	snap := tb.Snapshot()
 	defer snap.Close()
-	want := collectSorted(t, db, "t", "v", QueryOptions{Mode: PlanPatchIndex})
+	want := collectSorted(t, db, "t", "v", patchPlan)
 
 	if _, err := db.DeleteWhereInt64("t", "v", func(v int64) bool { return v%2 == 0 }); err != nil {
 		t.Fatal(err)
 	}
 
-	op, err := snap.Distinct("v", QueryOptions{Mode: PlanPatchIndex})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectInt64(op)
+	got, err := exec.CollectInt64(distinctOn(snap, "v", patchPlan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(sortedCopy(got)) != fmt.Sprint(want) {
 		t.Fatalf("snapshot distinct changed after delete: got %d values, want %d", len(got), len(want))
 	}
-	live := collectSorted(t, db, "t", "v", QueryOptions{Mode: PlanPatchIndex})
+	live := collectSorted(t, db, "t", "v", patchPlan)
 	if len(live) != 50 {
 		t.Fatalf("live distinct after delete = %d values, want 50", len(live))
 	}
@@ -126,18 +119,14 @@ func TestSnapshotSeesPreModifyState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	op, err := snap.SortQuery("v", false, QueryOptions{Mode: PlanReference})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectInt64(op)
+	got, err := exec.CollectInt64(sortOn(snap, "v", false, refPlan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(seq(60)) {
 		t.Fatalf("snapshot sort sees modified values: %v...", got[:5])
 	}
-	live := collectSorted(t, db, "t", "v", QueryOptions{Mode: PlanPatchIndex})
+	live := collectSorted(t, db, "t", "v", patchPlan)
 	if live[len(live)-1] != 1001 {
 		t.Fatalf("live table missing modified value, got max %d", live[len(live)-1])
 	}
@@ -195,12 +184,12 @@ func TestConcurrentDistinctVsUpdates(t *testing.T) {
 					return
 				default:
 				}
-				op, err := db.Distinct("t", "v", QueryOptions{Mode: PlanPatchIndex, Parallel: true})
+				op, err := distinctQuery(db, "t", "v", testPlan{patch: true, Options: plan.Options{Parallel: true}})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				vals, err := CollectInt64(op)
+				vals, err := exec.CollectInt64(op)
 				if err != nil {
 					t.Error(err)
 					return
@@ -289,12 +278,12 @@ func TestConcurrentSortVsUpdates(t *testing.T) {
 				return
 			default:
 			}
-			op, err := db.SortQuery("t", "v", false, QueryOptions{Mode: PlanPatchIndex})
+			op, err := sortQuery(db, "t", "v", false, patchPlan)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			vals, err := CollectInt64(op)
+			vals, err := exec.CollectInt64(op)
 			if err != nil {
 				t.Error(err)
 				return
@@ -320,13 +309,15 @@ func TestConcurrentSortVsUpdates(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSnapshotViewsSurviveCheckpointCycle: Views() handed out must stay
-// stable across a full insert+delete+checkpoint cycle (the matview
+// TestSnapshotViewsSurviveCheckpointCycle: an open snapshot's Views()
+// must stay stable across a full insert+delete+checkpoint cycle (the matview
 // refresh pattern).
 func TestSnapshotViewsSurviveCheckpointCycle(t *testing.T) {
 	db := newDB(t)
 	tb := singleColTable(t, db, "t", seq(40), 2)
-	views := tb.Views()
+	snap := tb.Snapshot()
+	defer snap.Close()
+	views := snap.Views()
 
 	if err := db.Insert("t", []storage.Row{{storage.I64(100)}, {storage.I64(101)}}); err != nil {
 		t.Fatal(err)
@@ -431,12 +422,12 @@ func TestDatabaseSnapshotJoinPrefixConsistent(t *testing.T) {
 			checkOnce := func() bool {
 				snap := db.MustSnapshot("lineitem", "orders")
 				defer snap.Close()
-				dimVals, err := CollectInt64(snap.MustTable("orders").ScanAll("v"))
+				dimVals, err := exec.CollectInt64(snap.MustTable("orders").ScanAll("v"))
 				if err != nil {
 					t.Error(err)
 					return false
 				}
-				factVals, err := CollectInt64(snap.MustTable("lineitem").ScanAll("v"))
+				factVals, err := exec.CollectInt64(snap.MustTable("lineitem").ScanAll("v"))
 				if err != nil {
 					t.Error(err)
 					return false

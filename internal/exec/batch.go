@@ -274,6 +274,19 @@ func Collect(op Operator) ([]storage.Row, error) {
 	return rows, nil
 }
 
+// CollectInt64 drains a single-column BIGINT operator into a slice.
+func CollectInt64(op Operator) ([]int64, error) {
+	batches, err := Drain(op)
+	if err != nil {
+		return nil, err
+	}
+	var out []int64
+	for _, b := range batches {
+		out = append(out, b.Cols[0].I64...)
+	}
+	return out, nil
+}
+
 // Count pulls child to completion and returns the tuple count.
 func Count(op Operator) (int, error) {
 	batches, err := Drain(op)

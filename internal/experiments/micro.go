@@ -9,6 +9,7 @@ import (
 	"patchindex/internal/engine"
 	"patchindex/internal/exec"
 	"patchindex/internal/matview"
+	"patchindex/internal/query"
 	"patchindex/internal/sortkey"
 	"patchindex/internal/storage"
 )
@@ -40,18 +41,18 @@ func mustCreatePI(t *engine.Table, constraint core.Constraint, design core.Desig
 	}
 }
 
-func runQuery(db *engine.Database, constraint core.Constraint, mode engine.PlanMode) {
-	var op exec.Operator
-	var err error
+func runQuery(db *engine.Database, constraint core.Constraint, mode query.Mode) {
+	p := query.From("t", "val")
 	if constraint == core.NearlyUnique {
-		op, err = db.Distinct("t", "val", engine.QueryOptions{Mode: mode})
+		p = p.Distinct("val")
 	} else {
-		op, err = db.SortQuery("t", "val", false, engine.QueryOptions{Mode: mode})
+		p = p.OrderBy(query.Asc("val"))
 	}
+	c, err := query.Run(db, p, query.Options{Mode: mode})
 	if err != nil {
 		panic(err)
 	}
-	if _, err := exec.Count(op); err != nil {
+	if _, err := exec.Count(c.Root); err != nil {
 		panic(err)
 	}
 }
@@ -75,7 +76,7 @@ func RunFig7(w io.Writer, s Scale) {
 		for _, e := range figESweep {
 			// Reference.
 			db, _, _ := loadGenerated(s, constraint, e)
-			tRef := timeIt(func() { runQuery(db, constraint, engine.PlanReference) })
+			tRef := timeIt(func() { runQuery(db, constraint, query.ForceReference) })
 
 			// Specialized materialization.
 			var tMat float64
@@ -106,7 +107,7 @@ func RunFig7(w io.Writer, s Scale) {
 			for di, design := range []core.Design{core.DesignBitmap, core.DesignIdentifier} {
 				db3, t3, _ := loadGenerated(s, constraint, e)
 				mustCreatePI(t3, constraint, design)
-				tPI[di] = ms(timeIt(func() { runQuery(db3, constraint, engine.PlanPatchIndex) }))
+				tPI[di] = ms(timeIt(func() { runQuery(db3, constraint, query.ForcePatchIndex) }))
 			}
 			fmt.Fprintf(w, "%-6.1f %16.2f %16.2f %14.2f %16.2f\n", e, ms(tRef), tMat, tPI[0], tPI[1])
 		}

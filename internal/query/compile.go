@@ -12,10 +12,10 @@ import (
 )
 
 // Mode forces or frees the optimizer's access-path choice. Forced modes
-// apply wherever the respective apparatus is available and silently fall
-// back to the generic lowering elsewhere — forcing the patch plan on a
-// query whose inner dimension joins carry no index still hash-joins
-// those inner joins, exactly like the hand-built plans do.
+// apply wherever the respective apparatus is available and fall back to
+// the generic lowering elsewhere — forcing the patch plan on a query
+// whose inner dimension joins carry no index still hash-joins those
+// inner joins, exactly like the hand-built plans do.
 type Mode int
 
 const (
@@ -25,7 +25,10 @@ const (
 	// ForceReference always takes the unoptimized plan.
 	ForceReference
 	// ForcePatchIndex takes the PatchIndex plan wherever an index of the
-	// right constraint kind exists.
+	// right constraint kind exists. A choosable ORDER BY or DISTINCT over
+	// a column that carries no PatchIndex at all is not an error: it runs
+	// the reference lowering and records that as a forced Decision with
+	// Access == plan.AccessReference.
 	ForcePatchIndex
 	// ForceJoinIndex resolves joins through a matching JoinIndexBinding;
 	// non-join nodes choose as in Auto.
@@ -58,8 +61,6 @@ type Options struct {
 	Chooser *plan.Chooser
 	// JoinIndexes offers precomputed joinindexes to the optimizer.
 	JoinIndexes []JoinIndexBinding
-	// DisablePruning turns minmax block pruning off (for A/B tests).
-	DisablePruning bool
 }
 
 // Decision records one access-path choice for inspection by tests and
@@ -80,7 +81,8 @@ type Decision struct {
 
 // Compiled is an executable physical plan. Root is NOT wrapped with any
 // snapshot release — with CompileSnapshot the caller keeps snapshot
-// ownership; Run wraps the root so its ephemeral snapshot frees itself.
+// ownership; Run wraps the root so its ephemeral snapshot frees itself
+// when the root is drained or closed.
 type Compiled struct {
 	Root exec.Operator
 	// Decisions lists the access-path choices made, outermost first.
@@ -90,6 +92,11 @@ type Compiled struct {
 	// to observe minmax pruning.
 	Scans []*exec.Scan
 }
+
+// Close closes the root operator. For a Run result that releases the
+// ephemeral snapshot; it is idempotent and harmless after a drain, so
+// `defer c.Close()` is the whole lifetime discipline.
+func (c *Compiled) Close() { c.Root.Close() }
 
 // CompileSnapshot lowers the logical plan against a caller-held
 // snapshot. The snapshot must stay open until the returned operator is
@@ -195,7 +202,7 @@ func (c *compiler) table(sc *scanNode) (*engine.TableSnapshot, []int, error) {
 // pruneInfo finds the first scanned int64 column the predicate
 // constrains, returning its view-schema position and value ranges.
 func (c *compiler) pruneInfo(t *engine.TableSnapshot, sc *scanNode, pred Expr) (int, []storage.Range) {
-	if pred == nil || c.opts.DisablePruning {
+	if pred == nil {
 		return -1, nil
 	}
 	schema := t.Schema()
@@ -335,6 +342,7 @@ func (c *compiler) compileSort(x *sortNode) (exec.Operator, error) {
 			}
 			return plan.SortReference(inputs, cols[0], x.keys[0].Desc, c.planOpts()), nil
 		}
+		c.recordUnindexed(x, kind)
 	}
 	op, err := c.compile(x.in)
 	if err != nil {
@@ -369,6 +377,7 @@ func (c *compiler) compileDistinct(x *distinctNode) (exec.Operator, error) {
 			}
 			return plan.DistinctReference(inputs, cols[0], c.planOpts()), nil
 		}
+		c.recordUnindexed(x, kind)
 	}
 	op, err := c.compile(x.in)
 	if err != nil {
@@ -423,6 +432,15 @@ func (c *compiler) planOpts() plan.Options {
 }
 
 func (c *compiler) record(d Decision) { c.res.Decisions = append(c.res.Decisions, d) }
+
+// recordUnindexed notes that a forced patch plan fell back to the
+// reference lowering because the choosable node's column carries no
+// PatchIndex (kind as indexStats returns it).
+func (c *compiler) recordUnindexed(n node, kind core.Constraint) {
+	if kind < 0 && c.opts.Mode == ForcePatchIndex {
+		c.record(Decision{Node: n.fingerprint(), Access: plan.AccessReference, Forced: true})
+	}
+}
 
 // ---- join lowering --------------------------------------------------
 
@@ -716,9 +734,9 @@ func indexOf(list []string, s string) int {
 // spine steps eagerly (its Next is never called).
 type schemaSource struct{ schema storage.Schema }
 
-func (s schemaSource) Schema() storage.Schema      { return s.schema }
-func (s schemaSource) Next() (*exec.Batch, error)  { return nil, nil }
-func (s schemaSource) Close()                      {}
+func (s schemaSource) Schema() storage.Schema     { return s.schema }
+func (s schemaSource) Next() (*exec.Batch, error) { return nil, nil }
+func (s schemaSource) Close()                     {}
 
 // ---- cardinality estimation ----------------------------------------
 

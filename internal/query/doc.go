@@ -1,6 +1,9 @@
-// Package query is the engine's general query layer: composable logical
-// plans, a cost-driven optimizer choosing between the paper's access
-// paths per plan node, and the lowering onto internal/exec operators.
+// Package query is the query API — the only way to run a query against
+// an engine.Database, and what package patchindex re-exports: composable
+// logical plans, a cost-driven optimizer choosing between the paper's
+// access paths per plan node (Section 3.3 priced by Section 3.5), and
+// the lowering onto internal/exec operators. The engine itself hands
+// out snapshots, not operators.
 //
 // # Logical plans
 //
@@ -20,16 +23,19 @@
 //
 // # Lifecycle: capture, execute, release
 //
-// Run captures an atomic engine.DatabaseSnapshot of the plan's tables,
-// compiles against it, and transfers snapshot ownership to the returned
-// operator tree (exec.OnClose): the snapshot is released when the root
-// reaches end of stream or is Closed. The contract is the engine-wide
-// Close discipline — Close the root on every path, exactly the property
-// pilint's snapclose analyzer enforces:
+// Run captures an atomic engine.DatabaseSnapshot of the plan's tables —
+// whole tables, every PatchIndex they carry — compiles against it, and
+// transfers snapshot ownership to the returned operator tree
+// (exec.OnClose): the snapshot is released when the root reaches end of
+// stream or is Closed. A plan that does not compile (unknown table or
+// column, ill-typed expression) is an error, and nothing stays
+// captured. The contract is the engine-wide Close discipline — drain
+// the root or Close the result on every path, exactly the property
+// pilint's snapclose analyzer enforces on Run's callers:
 //
 //	c, err := query.Run(db, p, query.Options{})
 //	if err != nil { ... }
-//	defer c.Root.Close()
+//	defer c.Close()
 //	for { b, err := c.Root.Next(); ... }
 //
 // CompileSnapshot instead compiles against a caller-held snapshot and
@@ -52,6 +58,10 @@
 //     Options.JoinIndexes;
 //   - ORDER BY over a NSC-indexed column scan (plan.Sort);
 //   - DISTINCT over a NUC-indexed column scan (plan.Distinct).
+//
+// Options.Mode forces the choice instead; forcing the patch plan where
+// no index exists falls back to the reference lowering (see
+// ForcePatchIndex).
 //
 // Inputs are partition row counts, live patch counts (exception rates),
 // and dimension-side cardinality estimates. Estimates start from

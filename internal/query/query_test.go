@@ -264,7 +264,7 @@ func TestCardinalityFeedbackFlip(t *testing.T) {
 
 // TestMinMaxPruning checks a pushed-down range predicate skips storage
 // blocks: the scan visits far fewer rows than the table holds, and the
-// result matches the unpruned run.
+// result is exactly the rows of the loaded data the predicate selects.
 func TestMinMaxPruning(t *testing.T) {
 	db := engine.NewDatabase()
 	tb, _ := db.CreateTable("t", storage.Schema{
@@ -280,8 +280,8 @@ func TestMinMaxPruning(t *testing.T) {
 
 	p := From("t", "k", "v").Where(Between(Col("k"), Int(100), Int(199)))
 	got, c := mustRun(t, db, p, Options{})
-	if len(got) != 100 {
-		t.Fatalf("got %d rows, want 100", len(got))
+	if rowsKey(got) != rowsKey(rows[100:200]) {
+		t.Fatalf("got %d rows, want the 100 loaded rows with k in [100, 199]", len(got))
 	}
 	var visited int
 	for _, s := range c.Scans {
@@ -289,18 +289,6 @@ func TestMinMaxPruning(t *testing.T) {
 	}
 	if visited >= n/4 {
 		t.Fatalf("pruning ineffective: visited %d of %d rows", visited, n)
-	}
-
-	unpruned, c2 := mustRun(t, db, p, Options{DisablePruning: true})
-	var visited2 int
-	for _, s := range c2.Scans {
-		visited2 += s.RowsVisited
-	}
-	if visited2 != n {
-		t.Fatalf("unpruned scan visited %d of %d rows", visited2, n)
-	}
-	if rowsKey(got) != rowsKey(unpruned) {
-		t.Fatal("pruned and unpruned results differ")
 	}
 }
 
@@ -354,6 +342,23 @@ func TestSortDistinctChoosable(t *testing.T) {
 			t.Fatalf("distinct mode %v (access %v): result differs", mode, c.Decisions[0].Access)
 		}
 	}
+	// Forcing the patch plan on a column without a PatchIndex runs the
+	// reference lowering and says so.
+	plain, _ := db.CreateTable("plain", storage.Schema{{Name: "v", Kind: storage.KindInt64}}, 2)
+	engine.LoadColumnInt64(plain, vals)
+	for _, p := range []*Plan{From("plain", "v").OrderBy(Asc("v")), From("plain", "v").Distinct("v")} {
+		want, c := mustRun(t, db, p, Options{Mode: ForceReference})
+		if len(c.Decisions) != 0 {
+			t.Fatalf("%s: reference mode recorded %+v on an unindexed column", p.Fingerprint(), c.Decisions)
+		}
+		got, c := mustRun(t, db, p, Options{Mode: ForcePatchIndex})
+		if len(c.Decisions) != 1 || c.Decisions[0].Access != plan.AccessReference || !c.Decisions[0].Forced {
+			t.Fatalf("%s: forced patch plan without an index: decisions %+v", p.Fingerprint(), c.Decisions)
+		}
+		if rowsKey(got) != rowsKey(want) {
+			t.Fatalf("%s: fallback result differs from the reference plan", p.Fingerprint())
+		}
+	}
 	// Descending over an ascending index must not take the patch plan.
 	desc := From("nsc", "v").OrderBy(Desc("v"))
 	got, c2 := mustRun(t, db, desc, Options{Mode: ForcePatchIndex})
@@ -403,10 +408,11 @@ func TestForceJoinIndexWithoutBinding(t *testing.T) {
 	}
 }
 
-func TestCompileErrors(t *testing.T) {
-	db := factDim(t, 50, 10, 0, 1, func(i int) int64 { return int64(i) })
-	cases := []*Plan{
+// badPlans are plans over factDim's tables that must not compile.
+func badPlans() []*Plan {
+	return []*Plan{
 		From("missing", "x"),
+		From("fact", "fk").Join(From("missing", "x"), "fk", "x"), // fact captured, then rejected
 		From("fact", "nope"),
 		From("fact", "fk").Where(Eq(Col("gone"), Int(1))),
 		From("fact", "fk", "fv").Project("gone"),
@@ -414,9 +420,78 @@ func TestCompileErrors(t *testing.T) {
 		From("fact", "fk", "fv").OrderBy(Asc("gone")),
 		From("fact", "fk").Where(Add(Col("fk"), Int(1))), // non-boolean predicate
 	}
-	for i, p := range cases {
+}
+
+func TestCompileErrors(t *testing.T) {
+	db := factDim(t, 50, 10, 0, 1, func(i int) int64 { return int64(i) })
+	for i, p := range badPlans() {
 		if _, err := Run(db, p, Options{}); err == nil {
 			t.Fatalf("case %d: no error", i)
+		}
+	}
+}
+
+// TestRunReleasesSnapshot pins the release discipline of the one query
+// entry point: a Run result holds its snapshot's generation refs from
+// Run returning until the root is drained or the result is closed —
+// exactly once, however often Close is called — and a rejected plan
+// retains nothing. ExclusiveStorage refuses while any ref on the table
+// is live, so it is the probe.
+func TestRunReleasesSnapshot(t *testing.T) {
+	db := factDim(t, 50, 10, 0, 2, func(i int) int64 { return int64(i) })
+	free := func() bool {
+		for _, name := range []string{"fact", "dim"} {
+			if db.MustTable(name).ExclusiveStorage(func(*storage.Table) error { return nil }) != nil {
+				return false
+			}
+		}
+		return true
+	}
+	join := From("fact", "fk", "fv").Join(From("dim", "dk", "dv"), "fk", "dk")
+	run := func() *Compiled {
+		t.Helper()
+		c, err := Run(db, join, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if free() {
+			t.Fatal("an open, undrained Run result holds no snapshot ref")
+		}
+		return c
+	}
+
+	c := run()
+	if _, err := exec.Collect(c.Root); err != nil {
+		t.Fatal(err)
+	}
+	if !free() {
+		t.Fatal("drained Run result still holds its snapshot")
+	}
+
+	c = run()
+	c.Close()
+	if !free() {
+		t.Fatal("Run result closed without draining still holds its snapshot")
+	}
+
+	// A second Close must not release what another result still holds.
+	c, other := run(), run()
+	c.Close()
+	c.Close()
+	if free() {
+		t.Fatal("double Close released another result's snapshot")
+	}
+	other.Close()
+	if !free() {
+		t.Fatal("snapshot refs wedged after every result was closed")
+	}
+
+	for i, p := range badPlans() {
+		if _, err := Run(db, p, Options{}); err == nil {
+			t.Fatalf("bad plan %d: no error", i)
+		}
+		if !free() {
+			t.Fatalf("bad plan %d: rejected Run retained a snapshot", i)
 		}
 	}
 }

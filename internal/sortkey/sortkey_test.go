@@ -8,6 +8,7 @@ import (
 
 	"patchindex/internal/engine"
 	"patchindex/internal/exec"
+	"patchindex/internal/query"
 	"patchindex/internal/storage"
 )
 
@@ -209,7 +210,7 @@ func TestRawCreateRefusesLiveSnapshotRefs(t *testing.T) {
 // block a storage-level Create until it drains.
 func TestEphemeralQueryGatesRawCreate(t *testing.T) {
 	db, tb := engineTable(t, []int64{5, 4, 3, 2, 1, 0})
-	op, err := db.SortQuery("t", "v", false, engine.QueryOptions{Mode: engine.PlanReference})
+	c, err := query.Run(db, query.From("t", "v").OrderBy(query.Asc("v")), query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +222,14 @@ func TestEphemeralQueryGatesRawCreate(t *testing.T) {
 		}()
 		Create(tb.Store(), 0, false)
 	}()
-	if _, err := engine.CollectInt64(op); err != nil {
+	if _, err := exec.CollectInt64(c.Root); err != nil {
 		t.Fatal(err)
 	}
 	Create(tb.Store(), 0, false) // drained: allowed again
 }
 
 // TestSortQueryVsRebuildRace is the regression test for the unguarded
-// reorder hole: SortQuery's query-internal ephemeral snapshot was
+// reorder hole: a sort query's internal ephemeral snapshot was
 // invisible to the reorder guard, so RebuildChecked could physically
 // permute a partition out from under a running query — a data race on
 // the shared column arrays and garbage results. With the snapshot
@@ -261,11 +262,11 @@ func TestSortQueryVsRebuildRace(t *testing.T) {
 		}
 	}()
 	for { // query stream
-		op, err := db.SortQuery("t", "v", false, engine.QueryOptions{Mode: engine.PlanReference})
+		c, err := query.Run(db, query.From("t", "v").OrderBy(query.Asc("v")), query.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := engine.CollectInt64(op)
+		got, err := exec.CollectInt64(c.Root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +323,7 @@ func TestRebuildPartitionGating(t *testing.T) {
 	if err := sk.RebuildChecked(); err == nil {
 		t.Fatal("whole-table rebuild ran with a live partition-scoped ref")
 	}
-	if _, err := engine.CollectInt64(op); err != nil {
+	if _, err := exec.CollectInt64(op); err != nil {
 		t.Fatal(err)
 	}
 	if err := sk.RebuildPartitionChecked(0); err != nil {
@@ -390,7 +391,7 @@ func TestPartitionRebuildVsSiblingDrainRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := engine.CollectInt64(op)
+		got, err := exec.CollectInt64(op)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 // TestRegistryConcurrentOps interleaves every registry operation —
-// Retain/Release (whole-table and partition-scoped), Pin, SetPartition,
+// Retain/Release (whole-table and partition-scoped), SetPartition,
 // and the query methods — from concurrent goroutines. The registry
 // paths only get sequential coverage elsewhere; under -race this pins
 // that regMu alone makes them safe: SetPartition publishes swaps from
@@ -29,7 +29,7 @@ func TestRegistryConcurrentOps(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				ref := tb.Retain()
 				for p := 0; p < parts; p++ {
-					tb.GenerationShared(p)
+					tb.PartitionRetained(p)
 				}
 				tb.LiveSnapshotRefs()
 				ref.Release()
@@ -47,15 +47,6 @@ func TestRegistryConcurrentOps(t *testing.T) {
 			ref := tb.RetainPartitions(p)
 			tb.PartitionRetained(p)
 			ref.Release()
-		}
-	}()
-
-	// Pins (bounded: they are permanent refs).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds/10; i++ {
-			tb.Pin(i % parts)
 		}
 	}()
 

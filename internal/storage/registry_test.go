@@ -18,12 +18,12 @@ func registryTable(parts int) *Table {
 // both, and Release is idempotent (refcounts released exactly once).
 func TestRegistryRetainRelease(t *testing.T) {
 	tb := registryTable(2)
-	if tb.GenerationShared(0) || tb.LiveSnapshotRefs() != 0 {
+	if tb.PartitionRetained(0) || tb.LiveSnapshotRefs() != 0 {
 		t.Fatal("fresh table should have no shared generations or live refs")
 	}
 	r1 := tb.Retain()
 	r2 := tb.Retain()
-	if !tb.GenerationShared(0) || !tb.GenerationShared(1) {
+	if !tb.PartitionRetained(0) || !tb.PartitionRetained(1) {
 		t.Fatal("retained generations not reported shared")
 	}
 	if got := tb.LiveSnapshotRefs(); got != 2 {
@@ -31,14 +31,14 @@ func TestRegistryRetainRelease(t *testing.T) {
 	}
 	r1.Release()
 	r1.Release() //pilint:ignore closeowner deliberate double release: must not drop r2's refcount
-	if !tb.GenerationShared(0) {
+	if !tb.PartitionRetained(0) {
 		t.Fatal("double release dropped another ref's refcount")
 	}
 	if got := tb.LiveSnapshotRefs(); got != 1 {
 		t.Fatalf("LiveSnapshotRefs after double release = %d, want 1", got)
 	}
 	r2.Release()
-	if tb.GenerationShared(0) || tb.LiveSnapshotRefs() != 0 {
+	if tb.PartitionRetained(0) || tb.LiveSnapshotRefs() != 0 {
 		t.Fatal("released table still reports shared generations or live refs")
 	}
 	var nilRef *TableRef
@@ -57,34 +57,16 @@ func TestRegistrySetPartitionBumpsGeneration(t *testing.T) {
 	if tb.Generation(0) != g0+1 {
 		t.Fatalf("Generation(0) = %d after SetPartition, want %d", tb.Generation(0), g0+1)
 	}
-	if tb.GenerationShared(0) {
+	if tb.PartitionRetained(0) {
 		t.Fatal("fresh generation inherited the old generation's refs")
 	}
-	if !tb.GenerationShared(1) {
+	if !tb.PartitionRetained(1) {
 		t.Fatal("untouched partition lost its ref")
 	}
 	if tb.LiveSnapshotRefs() != 1 {
 		t.Fatal("SetPartition changed the live snapshot count")
 	}
 	ref.Release()
-}
-
-// TestRegistryPin: a pin marks the current generation permanently
-// shared without raising the live-snapshot count (pins must not block
-// physical reorganization), and dies with its generation.
-func TestRegistryPin(t *testing.T) {
-	tb := registryTable(1)
-	tb.Pin(0)
-	if !tb.GenerationShared(0) {
-		t.Fatal("pinned generation not shared")
-	}
-	if tb.LiveSnapshotRefs() != 0 {
-		t.Fatal("pin counted as a live snapshot ref")
-	}
-	tb.SetPartition(0, tb.Partition(0).Clone())
-	if tb.GenerationShared(0) {
-		t.Fatal("pin survived a generation swap")
-	}
 }
 
 // TestDeleteRowsRejectsDuplicates: DeleteRows validates *strictly*
@@ -131,14 +113,11 @@ func TestDeleteRowsRejectsDuplicates(t *testing.T) {
 func TestRegistryRetainPartitions(t *testing.T) {
 	tb := registryTable(3)
 	ref := tb.RetainPartitions(1)
-	if tb.GenerationShared(0) || tb.GenerationShared(2) {
-		t.Fatal("partition-scoped ref marked a sibling generation shared")
-	}
-	if !tb.GenerationShared(1) || !tb.PartitionRetained(1) {
-		t.Fatal("partition-scoped ref did not mark its own generation")
-	}
 	if tb.PartitionRetained(0) || tb.PartitionRetained(2) {
-		t.Fatal("PartitionRetained leaked to siblings")
+		t.Fatal("partition-scoped ref marked a sibling generation retained")
+	}
+	if !tb.PartitionRetained(1) {
+		t.Fatal("partition-scoped ref did not mark its own generation")
 	}
 	if got := tb.LiveSnapshotRefs(); got != 1 {
 		t.Fatalf("LiveSnapshotRefs = %d, want 1", got)
@@ -185,13 +164,4 @@ func TestExclusivePartitionGating(t *testing.T) {
 	}
 	all.Release()
 	ref.Release()
-
-	// Pins mark generations shared but never gate reorganization.
-	tb.Pin(2)
-	if !ran(tb.ExclusivePartition(2, noop)) || !ran(tb.Exclusive(noop)) {
-		t.Fatal("a pin gated physical reorganization")
-	}
-	if !tb.GenerationShared(2) {
-		t.Fatal("pin did not mark the generation shared")
-	}
 }

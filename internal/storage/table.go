@@ -167,17 +167,15 @@ func (p *Partition) Freeze() *Partition {
 //
 // Every partition slot carries a generation number, bumped each time
 // SetPartition publishes a replacement partition object. The snapshot
-// registry (Retain/RetainPartitions/Pin) refcounts exactly the
-// generations a snapshot captured — separately for closable snapshot
-// refs and permanent pins — so writers can ask three cheap questions:
-// "does any live snapshot or pin reference partition p's current
-// backing arrays?" (GenerationShared — decides clone-and-swap vs
-// in-place mutation), "is any closable snapshot of this table still
-// live?" (LiveSnapshotRefs — gates whole-table in-place physical
-// reorganization), and "does any closable snapshot reference exactly
-// partition p's current generation?" (PartitionRetained — gates
-// partition-granular reorganization, so a reorder of one partition can
-// proceed while a query drains a sibling).
+// registry (Retain/RetainPartitions) refcounts exactly the generations
+// a snapshot captured — one refcount class, every ref released by its
+// holder — so writers can ask two cheap questions: "does any live
+// snapshot reference partition p's current backing arrays?"
+// (PartitionRetained — decides clone-and-swap vs in-place mutation at a
+// checkpoint and gates partition-granular reorganization, so a reorder
+// of one partition can proceed while a query drains a sibling) and "is
+// any snapshot of this table still live?" (LiveSnapshotRefs — gates
+// whole-table in-place physical reorganization).
 type Table struct {
 	Name   string
 	schema Schema
@@ -186,19 +184,16 @@ type Table struct {
 	// Snapshot registry. regMu is independent of any engine-level table
 	// lock: snapshot holders release their refs from reader goroutines
 	// without contending on the writer's locks. It also guards parts and
-	// gens, so SetPartition may race Retain/Pin/Release at the storage
+	// gens, so SetPartition may race Retain/Release at the storage
 	// level; readers of a partition's *contents* still need the engine's
 	// partition lock (or exclusive ownership) to serialize with swaps.
 	// It ranks below the engine's locks and must never be held while
 	// calling back up into the engine.
 	regMu sync.Mutex // lock-rank: 40
-	gens  []uint64 // current generation per partition slot
-	// snaps holds the closable snapshot refcounts (Retain), pins the
-	// permanent ones (Pin), both per partition: generation -> refcount.
-	// Only snaps gates physical reorganization; GenerationShared
-	// consults both.
+	gens  []uint64   // current generation per partition slot
+	// snaps holds the snapshot refcounts per partition: generation ->
+	// refcount.
 	snaps    []map[uint64]int
-	pins     []map[uint64]int
 	liveRefs int // unreleased TableRefs (Retain minus Release)
 }
 
@@ -213,7 +208,6 @@ func NewTable(name string, schema Schema, numPartitions int) *Table {
 	}
 	t.gens = make([]uint64, numPartitions)
 	t.snaps = make([]map[uint64]int, numPartitions)
-	t.pins = make([]map[uint64]int, numPartitions)
 	return t
 }
 
@@ -230,7 +224,7 @@ func (t *Table) Partition(i int) *Partition { return t.parts[i] }
 // The old partition object is left untouched, so snapshot views that
 // froze it remain valid; its generation number stays referenced in the
 // registry until the last snapshot holding it releases. The swap itself
-// runs under the registry lock, so it may race Retain/Pin/Release and
+// runs under the registry lock, so it may race Retain/Release and
 // SetPartition on *other* partitions; callers must still serialize it
 // with mutations of the same partition (the engine holds the partition
 // lock).
@@ -325,31 +319,6 @@ func (r *TableRef) Release() {
 	t.liveRefs--
 }
 
-// Pin permanently refcounts partition i's current generation without
-// raising the live-snapshot count. It backs the engine's unclosable
-// read surfaces (View/Views/Inputs): their frozen views must stay valid
-// forever, so the generation they share can never be mutated in place —
-// but they never gated physical reorganization and still don't. After
-// the next SetPartition the pin refers to a retired generation and
-// costs nothing further.
-func (t *Table) Pin(i int) {
-	t.regMu.Lock()
-	defer t.regMu.Unlock()
-	if t.pins[i] == nil {
-		t.pins[i] = make(map[uint64]int, 1)
-	}
-	t.pins[i][t.gens[i]]++
-}
-
-// GenerationShared reports whether partition i's current generation is
-// referenced by any live snapshot or pin — iff so, an in-place
-// delete/modify of its backing arrays must clone-and-swap instead.
-func (t *Table) GenerationShared(i int) bool {
-	t.regMu.Lock()
-	defer t.regMu.Unlock()
-	return t.snaps[i][t.gens[i]] > 0 || t.pins[i][t.gens[i]] > 0
-}
-
 // LiveSnapshotRefs returns the number of retained, not-yet-released
 // snapshot refs (partition-scoped refs included). Whole-table in-place
 // reorganization must refuse while it is non-zero; use Exclusive to
@@ -360,14 +329,13 @@ func (t *Table) LiveSnapshotRefs() int {
 	return t.liveRefs
 }
 
-// PartitionRetained reports whether any closable snapshot ref holds
-// partition i's *current* generation. Refs on retired generations of i
-// read from the old partition object and are unaffected by an in-place
-// reorganization of the current one, so they do not gate it; neither do
-// pins (which never gated reorganization — the documented trade-off of
-// the unclosable view surfaces). Partition-granular reorganization must
-// refuse while this is true; use ExclusivePartition to make the check
-// atomic with the work.
+// PartitionRetained reports whether any live snapshot ref holds
+// partition i's *current* generation. While it does, an in-place
+// delete/modify of the partition's backing arrays must clone-and-swap
+// instead, and partition-granular reorganization must refuse (use
+// ExclusivePartition to make that check atomic with the work). Refs on
+// retired generations of i read from the old partition object and are
+// unaffected by either, so they do not count.
 func (t *Table) PartitionRetained(i int) bool {
 	t.regMu.Lock()
 	defer t.regMu.Unlock()
@@ -390,7 +358,7 @@ func (t *Table) Exclusive(fn func() error) error {
 	return fn()
 }
 
-// ExclusivePartition runs fn only if no closable snapshot ref holds
+// ExclusivePartition runs fn only if no snapshot ref holds
 // partition i's current generation, holding the registry lock
 // throughout so no new ref can be retained mid-fn — the
 // partition-granular form of Exclusive, for in-place reorganization of

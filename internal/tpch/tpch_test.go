@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"patchindex/internal/engine"
 	"patchindex/internal/exec"
 	"patchindex/internal/joinindex"
 	"patchindex/internal/storage"
@@ -64,7 +63,7 @@ func TestGenerateShape(t *testing.T) {
 		t.Fatalf("discovered e = %f, want ~0.05", e)
 	}
 	// Orders must be sorted by orderkey (dimension-side requirement).
-	keys := ds.DB.MustTable("orders").View(0).MaterializeInt64(0)
+	keys := ds.DB.MustTable("orders").ReadInt64Column(0, "o_orderkey")
 	for i := 1; i < len(keys); i++ {
 		if keys[i] < keys[i-1] {
 			t.Fatal("orders not sorted by o_orderkey")
@@ -329,12 +328,12 @@ func TestSnapshotQueriesUnderRefreshStream(t *testing.T) {
 			defer q.Close() // closes snap
 
 			// Cross-table prefix consistency of the captured instant.
-			liKeys, err := engine.CollectInt64(snap.MustTable("lineitem").ScanAll("l_orderkey"))
+			liKeys, err := exec.CollectInt64(snap.MustTable("lineitem").ScanAll("l_orderkey"))
 			if err != nil {
 				t.Error(err)
 				return false
 			}
-			ordKeys, err := engine.CollectInt64(snap.MustTable("orders").ScanAll("o_orderkey"))
+			ordKeys, err := exec.CollectInt64(snap.MustTable("orders").ScanAll("o_orderkey"))
 			if err != nil {
 				t.Error(err)
 				return false

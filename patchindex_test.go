@@ -1,6 +1,7 @@
 package patchindex
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 )
@@ -41,16 +42,22 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Distinct in all modes agrees.
+	distinctIDs := From("t", "id").Distinct("id")
+	countIDs := func(mode PlanMode) int {
+		t.Helper()
+		c, err := Run(db, distinctIDs, QueryOptions{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := Count(c.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
 	var want int
 	for _, mode := range []PlanMode{PlanReference, PlanAuto, PlanPatchIndex} {
-		op, err := db.Distinct("t", "id", QueryOptions{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := Count(op)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := countIDs(mode)
 		if mode == PlanReference {
 			want = n
 		} else if n != want {
@@ -59,11 +66,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Sort query returns a sorted result.
-	op, err := db.SortQuery("t", "ts", false, QueryOptions{Mode: PlanPatchIndex})
+	c, err := Run(db, From("t", "ts").OrderBy(Asc("ts")), QueryOptions{Mode: PlanPatchIndex})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectInt64(op)
+	got, err := CollectInt64(c.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +97,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if _, err := db.DeleteWhereInt64("t", "id", func(v int64) bool { return v < 10 }); err != nil {
 		t.Fatal(err)
 	}
-	op, _ = db.Distinct("t", "id", QueryOptions{Mode: PlanPatchIndex})
-	refOp, _ := db.Distinct("t", "id", QueryOptions{Mode: PlanReference})
-	n1, _ := Count(op)
-	n2, _ := Count(refOp)
-	if n1 != n2 {
+	if n1, n2 := countIDs(PlanPatchIndex), countIDs(PlanReference); n1 != n2 {
 		t.Fatalf("plans disagree after updates: %d vs %d", n1, n2)
 	}
 
@@ -102,8 +105,92 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if I64(3).I != 3 || F64(1.5).F != 1.5 || Str("x").S != "x" {
 		t.Fatal("value constructors broken")
 	}
-	rowsOut, err := Collect(tb.ScanAll("id"))
+	c, err = Run(db, From("t", "id"), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsOut, err := Collect(c.Root)
 	if err != nil || len(rowsOut) == 0 {
 		t.Fatalf("Collect: %d rows, err=%v", len(rowsOut), err)
 	}
+}
+
+// ExampleRun is the package-doc quickstart: an ORDER BY over a nearly
+// sorted column, the access path left to the chooser.
+func ExampleRun() {
+	db := NewDatabase()
+	t, _ := db.CreateTable("events", Schema{
+		{Name: "id", Kind: KindInt64},
+		{Name: "ts", Kind: KindInt64},
+	}, 4)
+	rows := make([]Row, 8)
+	for i := range rows {
+		rows[i] = Row{I64(int64(i)), I64(int64(100 + i))}
+	}
+	rows[5][1] = I64(42) // one late arrival
+	t.Load(rows)
+	t.CreatePatchIndex("ts", NearlySorted, IndexOptions{})
+
+	c, err := Run(db, From("events", "ts").OrderBy(Asc("ts")), QueryOptions{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	ts, _ := CollectInt64(c.Root)
+	fmt.Println(ts)
+	// Output:
+	// [42 100 101 102 103 104 106 107]
+}
+
+// ExampleCompiled_decisions runs what the facade could not state before
+// it re-exported the query layer — a predicate, a join and an aggregate
+// in one plan — and reads back what the chooser decided for the join.
+func ExampleCompiled_decisions() {
+	db := NewDatabase()
+	orders, _ := db.CreateTable("orders", Schema{
+		{Name: "o_id", Kind: KindInt64},
+		{Name: "o_cust", Kind: KindString},
+	}, 1)
+	items, _ := db.CreateTable("items", Schema{
+		{Name: "i_order", Kind: KindInt64},
+		{Name: "i_price", Kind: KindInt64},
+	}, 2)
+	var orderRows, itemRows []Row
+	for o := 0; o < 100; o++ {
+		orderRows = append(orderRows, Row{I64(int64(o)), Str([]string{"ann", "bob"}[o%2])})
+		for k := 0; k < 3; k++ {
+			itemRows = append(itemRows, Row{I64(int64(o)), I64(int64(10 + k))})
+		}
+	}
+	itemRows[7][0] = I64(90) // a line item filed out of order
+	orders.Load(orderRows)
+	items.Load(itemRows)
+	items.CreatePatchIndex("i_order", NearlySorted, IndexOptions{})
+
+	revenue := From("items", "i_order", "i_price").
+		Where(Lt(Col("i_order"), Int(50))).
+		Join(From("orders", "o_id", "o_cust"), "i_order", "o_id").
+		Aggregate([]string{"o_cust"}, Sum(Col("i_price"), "revenue")).
+		OrderBy(Asc("o_cust"))
+	for _, mode := range []PlanMode{PlanAuto, PlanReference} {
+		c, err := Run(db, revenue, QueryOptions{Mode: mode})
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		rows, _ := Collect(c.Root)
+		for _, r := range rows {
+			fmt.Println(r[0].S, r[1].I)
+		}
+		for _, d := range c.Decisions {
+			fmt.Printf("%s plan, forced=%v, over %d rows with %d patches\n", d.Access, d.Forced, d.FactRows, d.Patches)
+		}
+	}
+	// Output:
+	// ann 814
+	// bob 825
+	// patchindex plan, forced=false, over 300 rows with 1 patches
+	// ann 814
+	// bob 825
+	// reference plan, forced=true, over 300 rows with 1 patches
 }
