@@ -1,53 +1,48 @@
-// Pilint runs the patchindex concurrency-invariant analyzers.
-//
-// Standalone (analyzes _test.go files too; -test=false to skip them):
+// Pilint runs the patchindex concurrency-invariant analyzers over the
+// named packages, their _test.go files included:
 //
 //	go run ./cmd/pilint ./...
-//	go run ./cmd/pilint -json ./...      # findings as a JSON array
-//	go run ./cmd/pilint -lockgraph ./... # lock graph as DOT on stdout
+//	go run ./cmd/pilint -lockgraph ./... # lock graph as DOT on stdout, findings on stderr
 //
-// As a vet tool (same analyzers, cached by the go command):
+// Four analyzers report seven kinds, and every finding ends in its
+// kind, the name a //pilint:ignore comment uses:
 //
-//	go build -o /tmp/pilint ./cmd/pilint
-//	go vet -vettool=/tmp/pilint ./...
+//   - lockorder: lockorder, lockblock, rankdecl
+//   - handles: snapclose, closeowner
+//   - atomicmix, deferunlock: one kind each, named after the analyzer
 //
-// The per-package analyzers are interprocedural: every package's
-// per-function lock behavior is summarized into serialized facts
-// (internal/analysis/locksum) computed bottom-up over the dependency
-// graph, so lockorder and lockblock see through arbitrary call chains,
-// across package boundaries. The lockgraph whole-program check builds
-// the global acquired-while-holding graph from the same facts and
-// reports cycles — including among mutexes that carry no rank.
+// The lock checks are interprocedural: every package's per-function
+// lock behavior is summarized into facts (internal/analysis/locksum)
+// computed bottom-up over the dependency graph and kept in memory, so
+// they see through arbitrary call chains, across package boundaries.
+// The whole-program lockgraph check builds the global
+// acquired-while-holding graph from the same facts and reports cycles —
+// including among mutexes that carry no rank.
 //
 // See the analyzer package docs (internal/analysis/...) for what each
-// check enforces and internal/analysis/driver for the suppression
+// kind enforces and internal/analysis/driver for the suppression
 // syntax.
 package main
 
 import (
 	"patchindex/internal/analysis/atomicmix"
-	"patchindex/internal/analysis/closeowner"
 	"patchindex/internal/analysis/deferunlock"
 	"patchindex/internal/analysis/driver"
-	"patchindex/internal/analysis/lockblock"
-	"patchindex/internal/analysis/lockgraph"
+	"patchindex/internal/analysis/handles"
 	"patchindex/internal/analysis/lockorder"
-	"patchindex/internal/analysis/rankdecl"
-	"patchindex/internal/analysis/snapclose"
+	"patchindex/internal/analysis/locksum"
 )
 
 func main() {
 	driver.Main(driver.Suite{
 		Analyzers: []*driver.Analyzer{
 			lockorder.Analyzer,
-			lockblock.Analyzer,
-			rankdecl.Analyzer,
-			snapclose.Analyzer,
-			closeowner.Analyzer,
+			handles.Analyzer,
 			atomicmix.Analyzer,
 			deferunlock.Analyzer,
 		},
-		Globals: []*driver.GlobalCheck{lockgraph.Check},
-		Graph:   lockgraph.WriteDot,
+		Facts:   locksum.Compute,
+		Globals: []*driver.GlobalCheck{lockorder.Check},
+		Graph:   lockorder.WriteDot,
 	})
 }

@@ -14,9 +14,11 @@
 //
 // Fixture packages live under testdata/src/<path> and are typechecked
 // for real: imports resolve first against sibling fixture directories,
-// then against the standard library via `go list -export` compiler
-// export data — so fixtures can use sync.Mutex, sync/atomic, and
-// helper types with full type information, offline.
+// then against the standard library through the driver's export-data
+// importer — so fixtures can use sync.Mutex, sync/atomic, and helper
+// types with full type information, offline. Each fixture package's
+// locksum fact is computed as it loads, dependencies first, as in a
+// real load.
 //
 // Because fixtures run through driver.RunAnalyzers, //pilint:ignore
 // comments inside a fixture are honored, which is how the suppression
@@ -25,17 +27,12 @@
 package analysistest
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -45,6 +42,7 @@ import (
 	"testing"
 
 	"patchindex/internal/analysis/driver"
+	"patchindex/internal/analysis/locksum"
 )
 
 // TestData returns the shared fixture root, internal/analysis/testdata,
@@ -79,8 +77,22 @@ func Run(t *testing.T, testdata string, a *driver.Analyzer, pkgs ...string) {
 			t.Errorf("running %s on fixture %s: %v", a.Name, pkg, err)
 			continue
 		}
-		checkExpectations(t, ld.fset, unit.Files, findings)
+		checkExpectations(t, unit.Fset, unit.Files, findings)
 	}
+}
+
+// Facts loads the fixture packages and returns the facts computed for
+// them and the sibling fixtures they import — the input of the
+// whole-program checks.
+func Facts(t *testing.T, testdata string, pkgs ...string) driver.Facts {
+	t.Helper()
+	ld := newFixtureLoader(filepath.Join(testdata, "src"))
+	for _, pkg := range pkgs {
+		if _, err := ld.load(pkg); err != nil {
+			t.Fatalf("loading fixture %s: %v", pkg, err)
+		}
+	}
+	return ld.facts
 }
 
 // An expectation is one want pattern, bound to a file:line.
@@ -116,7 +128,7 @@ func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, fin
 			}
 		}
 		if !ok {
-			t.Errorf("%s: unexpected diagnostic: %s (%s)", fd.Posn, fd.Message, fd.Analyzer)
+			t.Errorf("%s: unexpected diagnostic: %s (%s)", fd.Posn, fd.Message, fd.Kind)
 		}
 	}
 
@@ -193,62 +205,43 @@ func lineKey(file string, line int) string {
 }
 
 // fixtureLoader typechecks fixture packages: sibling fixture dirs load
-// from source, everything else resolves to standard-library export data.
+// from source, everything else goes to the driver's loader (standard-
+// library export data), whose file set the fixtures share.
 type fixtureLoader struct {
 	src     string // testdata/src
-	fset    *token.FileSet
+	std     *driver.Loader
 	typed   map[string]*types.Package
 	loading map[string]bool
-	std     *stdImporter
-	facts   *driver.FactStore
+	facts   driver.Facts
 }
 
 func newFixtureLoader(src string) *fixtureLoader {
-	fset := token.NewFileSet()
 	return &fixtureLoader{
 		src:     src,
-		fset:    fset,
+		std:     driver.NewLoader("", nil),
 		typed:   make(map[string]*types.Package),
 		loading: make(map[string]bool),
-		std:     newStdImporter(fset),
-		facts:   driver.NewFactStore(),
+		facts:   make(driver.Facts),
 	}
 }
 
-// load parses and typechecks testdata/src/<path> as an analysis unit.
-// Facts are computed for the unit and (via Import) every sibling
-// fixture it depends on, so interprocedural fixtures see the same
-// bottom-up fact flow as a real load.
+// load parses and typechecks testdata/src/<path> as an analysis unit
+// and computes its fact. Sibling fixtures it imports load first (via
+// Import), so interprocedural fixtures see the same bottom-up fact flow
+// as a real load.
 func (l *fixtureLoader) load(path string) (*driver.Unit, error) {
-	files, err := l.parseDir(path)
-	if err != nil {
-		return nil, err
-	}
-	info := driver.NewTypesInfo()
-	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", runtime.GOARCH)}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck fixture %s: %v", path, err)
-	}
-	unit := &driver.Unit{ImportPath: path, Fset: l.fset, Files: files, Pkg: pkg, Info: info}
-	if err := driver.ComputeFacts(unit, l.facts); err != nil {
-		return nil, fmt.Errorf("computing facts for fixture %s: %v", path, err)
-	}
-	return unit, nil
-}
-
-func (l *fixtureLoader) parseDir(path string) ([]*ast.File, error) {
 	dir := filepath.Join(l.src, filepath.FromSlash(path))
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
+	fset := l.std.Fset
 	var files []*ast.File
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil,
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil,
 			parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
@@ -258,111 +251,35 @@ func (l *fixtureLoader) parseDir(path string) ([]*ast.File, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	return files, nil
+	info := driver.NewTypesInfo()
+	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", runtime.GOARCH)}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("typecheck fixture %s: %v", path, err)
+	}
+	unit := &driver.Unit{ImportPath: path, Fset: fset, Files: files, Pkg: pkg, Info: info}
+	driver.ComputeFacts(unit, locksum.Compute, l.facts)
+	return unit, nil
 }
 
 // Import resolves a fixture import: sibling fixture directory first,
 // then the standard library.
 func (l *fixtureLoader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
 	if pkg := l.typed[path]; pkg != nil {
 		return pkg, nil
 	}
-	dir := filepath.Join(l.src, filepath.FromSlash(path))
-	if st, err := os.Stat(dir); err == nil && st.IsDir() {
-		if l.loading[path] {
-			return nil, fmt.Errorf("fixture import cycle through %q", path)
-		}
-		l.loading[path] = true
-		defer delete(l.loading, path)
-		files, err := l.parseDir(path)
-		if err != nil {
-			return nil, err
-		}
-		info := driver.NewTypesInfo()
-		conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", runtime.GOARCH)}
-		pkg, err := conf.Check(path, l.fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("typecheck fixture dependency %s: %v", path, err)
-		}
-		// The dependency's facts must exist before the dependent package
-		// is analyzed — same bottom-up order as the real loader.
-		unit := &driver.Unit{ImportPath: path, Fset: l.fset, Files: files, Pkg: pkg, Info: info}
-		if err := driver.ComputeFacts(unit, l.facts); err != nil {
-			return nil, fmt.Errorf("computing facts for fixture dependency %s: %v", path, err)
-		}
-		l.typed[path] = pkg
-		return pkg, nil
+	if st, err := os.Stat(filepath.Join(l.src, filepath.FromSlash(path))); err != nil || !st.IsDir() {
+		return l.std.Import(path)
 	}
-	return l.std.Import(path)
-}
-
-// stdImporter resolves standard-library imports through compiler export
-// data located (and, if stale, rebuilt into the build cache) by
-// `go list -export`, one lazy invocation per unseen package.
-type stdImporter struct {
-	exports map[string]string // import path -> export file
-	typed   map[string]*types.Package
-	gc      types.Importer
-}
-
-func newStdImporter(fset *token.FileSet) *stdImporter {
-	im := &stdImporter{
-		exports: make(map[string]string),
-		typed:   make(map[string]*types.Package),
+	if l.loading[path] {
+		return nil, fmt.Errorf("fixture import cycle through %q", path)
 	}
-	im.gc = importer.ForCompiler(fset, "gc", im.lookup)
-	return im
-}
-
-func (im *stdImporter) lookup(path string) (io.ReadCloser, error) {
-	if f := im.exports[path]; f != "" {
-		return os.Open(f)
-	}
-	if err := im.list(path); err != nil {
-		return nil, err
-	}
-	if f := im.exports[path]; f != "" {
-		return os.Open(f)
-	}
-	return nil, fmt.Errorf("no export data for %q", path)
-}
-
-func (im *stdImporter) Import(path string) (*types.Package, error) {
-	if pkg := im.typed[path]; pkg != nil {
-		return pkg, nil
-	}
-	pkg, err := im.gc.Import(path)
+	l.loading[path] = true
+	defer delete(l.loading, path)
+	unit, err := l.load(path)
 	if err != nil {
 		return nil, err
 	}
-	im.typed[path] = pkg
-	return pkg, nil
-}
-
-// list records export-file locations for path and all its dependencies.
-func (im *stdImporter) list(path string) error {
-	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json=ImportPath,Export", path)
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return fmt.Errorf("go list -export %s: %v\n%s", path, err, stderr.String())
-	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p struct{ ImportPath, Export string }
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("go list output: %v", err)
-		}
-		if p.Export != "" {
-			im.exports[p.ImportPath] = p.Export
-		}
-	}
-	return nil
+	l.typed[path] = unit.Pkg
+	return unit.Pkg, nil
 }

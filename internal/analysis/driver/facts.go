@@ -1,189 +1,35 @@
 package driver
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sort"
-)
+// Facts holds one fact per source package, keyed by import path
+// (test-variant suffix stripped), computed bottom-up over the import
+// graph so a package's fact may build on its dependencies'. The suite
+// has one fact kind — locksum's per-package lock summaries — so a fact
+// is whatever the suite's FactFunc returns, and its consumers assert
+// the type.
+type Facts map[string]interface{}
 
-// A FactKind describes one kind of per-package fact: a serializable
-// value computed bottom-up over the package DAG and made available to
-// the analysis of every dependent package. The one kind in the suite
-// today is locksum's per-function lock-event summaries.
-//
-// Facts always live in serialized form (gob) inside a FactStore, even
-// within one process: the standalone driver and the `go vet -vettool`
-// protocol (where facts cross process boundaries through vetx files)
-// then exercise the same code path, and a fact type that silently
-// stops being serializable breaks loudly in both.
-type FactKind struct {
-	// Name keys the fact in stores and vetx files.
-	Name string
-	// New returns a pointer to a zero fact value for decoding.
-	New func() interface{}
-	// Compute derives the package's fact. The Pass carries syntax and
-	// type information plus a Facts accessor resolving dependency
-	// facts; Report is a no-op during fact computation.
-	Compute func(*Pass) (interface{}, error)
-}
+// A FactFunc derives one package's fact. Its Pass carries the
+// package's syntax and type information and the Facts of every
+// dependency; Report is a no-op.
+type FactFunc func(*Pass) interface{}
 
-// factKinds is the process-wide registry, populated from the fact
-// packages' init functions (importing an analyzer that consumes a fact
-// kind registers it).
-var factKinds = make(map[string]*FactKind)
-
-// RegisterFactKind adds a kind to the registry. Registering the same
-// name twice panics: it would make fact resolution ambiguous.
-func RegisterFactKind(k *FactKind) {
-	if _, dup := factKinds[k.Name]; dup {
-		panic("driver: duplicate fact kind " + k.Name)
+// ComputeFacts runs fn over one typechecked unit and records the
+// result under the unit's import path — a test variant replaces its
+// base package's entry. Dependencies' facts must already be present:
+// the loaders call this in dependency order.
+func ComputeFacts(u *Unit, fn FactFunc, facts Facts) {
+	if fn == nil {
+		return
 	}
-	factKinds[k.Name] = k
-}
-
-// HaveFactKinds reports whether any fact kinds are registered — when
-// none are, the drivers skip dependency typechecking entirely.
-func HaveFactKinds() bool { return len(factKinds) > 0 }
-
-// A FactStore holds the serialized facts of every package seen so far,
-// keyed by kind and import path (test-variant suffixes stripped).
-type FactStore struct {
-	blobs map[string]map[string][]byte      // kind -> path -> gob
-	cache map[string]map[string]interface{} // decoded view of blobs
-}
-
-func NewFactStore() *FactStore {
-	return &FactStore{
-		blobs: make(map[string]map[string][]byte),
-		cache: make(map[string]map[string]interface{}),
+	pass := &Pass{
+		Fset:      u.Fset,
+		Files:     u.Files,
+		Pkg:       u.Pkg,
+		TypesInfo: u.Info,
+		Report:    func(Diagnostic) {},
+		Facts:     facts,
 	}
-}
-
-// Put serializes v as the (kind, path) fact, replacing any previous
-// value (a package's test variant recomputes over the base).
-func (s *FactStore) Put(kind *FactKind, path string, v interface{}) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("encoding %s fact for %s: %v", kind.Name, path, err)
+	if v := fn(pass); v != nil {
+		facts[importBase(u.ImportPath)] = v
 	}
-	if s.blobs[kind.Name] == nil {
-		s.blobs[kind.Name] = make(map[string][]byte)
-	}
-	s.blobs[kind.Name][path] = buf.Bytes()
-	delete(s.cache[kind.Name], path)
-	return nil
-}
-
-// Lookup decodes and returns the (kind, path) fact, or nil when the
-// package has none (standard library, never computed). The decoded
-// value is cached; callers must not mutate it.
-func (s *FactStore) Lookup(kind, path string) interface{} {
-	if s == nil {
-		return nil
-	}
-	if v, ok := s.cache[kind][path]; ok {
-		return v
-	}
-	data, ok := s.blobs[kind][path]
-	if !ok {
-		return nil
-	}
-	k := factKinds[kind]
-	if k == nil {
-		return nil
-	}
-	v := k.New()
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return nil // corrupt blob: treat as absent
-	}
-	if s.cache[kind] == nil {
-		s.cache[kind] = make(map[string]interface{})
-	}
-	s.cache[kind][path] = v
-	return v
-}
-
-// All decodes every package's fact of one kind, keyed by import path —
-// the whole-program view the lock graph is built from.
-func (s *FactStore) All(kind string) map[string]interface{} {
-	out := make(map[string]interface{})
-	if s == nil {
-		return out
-	}
-	for path := range s.blobs[kind] {
-		if v := s.Lookup(kind, path); v != nil {
-			out[path] = v
-		}
-	}
-	return out
-}
-
-// Encode serializes the whole store — the payload of a vetx file. Each
-// package's file carries the transitive closure (its own facts plus
-// everything it received from dependencies), so a dependent needs only
-// its direct imports' files.
-func (s *FactStore) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.blobs); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Merge decodes a serialized store and folds its entries in, without
-// overwriting facts already present.
-func (s *FactStore) Merge(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var in map[string]map[string][]byte
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
-		return err
-	}
-	for kind, byPath := range in {
-		if s.blobs[kind] == nil {
-			s.blobs[kind] = make(map[string][]byte)
-		}
-		for path, blob := range byPath {
-			if _, exists := s.blobs[kind][path]; !exists {
-				s.blobs[kind][path] = blob
-			}
-		}
-	}
-	return nil
-}
-
-// ComputeFacts runs every registered fact kind over one typechecked
-// unit and records the results in the store under the unit's base
-// import path. Dependencies' facts must already be present — the
-// drivers call this in dependency order.
-func ComputeFacts(u *Unit, store *FactStore) error {
-	names := make([]string, 0, len(factKinds))
-	for name := range factKinds {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		k := factKinds[name]
-		pass := &Pass{
-			Fset:      u.Fset,
-			Files:     u.Files,
-			Pkg:       u.Pkg,
-			TypesInfo: u.Info,
-			Report:    func(Diagnostic) {},
-			Facts:     store.Lookup,
-		}
-		v, err := k.Compute(pass)
-		if err != nil {
-			return fmt.Errorf("%s: computing %s facts: %w", u.ImportPath, name, err)
-		}
-		if v == nil {
-			continue
-		}
-		if err := store.Put(k, importBase(u.ImportPath), v); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -24,67 +24,68 @@ type listPackage struct {
 	Name       string
 	Export     string
 	GoFiles    []string
+	ImportMap  map[string]string
 	Standard   bool
 	DepOnly    bool
 	ForTest    string
 	Error      *struct{ Err string }
 }
 
-// A Loader materializes analysis Units for a set of package patterns.
-// Dependencies are imported from compiler export data produced by
-// `go list -export` (built from the local build cache — no network),
-// with a typecheck-from-source fallback for packages that lack it.
+// A Loader materializes analysis Units for a set of package patterns,
+// _test.go files folded into their packages' test variants. Every
+// source package of the load is typechecked from source in `go list
+// -deps` order (dependencies first), and its imports resolve — through
+// its ImportMap, so a test variant sees the variants go list built for
+// it — to those packages; standard-library imports come from compiler
+// export data that `go list -export` locates in the local build cache,
+// listed on first use for paths outside the load.
 type Loader struct {
-	Fset  *token.FileSet
-	Tests bool // include _test.go files (test-variant packages)
-	Dir   string
+	Fset *token.FileSet
+	Dir  string
 
-	// Facts accumulates the per-package facts of every source package
-	// the load touches, computed in dependency order during Load.
-	Facts *FactStore
+	factFn FactFunc
+	facts  Facts // factFn's result for every source package loaded so far
 
-	pkgs    map[string]*listPackage    // ImportPath (bracketed for variants) -> metadata
-	typed   map[string]*types.Package  // ImportPath -> typechecked package
-	gcimp   types.Importer             // export-data importer, shared Fset
-	loading map[string]bool            // cycle guard for the source fallback
+	pkgs  map[string]*listPackage   // listing ID ("p" or "p [q.test]") -> metadata
+	typed map[string]*types.Package // listing ID -> package typechecked from source
+	gcimp types.Importer            // export-data importer, shared Fset
 }
 
 // NewLoader returns a loader rooted at dir (the module root; "" for the
-// current directory).
-func NewLoader(dir string, tests bool) *Loader {
+// current directory) that computes each source package's fact with fn
+// (nil for none).
+func NewLoader(dir string, fn FactFunc) *Loader {
 	l := &Loader{
-		Fset:    token.NewFileSet(),
-		Tests:   tests,
-		Dir:     dir,
-		Facts:   NewFactStore(),
-		pkgs:    make(map[string]*listPackage),
-		typed:   make(map[string]*types.Package),
-		loading: make(map[string]bool),
+		Fset:   token.NewFileSet(),
+		Dir:    dir,
+		factFn: fn,
+		facts:  make(Facts),
+		pkgs:   make(map[string]*listPackage),
+		typed:  make(map[string]*types.Package),
 	}
 	l.gcimp = importer.ForCompiler(l.Fset, "gc", l.lookupExport)
 	return l
 }
 
-// lookupExport opens the export data recorded by `go list -export` for
-// an import path.
-func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
-	p := l.pkgs[path]
+// lookupExport opens the export data `go list -export` recorded for a
+// listing ID.
+func (l *Loader) lookupExport(id string) (io.ReadCloser, error) {
+	p := l.pkgs[id]
 	if p == nil || p.Export == "" {
-		return nil, fmt.Errorf("no export data for %q", path)
+		return nil, fmt.Errorf("no export data for %q", id)
 	}
 	return os.Open(p.Export)
 }
 
-// Load runs `go list` over the patterns and returns one Unit per
-// matched package, with _test.go files folded into their package's
-// test variant when Tests is set.
-func (l *Loader) Load(patterns ...string) ([]*Unit, error) {
-	args := []string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Name,Export,GoFiles,Standard,DepOnly,ForTest,Error"}
-	if l.Tests {
+// list runs `go list -deps` over the patterns (with -test for test
+// variants), records every listed package, and returns them in go
+// list's order: dependencies before dependents.
+func (l *Loader) list(tests bool, patterns ...string) ([]*listPackage, error) {
+	args := []string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Name,Export,GoFiles,ImportMap,Standard,DepOnly,ForTest,Error"}
+	if tests {
 		args = append(args, "-test")
 	}
-	args = append(args, patterns...)
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", append(args, patterns...)...)
 	cmd.Dir = l.Dir
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	var stderr bytes.Buffer
@@ -93,7 +94,6 @@ func (l *Loader) Load(patterns ...string) ([]*Unit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
-
 	var order []*listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
@@ -106,46 +106,49 @@ func (l *Loader) Load(patterns ...string) ([]*Unit, error) {
 		l.pkgs[p.ImportPath] = p
 		order = append(order, p)
 	}
+	return order, nil
+}
+
+// Load lists the patterns and returns one Unit per matched package,
+// with _test.go files folded into their package's test variant, after
+// computing the fact of every source package in the load.
+func (l *Loader) Load(patterns ...string) ([]*Unit, error) {
+	order, err := l.list(true, patterns...)
+	if err != nil {
+		return nil, err
+	}
 
 	// Pick the units to analyze: pattern-matched packages (not DepOnly),
 	// skipping synthesized test mains and — when a test variant exists —
 	// the base package it supersedes (the variant compiles a superset of
 	// its files, so analyzing both would duplicate every finding).
 	variant := make(map[string]bool)
-	for _, p := range l.pkgs {
+	for _, p := range order {
 		if p.ForTest != "" && p.Name != "main" {
 			variant[p.ForTest] = true
 		}
 	}
-	// Walk the list in its native order — `go list -deps` emits
-	// dependencies before dependents — typechecking each source package
-	// once: facts are computed for every non-standard package (the
-	// bottom-up pass the interprocedural analyzers rely on), and the
-	// pattern-matched subset additionally becomes the analysis units.
 	var units []*Unit
 	for _, p := range order {
-		isUnit := !(p.DepOnly || p.Standard || p.Name == "main" && strings.HasSuffix(p.ImportPath, ".test")) &&
-			!variant[p.ImportPath]
+		testMain := p.Name == "main" && strings.HasSuffix(p.ImportPath, ".test")
+		isUnit := !(p.DepOnly || p.Standard || testMain) && !variant[p.ImportPath]
 		if isUnit && p.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
-		wantFacts := HaveFactKinds() && !p.Standard && p.Error == nil &&
-			p.Dir != "" && len(p.GoFiles) > 0 &&
-			!(p.Name == "main" && strings.HasSuffix(p.ImportPath, ".test"))
-		if !isUnit && !wantFacts {
+		source := !p.Standard && !testMain && p.Error == nil && p.Dir != "" && len(p.GoFiles) > 0
+		if !isUnit && !source {
 			continue
 		}
 		u, err := l.typecheckUnit(p)
 		if err != nil {
 			if !isUnit {
-				continue // a dep we only wanted facts from; best effort
+				continue // a dependency we only wanted facts from; best effort
 			}
 			return nil, err
 		}
-		if wantFacts {
-			if err := ComputeFacts(u, l.Facts); err != nil {
-				return nil, err
-			}
+		l.typed[p.ImportPath] = u.Pkg
+		if source {
+			ComputeFacts(u, l.factFn, l.facts)
 		}
 		if isUnit {
 			units = append(units, u)
@@ -154,17 +157,25 @@ func (l *Loader) Load(patterns ...string) ([]*Unit, error) {
 	return units, nil
 }
 
-// typecheckUnit parses and typechecks one to-be-analyzed package from
-// source, importing its dependencies through the loader.
+// typecheckUnit parses and typechecks one listed package from source.
 func (l *Loader) typecheckUnit(p *listPackage) (*Unit, error) {
-	files, err := l.parseFiles(p)
-	if err != nil {
-		return nil, err
+	files := make([]*ast.File, 0, len(p.GoFiles))
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
 	}
 	info := NewTypesInfo()
 	conf := types.Config{
-		Importer: l,
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
+		Importer: importerFunc(func(path string) (*types.Package, error) {
+			if id, ok := p.ImportMap[path]; ok {
+				path = id
+			}
+			return l.Import(path)
+		}),
+		Sizes: types.SizesFor("gc", runtime.GOARCH),
 	}
 	pkg, err := conf.Check(importBase(p.ImportPath), l.Fset, files, info)
 	if err != nil {
@@ -181,58 +192,24 @@ func importBase(ip string) string {
 	return ip
 }
 
-func (l *Loader) parseFiles(p *listPackage) ([]*ast.File, error) {
-	files := make([]*ast.File, 0, len(p.GoFiles))
-	for _, name := range p.GoFiles {
-		fn := name
-		if !filepath.IsAbs(fn) {
-			fn = filepath.Join(p.Dir, name)
-		}
-		f, err := parser.ParseFile(l.Fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
-}
+type importerFunc func(path string) (*types.Package, error)
 
-// Import implements types.Importer for dependency resolution: export
-// data when `go list -export` produced it, source typechecking as the
-// fallback (memoized; import cycles cannot occur in valid input).
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// Import implements types.Importer for a listing ID: the package Load
+// typechecked from source when there is one, compiler export data
+// otherwise (listing the path first if no load has).
+func (l *Loader) Import(id string) (*types.Package, error) {
+	if id == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if pkg := l.typed[path]; pkg != nil {
+	if pkg := l.typed[id]; pkg != nil {
 		return pkg, nil
 	}
-	meta := l.pkgs[path]
-	if meta != nil && meta.Export != "" {
-		pkg, err := l.gcimp.Import(path)
-		if err == nil {
-			l.typed[path] = pkg
-			return pkg, nil
+	if l.pkgs[id] == nil {
+		if _, err := l.list(false, id); err != nil {
+			return nil, err
 		}
-		// fall through to the source fallback
 	}
-	if meta == nil || meta.Dir == "" {
-		return nil, fmt.Errorf("cannot resolve import %q", path)
-	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("import cycle through %q", path)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-	files, err := l.parseFiles(meta)
-	if err != nil {
-		return nil, err
-	}
-	conf := types.Config{Importer: l, Sizes: types.SizesFor("gc", runtime.GOARCH)}
-	pkg, err := conf.Check(path, l.Fset, files, nil)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck dependency %s: %v", path, err)
-	}
-	l.typed[path] = pkg
-	return pkg, nil
+	return l.gcimp.Import(id)
 }

@@ -1,81 +1,66 @@
 package driver
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
 // A Suite bundles everything cmd/pilint runs: the per-package
-// analyzers, whole-program checks over the fact store, and the
-// optional -lockgraph renderer.
+// analyzers, the fact every source package contributes, whole-program
+// checks over those facts, and the -lockgraph renderer.
 type Suite struct {
 	Analyzers []*Analyzer
 
-	// Globals run once per standalone invocation, after every package
-	// has been analyzed and every fact computed. They see the whole
-	// program through the fact store — per-line suppressions do not
-	// apply to their findings. The vet-tool protocol analyzes one
-	// package per process, so globals run only in standalone mode.
+	// Facts computes each source package's fact, bottom-up over the
+	// import graph, before any analyzer runs.
+	Facts FactFunc
+
+	// Globals run once, after every package has been analyzed and every
+	// fact computed. They see the whole program through the facts —
+	// per-line suppressions do not apply to their findings.
 	Globals []*GlobalCheck
 
-	// Graph renders the -lockgraph DOT output from the fact store.
-	Graph func(*FactStore, io.Writer) error
+	// Graph renders the -lockgraph DOT output from the facts.
+	Graph func(Facts, io.Writer) error
 }
 
-// A GlobalCheck is one whole-program analysis over the fact store.
+// A GlobalCheck is one whole-program analysis over the facts.
 type GlobalCheck struct {
 	Name string
 	Doc  string
-	Run  func(*FactStore) []Finding
+	Run  func(Facts) []Finding
 }
 
-// Main is the entry point shared by cmd/pilint: it dispatches between
-// the standalone mode (`pilint ./...`) and cmd/go's vet-tool protocol
-// (`go vet -vettool=$(which pilint) ./...`), which invokes the tool
-// with -V=full / -flags / a *.cfg argument per package.
+// Main is cmd/pilint's entry point: it loads the patterns (_test.go
+// files included), prints every finding, and with -lockgraph writes
+// the lock graph as DOT to stdout and the findings to stderr.
 //
-// Standalone exit codes: 0 clean, 1 findings, 2 usage or load failure.
+// Exit codes: 0 clean, 1 findings, 2 usage or load failure.
 func Main(suite Suite) {
-	args := os.Args[1:]
-	if len(args) == 1 && args[0] == "-V=full" {
-		printVersion()
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if n := len(args); n > 0 && isCfg(args[n-1]) {
-		unitcheckerMain(args[n-1], suite.Analyzers)
-		return
-	}
-
 	fs := flag.NewFlagSet("pilint", flag.ExitOnError)
-	tests := fs.Bool("test", true, "analyze _test.go files too")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (for CI annotation)")
 	graph := fs.Bool("lockgraph", false, "emit the acquired-while-holding lock graph as DOT on stdout (findings go to stderr)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: pilint [-test=false] [-json] [-lockgraph] package patterns...\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: pilint [-lockgraph] package patterns...\n\nAnalyzers:\n")
 		for _, a := range suite.Analyzers {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, firstLine(a.Doc))
+			fmt.Fprintf(os.Stderr, "  %-12s %s (kinds: %s)\n", a.Name, firstLine(a.Doc), strings.Join(a.kinds(), ", "))
 		}
 		for _, g := range suite.Globals {
 			fmt.Fprintf(os.Stderr, "  %-12s %s (whole-program)\n", g.Name, firstLine(g.Doc))
 		}
-		fmt.Fprintf(os.Stderr, "\nSuppress a finding with '//pilint:ignore <analyzer> <reason>'.\n")
+		fmt.Fprintf(os.Stderr, "\nSuppress a finding with '//pilint:ignore <kind> <reason>'.\n")
 	}
-	fs.Parse(args)
+	fs.Parse(os.Args[1:])
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		fs.Usage()
 		os.Exit(2)
 	}
 
-	findings, facts, err := Check(*tests, patterns, suite)
+	findings, facts, err := Check(patterns, suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pilint:", err)
 		os.Exit(2)
@@ -83,85 +68,48 @@ func Main(suite Suite) {
 
 	// With -lockgraph the DOT document owns stdout; findings move to
 	// stderr so the graph stays pipeable into dot(1).
-	findingsOut := io.Writer(os.Stdout)
+	out := io.Writer(os.Stdout)
 	if *graph {
-		findingsOut = os.Stderr
-		if suite.Graph == nil {
-			fmt.Fprintln(os.Stderr, "pilint: no lock graph renderer registered")
-			os.Exit(2)
-		}
+		out = os.Stderr
 		if err := suite.Graph(facts, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "pilint:", err)
 			os.Exit(2)
 		}
 	}
-	if err := printFindings(findingsOut, findings, *jsonOut); err != nil {
-		fmt.Fprintln(os.Stderr, "pilint:", err)
-		os.Exit(2)
+	for _, f := range findings {
+		fmt.Fprintln(out, f)
 	}
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
 }
 
-// printFindings writes the findings either as plain lines or as a JSON
-// array of {analyzer, file, line, col, message} objects.
-func printFindings(w io.Writer, findings []Finding, asJSON bool) error {
-	if !asJSON {
-		for _, f := range findings {
-			fmt.Fprintln(w, f)
-		}
-		return nil
-	}
-	type jsonFinding struct {
-		Analyzer string `json:"analyzer"`
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Message  string `json:"message"`
-	}
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			Analyzer: f.Analyzer,
-			File:     f.Posn.Filename,
-			Line:     f.Posn.Line,
-			Col:      f.Posn.Column,
-			Message:  f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // Check loads the patterns, computes facts over the dependency graph,
 // runs the per-package analyzers and the whole-program checks, and
-// returns the deduplicated findings plus the fact store they were
-// derived from.
-func Check(tests bool, patterns []string, suite Suite) ([]Finding, *FactStore, error) {
-	l := NewLoader("", tests)
+// returns the deduplicated findings plus the facts they were derived
+// from.
+func Check(patterns []string, suite Suite) ([]Finding, Facts, error) {
+	l := NewLoader("", suite.Facts)
 	units, err := l.Load(patterns...)
 	if err != nil {
 		return nil, nil, err
 	}
 	var all []Finding
 	for _, u := range units {
-		fs, err := RunAnalyzers(u, suite.Analyzers, l.Facts)
+		fs, err := RunAnalyzers(u, suite.Analyzers, l.facts)
 		if err != nil {
 			return nil, nil, err
 		}
 		all = append(all, fs...)
 	}
 	for _, g := range suite.Globals {
-		all = append(all, g.Run(l.Facts)...)
+		all = append(all, g.Run(l.facts)...)
 	}
-	all = dedupe(all)
-	return all, l.Facts, nil
+	return dedupe(all), l.facts, nil
 }
 
 // dedupe drops findings reported at the same position with the same
-// message by the same analyzer — a file shared between a package and
+// message under the same kind — a file shared between a package and
 // its test variant is analyzed once per unit otherwise.
 func dedupe(fs []Finding) []Finding {
 	sort.Slice(fs, func(i, j int) bool {
@@ -175,8 +123,8 @@ func dedupe(fs []Finding) []Finding {
 		if a.Posn.Column != b.Posn.Column {
 			return a.Posn.Column < b.Posn.Column
 		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
 		}
 		return a.Message < b.Message
 	})
@@ -190,15 +138,7 @@ func dedupe(fs []Finding) []Finding {
 	return out
 }
 
-func isCfg(s string) bool {
-	return len(s) > 4 && s[len(s)-4:] == ".cfg"
-}
-
 func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
+	line, _, _ := strings.Cut(s, "\n")
+	return line
 }

@@ -11,23 +11,24 @@ import (
 //
 //	//pilint:ignore lockorder,deferunlock upgrade pattern, see package docs
 //
-// The analyzer list is comma-separated; everything after it is the
+// The kind list is comma-separated; everything after it is the
 // mandatory free-text reason. A suppression applies to diagnostics on
 // the comment's own line (trailing form) and on the line directly below
 // (own-line form).
 const ignorePrefix = "//pilint:ignore"
 
-// knownAnalyzers is the full suite, used to validate suppression names
-// even when a driver runs a subset (analysistest runs one analyzer at a
-// time, but a fixture may legitimately suppress a sibling).
-var knownAnalyzers = map[string]bool{
+// knownKinds is every report kind of the full suite, used to validate
+// suppression names even when a driver runs a subset (analysistest runs
+// one analyzer at a time, but a fixture may legitimately suppress a
+// sibling).
+var knownKinds = map[string]bool{
 	"lockorder":   true,
-	"snapclose":   true,
-	"atomicmix":   true,
-	"deferunlock": true,
 	"lockblock":   true,
 	"rankdecl":    true,
+	"snapclose":   true,
 	"closeowner":  true,
+	"atomicmix":   true,
+	"deferunlock": true,
 }
 
 type suppression struct {
@@ -37,34 +38,18 @@ type suppression struct {
 	used   bool
 }
 
-type suppressions struct {
-	// byLine maps file:line (of the comment) to its suppression.
-	byLine map[string][]*suppression
+type lineKey struct {
+	file string
+	line int
 }
 
-func key(file string, line int) string {
-	return file + ":" + itoa(line)
-}
-
-func itoa(n int) string {
-	// strconv-free to keep the hot path allocation-light; lines are small.
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
+// suppressions maps file:line (of the comment) to its suppressions.
+type suppressions map[lineKey][]*suppression
 
 // collectSuppressions gathers every //pilint:ignore comment in the
 // unit's files.
-func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
-	s := &suppressions{byLine: make(map[string][]*suppression)}
+func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressions {
+	s := make(suppressions)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -85,22 +70,22 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 					sup.names = strings.Split(fields[0], ",")
 					sup.reason = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), fields[0]))
 				}
-				k := key(posn.Filename, posn.Line)
-				s.byLine[k] = append(s.byLine[k], sup)
+				k := lineKey{posn.Filename, posn.Line}
+				s[k] = append(s[k], sup)
 			}
 		}
 	}
 	return s
 }
 
-// suppressed reports whether a diagnostic from analyzer name at posn is
-// covered by an ignore comment on the same line or the line above.
-func (s *suppressions) suppressed(name string, posn token.Position) bool {
+// suppressed reports whether a diagnostic of kind at posn is covered by
+// an ignore comment on the same line or the line above.
+func (s suppressions) suppressed(kind string, posn token.Position) bool {
 	hit := false
 	for _, line := range []int{posn.Line, posn.Line - 1} {
-		for _, sup := range s.byLine[key(posn.Filename, line)] {
+		for _, sup := range s[lineKey{posn.Filename, line}] {
 			for _, n := range sup.names {
-				if n == name {
+				if n == kind {
 					sup.used = true
 					hit = true
 				}
@@ -110,54 +95,48 @@ func (s *suppressions) suppressed(name string, posn token.Position) bool {
 	return hit
 }
 
-// problems reports defective suppressions: a missing reason, an
-// analyzer name outside the known suite, or — when every analyzer the
-// comment names actually ran — an ignore that suppressed nothing
-// (stale). They surface as findings under the pseudo-analyzer
+// problems reports defective suppressions: a missing reason, a kind
+// outside the known suite, or — when every kind the comment names was
+// reported by an analyzer in this run — an ignore that suppressed
+// nothing (stale). They surface as findings under the pseudo-kind
 // "pilint", so a typoed or left-behind ignore fails the build instead
 // of silently suppressing nothing.
-func (s *suppressions) problems(running []*Analyzer) []Finding {
-	valid := make(map[string]bool, len(knownAnalyzers)+len(running))
-	for n := range knownAnalyzers {
-		valid[n] = true
-	}
-	ran := make(map[string]bool, len(running))
+func (s suppressions) problems(running []*Analyzer) []Finding {
+	ran := make(map[string]bool)
 	for _, a := range running {
-		valid[a.Name] = true
-		ran[a.Name] = true
+		for _, k := range a.kinds() {
+			ran[k] = true
+		}
 	}
 	var out []Finding
-	for _, sups := range s.byLine {
+	report := func(sup *suppression, msg string) {
+		out = append(out, Finding{Kind: "pilint", Posn: sup.posn, Message: msg})
+	}
+	for _, sups := range s {
 		for _, sup := range sups {
 			if len(sup.names) == 0 {
-				out = append(out, Finding{Analyzer: "pilint", Posn: sup.posn,
-					Message: "pilint:ignore needs an analyzer name and a reason"})
+				report(sup, "pilint:ignore needs an analyzer name and a reason")
 				continue
 			}
 			malformed := false
 			for _, n := range sup.names {
-				if !valid[n] {
-					out = append(out, Finding{Analyzer: "pilint", Posn: sup.posn,
-						Message: "pilint:ignore names unknown analyzer " + quote(n)})
+				if !knownKinds[n] && !ran[n] {
+					report(sup, "pilint:ignore names unknown analyzer \""+n+"\"")
 					malformed = true
 				}
 			}
 			if sup.reason == "" {
-				out = append(out, Finding{Analyzer: "pilint", Posn: sup.posn,
-					Message: "pilint:ignore needs a reason after the analyzer name"})
+				report(sup, "pilint:ignore needs a reason after the analyzer name")
 				malformed = true
 			}
-			// Stale check: only decidable when every named analyzer was in
-			// this run (analysistest runs them one at a time).
+			// Stale check: only decidable when every named kind was in
+			// this run (analysistest runs one analyzer at a time).
 			allRan := true
 			for _, n := range sup.names {
-				if !ran[n] {
-					allRan = false
-				}
+				allRan = allRan && ran[n]
 			}
 			if !malformed && !sup.used && allRan {
-				out = append(out, Finding{Analyzer: "pilint", Posn: sup.posn,
-					Message: "pilint:ignore suppresses no diagnostic; remove the stale comment"})
+				report(sup, "pilint:ignore suppresses no diagnostic; remove the stale comment")
 			}
 		}
 	}
@@ -169,5 +148,3 @@ func (s *suppressions) problems(running []*Analyzer) []Finding {
 	})
 	return out
 }
-
-func quote(s string) string { return "\"" + s + "\"" }

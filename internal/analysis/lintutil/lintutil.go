@@ -114,8 +114,8 @@ func Funcs(files []*ast.File, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) 
 }
 
 // AcqMethods names the resource constructors across the engine,
-// storage, query, and tpch packages, shared by the snapclose and
-// closeowner analyzers. A call only counts when its first result is
+// storage, query, and tpch packages, whose results the handles
+// analyzer tracks. A call only counts when its first result is
 // closeable (see IsAcquisition), so a same-named function elsewhere
 // that returns plain data (t.Run, cmd.Run) is ignored.
 var AcqMethods = map[string]bool{

@@ -1,20 +1,22 @@
-// Package lockgraph builds the whole-program "acquired B while holding
-// A" graph from the locksum facts and checks it for cycles.
+package lockorder
+
+// The whole-program "acquired B while holding A" graph, built from the
+// locksum facts, and its cycle check.
 //
-// The per-function analyzers (lockorder) can only order mutexes that
-// carry numeric ranks; a deadlock between two unranked mutexes — or
-// between a ranked and an unranked one — is invisible to them. The
-// graph check is rank-blind: every mutex the fact layer knows about is
-// a node, every "held A when acquiring B" pair observed in any
-// flattened function summary is an edge, and any strongly connected
-// component with more than one node is a potential deadlock reported
-// with one example call path per edge.
+// The per-function checks can only order mutexes that carry numeric
+// ranks; a deadlock between two unranked mutexes — or between a ranked
+// and an unranked one — is invisible to them. The graph check is
+// rank-blind: every mutex the fact layer knows about is a node, every
+// "held A when acquiring B" pair observed in any flattened function
+// summary is an edge, and any strongly connected component with more
+// than one node is a potential deadlock reported with one example call
+// path per edge.
 //
 // `pilint -lockgraph` renders the same graph as DOT (nodes labeled
 // with their ranks, edges with an example acquisition site) so the
 // documented lock order can be reviewed — and committed — as a
-// picture. CI asserts the graph stays acyclic.
-package lockgraph
+// picture. CI asserts the graph stays acyclic and that its nodes and
+// edges match the committed docs/lockgraph.dot.
 
 import (
 	"fmt"
@@ -33,7 +35,7 @@ import (
 var Check = &driver.GlobalCheck{
 	Name: "lockgraph",
 	Doc:  "detect cycles in the whole-program acquired-while-holding lock graph",
-	Run:  run,
+	Run:  checkGraph,
 }
 
 // edge is one observed "acquired to while holding from", with one
@@ -48,19 +50,18 @@ type graph struct {
 	edges map[string]map[string]edge
 }
 
-func build(store *driver.FactStore) *graph {
+func build(facts driver.Facts) *graph {
 	g := &graph{
 		nodes: make(map[string]locksum.MutexRank),
 		edges: make(map[string]map[string]edge),
 	}
-	all := store.All(locksum.Fact.Name)
-	paths := make([]string, 0, len(all))
-	for p := range all {
+	paths := make([]string, 0, len(facts))
+	for p := range facts {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		pf, ok := all[p].(*locksum.PackageFact)
+		pf, ok := facts[p].(*locksum.PackageFact)
 		if !ok {
 			continue
 		}
@@ -82,7 +83,7 @@ func build(store *driver.FactStore) *graph {
 // simulate replays one flattened summary, adding a held->acquired edge
 // for every distinct pair. Instance identity is ignored: two locks of
 // the same canonical ID never form an edge (per-index ordering within
-// a slice is lockorder's concern), and counts keep re-entrant
+// a slice is the per-function check's concern), and counts keep re-entrant
 // summaries balanced.
 func (g *graph) simulate(sum *locksum.FuncSummary) {
 	held := make(map[string]int)
@@ -126,8 +127,8 @@ func (g *graph) addEdge(from, to string, ev locksum.Event) {
 	}
 }
 
-func run(store *driver.FactStore) []driver.Finding {
-	g := build(store)
+func checkGraph(facts driver.Facts) []driver.Finding {
+	g := build(facts)
 	var findings []driver.Finding
 	for _, scc := range g.cycles() {
 		sort.Strings(scc)
@@ -158,8 +159,8 @@ func run(store *driver.FactStore) []driver.Finding {
 			names[i] = shortID(n)
 		}
 		findings = append(findings, driver.Finding{
-			Analyzer: "lockgraph",
-			Posn:     posnOf(first),
+			Kind: "lockgraph",
+			Posn: posnOf(first),
 			Message: fmt.Sprintf("lock graph cycle among %s: these mutexes are acquired while holding each other, a potential deadlock (%s)",
 				strings.Join(names, ", "), strings.Join(examples, "; ")),
 		})
@@ -235,8 +236,8 @@ func (g *graph) cycles() [][]string {
 // WriteDot renders the graph as a deterministic DOT document: nodes
 // sorted and labeled with their rank, edges labeled with one example
 // acquisition site.
-func WriteDot(store *driver.FactStore, w io.Writer) error {
-	g := build(store)
+func WriteDot(facts driver.Facts, w io.Writer) error {
+	g := build(facts)
 	nodes := make([]string, 0, len(g.nodes))
 	for n := range g.nodes {
 		nodes = append(nodes, n)

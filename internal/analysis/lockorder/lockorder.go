@@ -1,25 +1,42 @@
-// Package lockorder enforces the engine's documented lock acquisition
-// order.
+// Package lockorder checks the engine's lock discipline. One analyzer
+// reports three kinds from one scan of the mutex declarations and one
+// walk per function:
 //
-// Mutexes participate by carrying a `// lock-rank: N` marker comment on
-// their field or variable declaration. The analyzer simulates each
-// function body in source order, maintaining the set of ranked locks
-// held, and reports any acquisition whose rank is lower than a rank
-// already held. For `[]sync.Mutex` fields (the per-partition locks) it
-// additionally enforces ascending index order: constant indexes must
-// increase, sweep loops must iterate ascending, and nothing may be
-// re-acquired after a full ascending sweep.
+//   - lockorder: locks are acquired in the documented order. Mutexes
+//     participate by carrying a `// lock-rank: N` marker comment on
+//     their field or variable declaration; acquiring a rank lower than
+//     one already held is reported. For `[]sync.Mutex` fields (the
+//     per-partition locks) ascending index order is enforced too:
+//     constant indexes must increase, sweep loops must iterate
+//     ascending, and nothing may be re-acquired after a full ascending
+//     sweep. A numeric marker on something that is not a mutex is
+//     reported as well.
+//   - lockblock: no rank-marked lock is held across a potentially
+//     blocking operation — channel send/receive, range over a channel,
+//     select without a default clause, time.Sleep, WaitGroup/Cond
+//     waits, and os/net/io calls that reach the kernel. The ranked
+//     mutexes guard in-memory structures and are meant to be held for
+//     microseconds; blocking under one turns every reader of that
+//     structure into a co-waiter. Locks explicitly marked
+//     `lock-rank: none` are exempt — the marker is the author's
+//     statement that the lock is a leaf with its own rules.
+//   - rankdecl: every sync.Mutex / sync.RWMutex struct field and
+//     package-level variable (slices and arrays of them included)
+//     carries either a numeric marker or an explicit
+//     `// lock-rank: none <reason>`; a mutex without one is invisible to
+//     the two checks above. The reason is mandatory. Declarations in
+//     _test.go files are exempt.
 //
-// The simulation is interprocedural: every call to a statically
-// resolved function replays that function's flattened locksum summary
-// — the full transitive lock behavior of the callee and everything it
-// calls, across package boundaries (see package locksum for how the
-// summaries are computed bottom-up over the package DAG and serialized
-// between packages). An engine method that calls into storage which
-// locks a bitmap-layer mutex is checked against the engine caller's
-// lock set directly. Diagnostics for replayed events point at the call
-// site and name the function and position actually performing the
-// acquisition.
+// The walk is interprocedural: every call to a statically resolved
+// function replays that function's flattened locksum summary — the full
+// transitive lock behavior of the callee and everything it calls,
+// across package boundaries (see package locksum for how the summaries
+// are computed bottom-up over the package DAG). A call whose summary
+// acquires a ranked lock is order-checked against the caller's held
+// set and extends it for the statements that follow; a call whose
+// summary blocks is reported at the call site. Diagnostics for replayed
+// events name the function and position actually performing the
+// operation.
 //
 // Approximations, chosen to stay quiet rather than clever: branches
 // are walked in source order against a single lock set, loop bodies
@@ -27,6 +44,9 @@
 // are not checked, and locks whose receiver involves a loop variable
 // are treated as distinct instances per iteration (multi-table sweeps
 // legitimately hold one table's locks while taking the next's).
+//
+// Check and WriteDot (graph.go) are the whole-program side: the lock
+// graph built from the same facts, its cycle check, and its DOT render.
 package lockorder
 
 import (
@@ -41,12 +61,13 @@ import (
 )
 
 var Analyzer = &driver.Analyzer{
-	Name: "lockorder",
-	Doc:  "check that lock-rank annotated mutexes are acquired in ascending rank (and partition index) order",
-	Run:  run,
+	Name:  "lockorder",
+	Doc:   "check lock-rank order (and partition index order), that no ranked lock is held across a blocking operation, and that every mutex declares its rank",
+	Kinds: []string{"lockorder", "lockblock", "rankdecl"},
+	Run:   run,
 }
 
-// held is one entry of the simulated lock set.
+// held is one entry of the simulated set of ranked locks.
 type held struct {
 	mutex    string // canonical locksum ID
 	rank     int
@@ -59,12 +80,13 @@ type held struct {
 	multi    bool   // instance involves a loop variable (distinct per iteration)
 	expr     string // for diagnostics
 	pos      token.Pos
+	fromCall bool // acquired inside a replayed callee summary
 }
 
 func run(pass *driver.Pass) (interface{}, error) {
 	mutexes, bad := locksum.Mutexes(pass)
 	for _, b := range bad {
-		pass.Reportf(b.Pos, "%s", b.Message)
+		pass.ReportKindf(b.Kind, b.Pos, "%s", b.Message)
 	}
 
 	resolve := func(fn *types.Func) *locksum.FuncSummary {
@@ -75,7 +97,7 @@ func run(pass *driver.Pass) (interface{}, error) {
 		return pf.Funcs[fn.FullName()]
 	}
 	lintutil.Funcs(pass.Files, func(decl *ast.FuncDecl, body *ast.BlockStmt) {
-		ck := &checker{pass: pass}
+		ck := &checker{pass: pass, reported: make(map[string]bool)}
 		w := &locksum.Walker{Pass: pass, Mutexes: mutexes, Resolve: resolve, H: ck}
 		if decl != nil {
 			w.RecvObj = locksum.RecvVar(pass, decl)
@@ -86,43 +108,45 @@ func run(pass *driver.Pass) (interface{}, error) {
 }
 
 // checker consumes the walker's event stream for one function,
-// maintaining the ranked-lock set and reporting order violations.
+// maintaining the ranked-lock set and reporting order violations and
+// blocking operations under it.
 type checker struct {
-	pass  *driver.Pass
-	locks []held
+	pass     *driver.Pass
+	locks    []held
+	reported map[string]bool // one lockblock report per (position, op, lock)
 }
 
 func (ck *checker) Event(ev locksum.Event, ctx locksum.Ctx) {
-	if ev.Rank < 0 {
-		return // unranked and rank-none mutexes are not order-checked
-	}
 	switch ev.Kind {
+	case locksum.Block:
+		ck.blocked(ev, ctx)
 	case locksum.Acquire:
-		ck.acquire(ev, ctx)
-	case locksum.Release:
-		if ctx.Deferred {
-			return // deferred unlock: held until function exit
+		if ev.Rank >= 0 { // unranked and rank-none mutexes are not checked
+			ck.acquire(ev, ctx)
 		}
-		ck.release(ev, ctx)
+	case locksum.Release:
+		if ev.Rank >= 0 && !ctx.Deferred { // deferred unlock: held until function exit
+			ck.release(ev, ctx)
+		}
 	}
 }
 
-// reportf reports at the event's position in this frame; events
-// replayed out of a callee summary name the function and position
-// actually performing the operation.
+// reportf reports a lockorder finding at the event's position in this
+// frame; events replayed out of a callee summary name the function and
+// position actually performing the operation.
 func (ck *checker) reportf(ctx locksum.Ctx, ev locksum.Event, format string, args ...interface{}) {
 	msg := fmt.Sprintf(format, args...)
 	if ctx.FromCall {
 		msg += fmt.Sprintf(" (in %s at %s)", ev.Via, ev.Posn)
 	}
-	ck.pass.Reportf(ctx.Pos, "%s", msg)
+	ck.pass.ReportKindf("lockorder", ctx.Pos, "%s", msg)
 }
 
 func (ck *checker) acquire(ev locksum.Event, ctx locksum.Ctx) {
 	// A lock loop sweeping indexes downward is an ordering violation on
 	// its own; reported where the loop is written, not at call sites.
 	if !ctx.FromCall && ev.Slice && ev.Idx == locksum.IdxLoopDesc {
-		ck.pass.Reportf(ctx.Pos, "%s locked in a descending loop; partition locks must be acquired in ascending index order", ev.Expr)
+		ck.pass.ReportKindf("lockorder", ctx.Pos, "%s locked in a descending loop; partition locks must be acquired in ascending index order", ev.Expr)
 	}
 	inst, multi := ctx.Inst, ctx.Multi
 	for i := range ck.locks {
@@ -157,7 +181,7 @@ func (ck *checker) acquire(ev locksum.Event, ctx locksum.Ctx) {
 	ck.locks = append(ck.locks, held{
 		mutex: ev.Mutex, rank: ev.Rank, slice: ev.Slice, read: ev.Read,
 		idx: ev.Idx, c: ev.Index, fromZero: ev.FromZero,
-		inst: inst, multi: multi, expr: ev.Expr, pos: ctx.Pos,
+		inst: inst, multi: multi, expr: ev.Expr, pos: ctx.Pos, fromCall: ctx.FromCall,
 	})
 }
 
@@ -178,4 +202,28 @@ func (ck *checker) release(ev locksum.Event, ctx locksum.Ctx) {
 		out = append(out, h)
 	}
 	ck.locks = out
+}
+
+// blocked reports a blocking operation under every ranked lock held.
+func (ck *checker) blocked(ev locksum.Event, ctx locksum.Ctx) {
+	for _, h := range ck.locks {
+		// A lock acquired by the same replayed call that now blocks is
+		// the callee's own acquire+block pair; the callee's direct walk
+		// reports it once at the defining site, not at every caller.
+		if ctx.FromCall && h.fromCall && h.pos == ctx.Pos {
+			continue
+		}
+		key := fmt.Sprintf("%d|%s|%s", ctx.Pos, ev.Op, h.mutex)
+		if ck.reported[key] {
+			continue
+		}
+		ck.reported[key] = true
+		if ctx.FromCall {
+			ck.pass.ReportKindf("lockblock", ctx.Pos, "call blocks (%s in %s at %s) while holding %s (lock-rank %d); rank-marked locks must not be held across blocking operations",
+				ev.Op, ev.Via, ev.Posn, h.expr, h.rank)
+		} else {
+			ck.pass.ReportKindf("lockblock", ctx.Pos, "%s while holding %s (lock-rank %d); rank-marked locks must not be held across blocking operations",
+				ev.Op, h.expr, h.rank)
+		}
+	}
 }

@@ -1,6 +1,6 @@
-// Package locksum computes the serialized lock-behavior facts that make
-// pilint interprocedural: for every function of a package, an ordered
-// summary of the mutex acquisitions, releases, and potentially-blocking
+// Package locksum computes the lock-behavior facts that make pilint
+// interprocedural: for every function of a package, an ordered summary
+// of the mutex acquisitions, releases, and potentially-blocking
 // operations it performs — including, transitively, those of everything
 // it calls.
 //
@@ -9,17 +9,14 @@
 // fixpoint (the within-package SCC); across packages, the already-
 // flattened facts of each dependency are consulted, so by construction
 // a summary replays the full transitive lock behavior of a call — an
-// engine → storage → bitmap chain included. The driver serializes each
-// package's facts (gob) and makes them available to dependent packages,
-// riding the same `go list -export` load path the type information
-// uses; under `go vet -vettool` the facts travel through the vetx files
-// of cmd/go's unitchecker protocol instead.
+// engine → storage → bitmap chain included. The driver keeps each
+// package's fact in memory by import path, computed in the same
+// `go list -deps` order the type information is loaded in.
 //
-// Three consumers read the facts: lockorder (rank and partition-index
-// ordering through arbitrary call chains), lockblock (no rank-marked
-// lock held across a blocking operation), and the driver's whole-tree
-// lockgraph (the "acquired B while holding A" graph and its cycle
-// check).
+// Two consumers read the facts: the lockorder analyzer (rank and
+// partition-index ordering and no blocking under a ranked lock, through
+// arbitrary call chains) and its whole-tree lock graph (the "acquired B
+// while holding A" graph and its cycle check).
 //
 // Mutex identity is canonical and package-independent:
 // "pkgpath.Type.field" for struct fields, "pkgpath.var" for
@@ -72,8 +69,8 @@ const (
 )
 
 // Event is one entry of a function's lock-behavior summary. All fields
-// are strings or scalars so summaries serialize with gob and stay
-// meaningful outside the defining package.
+// are strings or scalars so summaries stay meaningful outside the
+// defining package.
 type Event struct {
 	Kind Kind
 
@@ -123,35 +120,18 @@ type MutexRank struct {
 	Posn  string // declaration site, for graph labels
 }
 
-// PackageFact is the serialized per-package fact: flattened summaries
-// keyed by types.Func.FullName, plus the package's mutex table.
+// PackageFact is the per-package fact: flattened summaries keyed by
+// types.Func.FullName, plus the package's mutex table.
 type PackageFact struct {
 	Funcs   map[string]*FuncSummary
 	Mutexes map[string]MutexRank
 }
 
-// Fact is the driver fact kind under which locksum facts are computed,
-// serialized, and resolved.
-// factName is the fact kind's registry name; Of uses the constant so
-// the compute → Of → Fact reference chain is not an init cycle.
-const factName = "locksum"
-
-var Fact = &driver.FactKind{
-	Name:    factName,
-	New:     func() interface{} { return new(PackageFact) },
-	Compute: compute,
-}
-
-func init() { driver.RegisterFactKind(Fact) }
-
 // Of returns the locksum facts of the package with the given import
 // path (the pass's own path included), or nil when none were computed
 // (standard library, no source).
 func Of(pass *driver.Pass, path string) *PackageFact {
-	if pass.Facts == nil {
-		return nil
-	}
-	pf, _ := pass.Facts(factName, path).(*PackageFact)
+	pf, _ := pass.Facts[path].(*PackageFact)
 	return pf
 }
 
@@ -163,26 +143,39 @@ type MutexInfo struct {
 	Slice bool
 }
 
-var markerRE = regexp.MustCompile(`lock-rank:\s*(\d+|none\b)`)
+// markerRE matches a lock-rank marker: the rank (a number or none) and
+// the rest of its line, the reason a none marker must give.
+var markerRE = regexp.MustCompile(`lock-rank:\s*(\d+|none\b)[ \t]*(.*)`)
 
-// BadMarker is a malformed lock-rank marker found while collecting the
-// package's mutexes; lockorder reports them.
+// A BadMarker is a lock-rank marker defect found while collecting the
+// package's mutexes, tagged with the report kind it belongs to:
+// "lockorder" for a numeric marker on something that is not a mutex,
+// "rankdecl" for a mutex declared outside a _test.go file without a
+// marker or with a reason-less `none` (test-local mutexes do not
+// interact with the engine's lock order).
 type BadMarker struct {
+	Kind    string
 	Pos     token.Pos
 	Message string
 }
 
 // Mutexes scans the package's declarations for sync.Mutex / RWMutex
-// struct fields and package-level variables, resolving each to its
-// canonical ID and marker rank. Numeric markers on non-mutexes are
-// returned as BadMarkers for the caller to report.
+// struct fields and package-level variables (slices and arrays of them
+// included), resolving each to its canonical ID and marker rank, and
+// returns the marker defects for the caller to report.
 func Mutexes(pass *driver.Pass) (map[*types.Var]MutexInfo, []BadMarker) {
 	infos := make(map[*types.Var]MutexInfo)
 	var bad []BadMarker
+	report := func(kind string, pos token.Pos, format string, args ...interface{}) {
+		bad = append(bad, BadMarker{Kind: kind, Pos: pos, Message: fmt.Sprintf(format, args...)})
+	}
 	pkgPath := pass.Pkg.Path()
 
-	note := func(owner string, names []*ast.Ident, typ ast.Expr, groups ...*ast.CommentGroup) {
-		rank, marked := markerRank(groups...)
+	// note records one declaration: what ("field" or "package
+	// variable") and owner (the struct type) name it in IDs and
+	// messages.
+	note := func(what, owner string, inTest bool, names []*ast.Ident, typ ast.Expr, groups ...*ast.CommentGroup) {
+		m := marker(groups...)
 		ids := names
 		if len(ids) == 0 && typ != nil {
 			// Embedded field (struct { sync.Mutex }): the implicit field
@@ -210,25 +203,35 @@ func Mutexes(pass *driver.Pass) (map[*types.Var]MutexInfo, []BadMarker) {
 				slice = true
 			}
 			if lintutil.MutexKind(t) == "" {
-				if marked && rank >= 0 {
-					bad = append(bad, BadMarker{Pos: name.Pos(),
-						Message: fmt.Sprintf("lock-rank marker on %s, which is not a sync mutex or mutex slice", name.Name)})
+				if m != nil && m[1] != "none" {
+					report("lockorder", name.Pos(), "lock-rank marker on %s, which is not a sync mutex or mutex slice", name.Name)
 				}
 				continue
+			}
+			r := RankUnmarked
+			switch {
+			case m == nil:
+				if !inTest {
+					report("rankdecl", name.Pos(), "%s %s is a sync mutex without a lock-rank marker; add `// lock-rank: N` or `// lock-rank: none <reason>`", what, name.Name)
+				}
+			case m[1] == "none":
+				r = RankNone
+				if !inTest && strings.TrimSpace(m[2]) == "" {
+					report("rankdecl", name.Pos(), "`lock-rank: none` on %s needs a reason explaining why the lock stands outside the ranked order", name.Name)
+				}
+			default:
+				r, _ = strconv.Atoi(m[1])
 			}
 			id := pkgPath + "." + name.Name
 			if owner != "" {
 				id = pkgPath + "." + owner + "." + name.Name
-			}
-			r := RankUnmarked
-			if marked {
-				r = rank
 			}
 			infos[obj] = MutexInfo{ID: id, Rank: r, Slice: slice}
 		}
 	}
 
 	for _, f := range pass.Files {
+		inTest := strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
 		for _, d := range f.Decls {
 			gd, ok := d.(*ast.GenDecl)
 			if !ok {
@@ -238,7 +241,7 @@ func Mutexes(pass *driver.Pass) (map[*types.Var]MutexInfo, []BadMarker) {
 			case token.VAR:
 				for _, spec := range gd.Specs {
 					if vs, ok := spec.(*ast.ValueSpec); ok {
-						note("", vs.Names, vs.Type, gd.Doc, vs.Doc, vs.Comment)
+						note("package variable", "", inTest, vs.Names, vs.Type, gd.Doc, vs.Doc, vs.Comment)
 					}
 				}
 			case token.TYPE:
@@ -252,7 +255,7 @@ func Mutexes(pass *driver.Pass) (map[*types.Var]MutexInfo, []BadMarker) {
 						continue
 					}
 					for _, field := range st.Fields.List {
-						note(ts.Name.Name, field.Names, field.Type, field.Doc, field.Comment)
+						note("field", ts.Name.Name, inTest, field.Names, field.Type, field.Doc, field.Comment)
 					}
 				}
 			}
@@ -273,31 +276,25 @@ func embeddedIdent(typ ast.Expr) *ast.Ident {
 	return nil
 }
 
-// markerRank parses a lock-rank marker out of the comment groups:
-// (N, true) for numeric, (RankNone, true) for "none", (_, false) when
-// no marker is present.
-func markerRank(groups ...*ast.CommentGroup) (int, bool) {
+// marker returns the first lock-rank marker in the comment groups as
+// markerRE submatches, nil when there is none.
+func marker(groups ...*ast.CommentGroup) []string {
 	for _, g := range groups {
 		if g == nil {
 			continue
 		}
 		if m := markerRE.FindStringSubmatch(g.Text()); m != nil {
-			if m[1] == "none" {
-				return RankNone, true
-			}
-			if n, err := strconv.Atoi(m[1]); err == nil {
-				return n, true
-			}
+			return m
 		}
 	}
-	return 0, false
+	return nil
 }
 
 // foreignMutex resolves a direct acquisition of a mutex declared in
 // another package (`t.store.regMu.Lock()` from engine): the canonical
 // ID is derived from the selector's receiver type, and the rank from
-// the defining package's facts (source comments are invisible through
-// export data).
+// the defining package's facts (its source comments are not part of
+// this pass).
 func foreignMutex(pass *driver.Pass, obj *types.Var, base ast.Expr) (MutexInfo, bool) {
 	if obj.Pkg() == nil || obj.Pkg() == pass.Pkg {
 		return MutexInfo{}, false
@@ -333,18 +330,18 @@ func foreignMutex(pass *driver.Pass, obj *types.Var, base ast.Expr) (MutexInfo, 
 }
 
 // ShortPosn renders a position as "dir/file.go:line" — stable across
-// checkouts, so it can live in serialized facts and committed DOT
-// output.
+// checkouts, so it can live in facts and committed DOT output.
 func ShortPosn(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
 	dir := filepath.Base(filepath.Dir(p.Filename))
 	return fmt.Sprintf("%s/%s:%d", dir, filepath.Base(p.Filename), p.Line)
 }
 
-// compute is the FactKind entry point: record raw per-function event
-// streams, then flatten them against same-package raw summaries and
-// the already-flattened facts of dependencies.
-func compute(pass *driver.Pass) (interface{}, error) {
+// Compute is the driver.FactFunc deriving a package's PackageFact:
+// record raw per-function event streams, then flatten them against
+// same-package raw summaries and the already-flattened facts of
+// dependencies.
+func Compute(pass *driver.Pass) interface{} {
 	mutexes, _ := Mutexes(pass)
 
 	raw := make(map[string]*FuncSummary)
@@ -376,7 +373,7 @@ func compute(pass *driver.Pass) (interface{}, error) {
 			Posn:  ShortPosn(pass.Fset, obj.Pos()),
 		}
 	}
-	return fact, nil
+	return fact
 }
 
 // shortFuncName renders "(*Table).Retain" / "helper" — package-local
@@ -558,7 +555,7 @@ func RecvVar(pass *driver.Pass, fd *ast.FuncDecl) *types.Var {
 }
 
 // recorder is the record-mode handler: it turns walker callbacks back
-// into serialized events. Calls whose packages can never have facts
+// into summary events. Calls whose packages can never have facts
 // (the standard library) are dropped at the source.
 type recorder struct {
 	pass     *driver.Pass

@@ -27,7 +27,7 @@ type Ctx struct {
 }
 
 // A Handler consumes the walker's event stream. The recorder (building
-// raw summaries) and the checkers (lockorder, lockblock) implement it.
+// raw summaries) and the lockorder checker implement it.
 type Handler interface {
 	Event(ev Event, ctx Ctx)
 }
@@ -208,7 +208,7 @@ func (w *Walker) walkStmt(s ast.Stmt) {
 // walkDefer handles `defer f()`. A deferred acquire takes effect
 // immediately; a deferred release applies at function exit, which the
 // handler sees via Ctx.Deferred (the recorder queues it after the
-// stream, the checkers keep the lock held). A deferred call to a
+// stream, the checker keeps the lock held). A deferred call to a
 // helper likewise applies at exit: record mode emits a deferred CallEv
 // for the flattener to splice at stream end, check mode ignores it —
 // whatever the helper does happens after the body's ordering is done.
@@ -351,7 +351,7 @@ func (w *Walker) lockCall(call *ast.CallExpr, mutex ast.Expr, acquire, read, def
 	})
 }
 
-// eventFor builds the serialized event for a direct lock call,
+// eventFor builds the summary event for a direct lock call,
 // resolving the mutex to its canonical ID and rank — through the
 // defining package's facts when it is foreign.
 func (w *Walker) eventFor(mutex ast.Expr, kind Kind, read bool, pos token.Pos) (Event, bool) {

@@ -200,15 +200,15 @@
 //
 // # Mechanically enforced invariants
 //
-// The invariants above are checked by cmd/pilint (standalone:
-// `go run ./cmd/pilint ./...`; as a vet tool: `go build -o pilint
-// ./cmd/pilint && go vet -vettool=./pilint ./...`), so violations fail
-// CI instead of waiting for a race or deadlock to reproduce. The lock
-// analyzers are interprocedural: every package's per-function lock
-// behavior is summarized into serialized facts (internal/analysis/
-// locksum) computed bottom-up over the dependency graph, so a lock
-// acquired three calls deep in another package counts exactly like a
-// direct acquisition at the call site.
+// The invariants above are checked by cmd/pilint (`go run ./cmd/pilint
+// ./...`), so violations fail CI instead of waiting for a race or
+// deadlock to reproduce. Four analyzers report seven kinds: lockorder
+// the first three below, handles the next two, atomicmix and
+// deferunlock their own. The lock checks are interprocedural: every
+// package's per-function lock behavior is summarized into facts
+// (internal/analysis/locksum) computed bottom-up over the dependency
+// graph, so a lock acquired three calls deep in another package counts
+// exactly like a direct acquisition at the call site.
 //
 //   - lockorder: the global lock order. Every mutex participating in it
 //     carries a `// lock-rank: N` marker on its declaration — the
@@ -246,9 +246,9 @@
 // facts and reports any cycle — ranked or not — as a potential
 // deadlock. `go run ./cmd/pilint -lockgraph ./...` renders the graph
 // as DOT; the committed picture lives at docs/lockgraph.dot and CI
-// asserts it stays acyclic.
+// asserts it stays acyclic and keeps its nodes and edges.
 //
-// Deliberate exceptions carry a `//pilint:ignore <analyzer> <reason>`
+// Deliberate exceptions carry a `//pilint:ignore <kind> <reason>`
 // comment; the reason is mandatory, a typoed ignore is itself a
 // diagnostic, and an ignore that no longer suppresses anything is
 // reported as stale. Update the marker comments and re-run pilint in
