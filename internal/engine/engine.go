@@ -147,13 +147,17 @@
 // internal/plan cost model): a captured TableSnapshot exposes row and
 // patch counts per partition (its Inputs carry them to plan
 // construction), PartitionIndexStats surfaces the identical live
-// counters outside a snapshot, and storage block minmax metadata
-// enables scan pruning under pushed-down predicates. Keeping exception
-// rates low is therefore not just an index-quality concern — it is what
-// keeps the optimizer choosing the cheap patch plans, which is the
-// payoff the maintainer's MaxCostErosion threshold prices directly
-// (plan.ErosionExceptionRate inverts the cost model per partition
-// size).
+// counters outside a snapshot, and storage block minmax summaries
+// enable scan pruning under pushed-down predicates. A summary outlives
+// the snapshot: capture hands the partition's summaries to the frozen
+// view, a view that builds or extends one publishes it back, appends
+// keep it (the next read extends it) and only deletes, modifies and
+// reorders drop it, so a query pays for the blocks it reads, not for
+// the partition. Keeping exception rates low is therefore not just an
+// index-quality concern — it is what keeps the optimizer choosing the
+// cheap patch plans, which is the payoff the maintainer's
+// MaxCostErosion threshold prices directly (plan.ErosionExceptionRate
+// inverts the cost model per partition size).
 //
 // # Durability
 //
@@ -215,7 +219,10 @@
 //     database map lock (rank 10), the table structure lock (20), the
 //     partition locks (30, a slice rank that additionally enforces
 //     ascending index order), and the storage registry mutex (40, with
-//     the partition minmax lock at 50). Acquiring a lower rank while
+//     the partition minmax lock at 50, which orders summary-cache writes
+//     only; capture reads the cache with atomic loads, no lock, and a
+//     frozen view never holds its own lock while publishing to its
+//     source's). Acquiring a lower rank while
 //     holding a higher one, or partition locks out of index order, is
 //     reported — through arbitrary call chains (lockPartition,
 //     lockAllPartitions, engine→storage→bitmap, ...), with the chain's

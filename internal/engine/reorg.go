@@ -27,8 +27,9 @@ var ErrSnapshotCaptured = errors.New("captured by a live snapshot (explicit or i
 //
 //   - pending deltas: delete/modify positions refer to pre-reorder rows,
 //     and buffered inserts would dodge the permutation entirely;
-//   - minmax summaries: a permutation preserves the row count, which is
-//     exactly the signal the MinMax cache uses to rebuild;
+//   - minmax summaries: snapshots share them and appends keep them, so
+//     a permutation — which changes no row count — leaves a cached
+//     summary describing the old row order until it is invalidated;
 //   - the per-partition index slots: patch rowIDs and the NSC sorted-run
 //     bookkeeping describe physical positions that just moved.
 //
@@ -45,10 +46,12 @@ var ErrSnapshotCaptured = errors.New("captured by a live snapshot (explicit or i
 // fresh clone, which also clears refusals a stale ref would otherwise
 // cause); the snapshot-retained check follows, refusing like
 // ExclusivePartition while a live capture still holds p's current
-// generation. After fn returns, p's minmax summaries are invalidated and
-// every PatchIndex slot p is recomputed from the new physical order. fn
-// must either complete its permutation or leave the partition unchanged;
-// a permutation must not change the row count or the value multiset.
+// generation. After fn returns, p's minmax summaries are invalidated —
+// which also stops views frozen before the reorder from publishing theirs
+// back — and every PatchIndex slot p is recomputed from the new physical
+// order. fn must either complete its permutation or leave the partition
+// unchanged; a permutation must not change the row count or the value
+// multiset.
 //
 // Holding one partition lock (shared structure lock + pmu[p]) for the
 // whole protocol means writers of every other partition proceed
@@ -88,7 +91,8 @@ func (t *Table) ReorderPartition(p int, fn func(*storage.Table) error) error {
 // (like ExclusiveStorage — table-level refs cannot be cleared by a
 // checkpoint, so the check precedes it only in spirit; checkpointing a
 // doomed reorder is harmless always-legal maintenance), and afterwards
-// every partition's minmax summaries and index slots are recomputed.
+// every partition's minmax summaries are invalidated and its index
+// slots recomputed.
 func (t *Table) ReorderStorage(fn func(*storage.Table) error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

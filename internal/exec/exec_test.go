@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
@@ -93,6 +94,52 @@ func TestScanRangePruning(t *testing.T) {
 	}
 	if s.RowsVisited > 2*storage.BlockRows {
 		t.Fatalf("pruning visited %d rows, want <= %d", s.RowsVisited, 2*storage.BlockRows)
+	}
+}
+
+// TestScanPrunedRowIDsAllocateOneBatch scans a 64k-row partition pruned
+// to four blocks: every emitted rowID is its row's position, and a scan
+// allocates far less than one rowID per partition row would (8 B × 64k
+// = 512 KiB).
+func TestScanPrunedRowIDsAllocateOneBatch(t *testing.T) {
+	const n = 64 * storage.BlockRows
+	v := viewWithInts(t, seq(n))
+	ranges := []storage.Range{{Min: 10 * storage.BlockRows, Max: 12*storage.BlockRows + 7}, {Min: 40000, Max: 40100}}
+	scan := func() int {
+		s := NewScan(v, []int{0})
+		defer s.Close()
+		s.SetPruneColumn(0)
+		s.SetRanges(ranges)
+		rows := 0
+		for {
+			b, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				return rows
+			}
+			for i, rid := range b.RowIDs {
+				if int64(rid) != b.Cols[0].I64[i] {
+					t.Fatalf("rowID %d on the row at position %d", rid, b.Cols[0].I64[i])
+				}
+			}
+			rows += b.Len()
+		}
+	}
+	// The first scan builds the partition's summary; the rest reuse it.
+	if got := scan(); got != 4*storage.BlockRows {
+		t.Fatalf("pruned scan emitted %d rows, want the %d of four blocks", got, 4*storage.BlockRows)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	if perScan := (after.TotalAlloc - before.TotalAlloc) / runs; perScan >= 64<<10 {
+		t.Fatalf("a pruned scan allocates %d bytes, want < 64 KiB", perScan)
 	}
 }
 

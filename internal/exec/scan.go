@@ -21,13 +21,12 @@ type Scan struct {
 
 	started   bool
 	intervals [][2]int
-	cur       int // current interval
-	pos       int // next row within current interval
-	data      []Vec
-	rowIDs    []uint64
-	view0     *Batch // full materialized view; Next emits slices of it
+	cur       int   // current interval
+	pos       int   // next row within current interval
+	data      []Vec // the materialized view's columns
+	out       Batch // reused by every Next: windows into data, rowIDs in a BatchSize buffer
 
-	// BlocksScanned counts rows actually visited; exposed for tests and
+	// RowsVisited counts rows actually visited; exposed for tests and
 	// benchmarks measuring the effect of range propagation.
 	RowsVisited int
 }
@@ -99,15 +98,14 @@ func (s *Scan) open() {
 	if len(s.intervals) > 0 {
 		s.pos = s.intervals[0][0]
 	}
-	s.rowIDs = make([]uint64, n)
-	for i := range s.rowIDs {
-		s.rowIDs[i] = uint64(i)
-	}
-	s.view0 = &Batch{Schema: s.schema, Cols: s.data, RowIDs: s.rowIDs}
 }
 
-// Next implements Operator. Batches are zero-copy views into the
-// materialized columns; one batch covers at most one pruning interval.
+// Next implements Operator. A batch's columns are zero-copy windows into
+// the materialized view and its rowIDs the window's positions; one batch
+// covers at most one pruning interval. The batch is overwritten by the
+// next call (consumers that keep rows copy them, as Gather, Drain and
+// Sort do), so a scan allocates one BatchSize rowID buffer, not one
+// rowID per partition row.
 func (s *Scan) Next() (*Batch, error) {
 	if !s.started {
 		s.open()
@@ -125,10 +123,21 @@ func (s *Scan) Next() (*Batch, error) {
 		if rem := iv[1] - s.pos; take > rem {
 			take = rem
 		}
-		out := s.view0.SliceView(s.pos, s.pos+take)
+		if s.out.RowIDs == nil {
+			// Allocated at the first batch: a scan pruned to nothing allocates none.
+			s.out = Batch{Schema: s.schema, Cols: make([]Vec, len(s.data)), RowIDs: make([]uint64, 0, BatchSize)}
+		}
+		for c := range s.data {
+			s.out.Cols[c] = s.data[c].Slice(s.pos, s.pos+take)
+		}
+		ids := s.out.RowIDs[:take]
+		for i := range ids {
+			ids[i] = uint64(s.pos + i)
+		}
+		s.out.RowIDs = ids
 		s.pos += take
 		s.RowsVisited += take
-		return out, nil
+		return &s.out, nil
 	}
 	return nil, nil
 }
@@ -136,8 +145,7 @@ func (s *Scan) Next() (*Batch, error) {
 // Close implements Operator.
 func (s *Scan) Close() {
 	s.data = nil
-	s.view0 = nil
-	s.rowIDs = nil
+	s.out = Batch{}
 }
 
 // VecSource is an operator that replays pre-built vectors; it backs

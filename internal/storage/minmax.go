@@ -10,7 +10,9 @@ const BlockRows = 1024
 
 // MinMax summarizes one column of one partition at block granularity.
 // It currently supports int64 columns, which covers all join/sort keys
-// used by the paper's experiments.
+// used by the paper's experiments. A summary is immutable once built:
+// partitions share one between live and frozen views, and an append
+// derives a longer copy (extend) instead of growing it in place.
 type MinMax struct {
 	mins []int64
 	maxs []int64
@@ -19,28 +21,56 @@ type MinMax struct {
 
 // BuildMinMax computes the minmax summary for an int64 column.
 func BuildMinMax(data []int64) *MinMax {
-	m := &MinMax{}
-	for _, v := range data {
-		m.Add(v)
-	}
+	m := newMinMax(len(data))
+	m.fill(data, 0)
 	return m
 }
 
-// Add extends the summary with the next value in row order.
-func (m *MinMax) Add(v int64) {
-	if m.n%BlockRows == 0 {
-		m.mins = append(m.mins, v)
-		m.maxs = append(m.maxs, v)
-	} else {
-		last := len(m.mins) - 1
-		if v < m.mins[last] {
-			m.mins[last] = v
+// newMinMax returns a summary of n rows with its block slices allocated.
+func newMinMax(n int) *MinMax {
+	blocks := (n + BlockRows - 1) / BlockRows
+	buf := make([]int64, 2*blocks)
+	return &MinMax{mins: buf[:blocks:blocks], maxs: buf[blocks:], n: n}
+}
+
+// fill computes the bounds of every block from block first on.
+func (m *MinMax) fill(data []int64, first int) {
+	for b := first; b < len(m.mins); b++ {
+		m.mins[b], m.maxs[b] = bounds(data[b*BlockRows : min((b+1)*BlockRows, len(data))])
+	}
+}
+
+// bounds returns the minimum and maximum of a non-empty slice.
+func bounds(vs []int64) (lo, hi int64) {
+	lo, hi = vs[0], vs[0]
+	for _, v := range vs[1:] {
+		if v < lo {
+			lo = v
 		}
-		if v > m.maxs[last] {
-			m.maxs[last] = v
+		if v > hi {
+			hi = v
 		}
 	}
-	m.n++
+	return lo, hi
+}
+
+// extend returns a summary of data, whose first m.Rows() values m
+// already summarizes, leaving m untouched: it copies m's blocks, folds
+// the rows that complete m's partial last block into that block's
+// bounds, and summarizes only the blocks after it — O(blocks + appended
+// rows), however long the prefix.
+func (m *MinMax) extend(data []int64) *MinMax {
+	e := newMinMax(len(data))
+	copy(e.mins, m.mins)
+	copy(e.maxs, m.maxs)
+	next := (m.n + BlockRows - 1) / BlockRows
+	if m.n%BlockRows != 0 && len(data) > m.n {
+		b := next - 1
+		lo, hi := bounds(data[m.n:min(next*BlockRows, len(data))])
+		e.mins[b], e.maxs[b] = min(e.mins[b], lo), max(e.maxs[b], hi)
+	}
+	e.fill(data, next)
+	return e
 }
 
 // Blocks returns the number of summarized blocks.

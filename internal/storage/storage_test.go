@@ -192,17 +192,24 @@ func TestMinMaxSelectedRowsClipped(t *testing.T) {
 	}
 }
 
+// TestMinMaxIncrementalAdd extends a summary by appended rows: the
+// partial last block folds them into its bounds, later blocks are new,
+// and the extended prefix is left untouched.
 func TestMinMaxIncrementalAdd(t *testing.T) {
-	m := &MinMax{}
-	for i := 0; i < 100; i++ {
-		m.Add(int64(100 - i))
+	data := make([]int64, 2*BlockRows+5)
+	for i := range data {
+		data[i] = int64(len(data) - i)
 	}
-	if m.Blocks() != 1 {
-		t.Fatalf("Blocks = %d, want 1", m.Blocks())
+	m := BuildMinMax(data[:50])
+	e := m.extend(data)
+	if m.Rows() != 50 || m.Blocks() != 1 {
+		t.Fatalf("extend modified its receiver: %d rows, %d blocks", m.Rows(), m.Blocks())
 	}
-	lo, hi := m.BlockRange(0)
-	if lo != 1 || hi != 100 {
-		t.Fatalf("BlockRange = [%d,%d], want [1,100]", lo, hi)
+	if lo, hi := m.BlockRange(0); lo != int64(len(data)-49) || hi != int64(len(data)) {
+		t.Fatalf("receiver BlockRange = [%d,%d]", lo, hi)
+	}
+	if err := sameSummary(e, BuildMinMax(data)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,22 +3,42 @@ package storage
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Partition is one horizontal slice of a table: a set of equally long
 // columns plus lazily built minmax summaries. The paper's system creates
 // PatchIndexes partition-locally; our engine mirrors that.
+//
+// Summaries outlive snapshots. A stored *MinMax is never modified, so
+// Freeze hands the live partition's summaries to the frozen view by
+// pointer, and a summary a frozen view builds is published back to the
+// partition it was frozen from — unless that partition has mutated
+// since, which the mutation counter tells. Appends keep a summary: it
+// stays a valid prefix, and the next MinMax extends it. Deletes,
+// overwrites and reorders drop it and count a mutation.
 type Partition struct {
 	schema Schema
 	cols   []*Column
 
-	mmMu   sync.Mutex // lock-rank: 50 — guards minmax: frozen partitions are read concurrently
-	minmax []*MinMax  // per column, int64 columns only, nil until built
+	mmMu sync.Mutex // lock-rank: 50 — orders summary-cache writes: frozen views publish into their source while its writer mutates
+	// minmax holds one summary per column (int64 columns only, nil until
+	// built). Entries are written under mmMu and read with atomic loads,
+	// so Freeze copies them without the lock.
+	minmax []atomic.Pointer[MinMax]
+	// mutations counts the writes that dropped summaries; it changes only
+	// under mmMu.
+	mutations atomic.Uint64
+
+	// A frozen view's source partition and the source's mutation count
+	// when the view was frozen; src is nil on a live partition.
+	src     *Partition
+	srcMuts uint64
 }
 
 // NewPartition returns an empty partition with the given schema.
 func NewPartition(schema Schema) *Partition {
-	p := &Partition{schema: schema, cols: make([]*Column, len(schema)), minmax: make([]*MinMax, len(schema))}
+	p := &Partition{schema: schema, cols: make([]*Column, len(schema)), minmax: make([]atomic.Pointer[MinMax], len(schema))}
 	for i, def := range schema {
 		p.cols[i] = NewColumn(def.Name, def.Kind)
 	}
@@ -39,7 +59,8 @@ func (p *Partition) NumRows() int {
 // Column returns the column at schema position i.
 func (p *Partition) Column(i int) *Column { return p.cols[i] }
 
-// AppendRow appends one tuple.
+// AppendRow appends one tuple. Cached summaries stay: they describe a
+// prefix of the grown columns, and MinMax extends them on next use.
 func (p *Partition) AppendRow(row Row) {
 	if len(row) != len(p.cols) {
 		panic(fmt.Sprintf("storage: row width %d != schema width %d", len(row), len(p.cols)))
@@ -47,7 +68,6 @@ func (p *Partition) AppendRow(row Row) {
 	for i, v := range row {
 		p.cols[i].Append(v)
 	}
-	p.invalidateMinMax()
 }
 
 // AppendColumns appends whole same-kind columns (one per schema slot,
@@ -55,7 +75,7 @@ func (p *Partition) AppendRow(row Row) {
 // publication takes to move an insert buffer into base storage. Appends
 // never disturb frozen views (their column headers are length-capped),
 // so a partition-lock holder may call it without any whole-table
-// coordination.
+// coordination. Like AppendRow it keeps the cached summaries.
 func (p *Partition) AppendColumns(cols []*Column) {
 	if len(cols) != len(p.cols) {
 		panic(fmt.Sprintf("storage: AppendColumns width %d != schema width %d", len(cols), len(p.cols)))
@@ -68,19 +88,19 @@ func (p *Partition) AppendColumns(cols []*Column) {
 	for i, c := range p.cols {
 		c.AppendColumn(cols[i])
 	}
-	p.invalidateMinMax()
 }
 
-// SetValue overwrites one cell.
+// SetValue overwrites one cell and drops that column's summary.
 func (p *Partition) SetValue(row, col int, v Value) {
 	p.cols[col].Set(row, v)
-	p.minmax[col] = nil
+	p.dropMinMax(col)
 }
 
 // DeleteRows removes the rows at the given strictly ascending positions
-// from all columns. Duplicate positions are rejected like unsorted ones:
-// DeletePositions compacts by walking the sorted list once, so a
-// repeated position would silently drop the wrong trailing rows.
+// from all columns and drops every summary. Duplicate positions are
+// rejected like unsorted ones: DeletePositions compacts by walking the
+// sorted list once, so a repeated position would silently drop the
+// wrong trailing rows.
 func (p *Partition) DeleteRows(positions []uint64) {
 	if len(positions) == 0 {
 		return
@@ -93,40 +113,77 @@ func (p *Partition) DeleteRows(positions []uint64) {
 	for _, c := range p.cols {
 		c.DeletePositions(positions)
 	}
-	p.invalidateMinMax()
+	p.dropMinMax(-1)
 }
 
 // MinMax returns the minmax summary for the int64 column at schema
-// position col, building and caching it on first use. It returns nil for
-// non-int64 columns.
+// position col, or nil for other columns. A cached summary is returned
+// as is; a shorter one (rows appended since) is extended, and a missing
+// one built. What a frozen view builds it also publishes to the
+// partition it was frozen from, so the next snapshot starts with it.
 func (p *Partition) MinMax(col int) *MinMax {
 	if p.schema[col].Kind != KindInt64 {
 		return nil
 	}
-	p.mmMu.Lock()
-	defer p.mmMu.Unlock()
-	if p.minmax[col] == nil || p.minmax[col].Rows() != p.NumRows() {
-		p.minmax[col] = BuildMinMax(p.cols[col].Int64s())
+	m, built := p.summarize(col)
+	if built && p.src != nil {
+		p.src.publish(col, m, p.srcMuts)
 	}
-	return p.minmax[col]
+	return m
 }
 
-func (p *Partition) invalidateMinMax() {
-	for i := range p.minmax {
-		p.minmax[i] = nil
+// summarize returns col's summary, building or extending it first when
+// the cache does not cover every row; built reports that it did.
+func (p *Partition) summarize(col int) (m *MinMax, built bool) {
+	p.mmMu.Lock()
+	defer p.mmMu.Unlock()
+	data := p.cols[col].Int64s()
+	switch m = p.minmax[col].Load(); {
+	case m != nil && m.Rows() == len(data):
+		return m, false
+	case m != nil && m.Rows() < len(data):
+		m = m.extend(data)
+	default:
+		m = BuildMinMax(data)
 	}
+	p.minmax[col].Store(m)
+	return m, true
+}
+
+// publish stores m, built by a view frozen from p when p's mutation
+// count was muts, as p's summary of col — unless p has mutated since or
+// already holds a summary at least as long.
+func (p *Partition) publish(col int, m *MinMax, muts uint64) {
+	p.mmMu.Lock()
+	defer p.mmMu.Unlock()
+	if p.mutations.Load() != muts {
+		return
+	}
+	if old := p.minmax[col].Load(); old != nil && old.Rows() >= m.Rows() {
+		return
+	}
+	p.minmax[col].Store(m)
+}
+
+// dropMinMax drops col's summary (every summary for col < 0) and counts
+// a mutation, so views frozen before it stop publishing.
+func (p *Partition) dropMinMax(col int) {
+	p.mmMu.Lock()
+	defer p.mmMu.Unlock()
+	for i := range p.minmax {
+		if col < 0 || i == col {
+			p.minmax[i].Store(nil)
+		}
+	}
+	p.mutations.Add(1)
 }
 
 // InvalidateMinMax drops the cached minmax summaries. Physical reorders
-// permute rows in place without changing the row count, so MinMax's
-// rebuild-on-length-change heuristic cannot detect them — the reorderer
-// must invalidate explicitly or block pruning would consult summaries
-// describing the old row order.
-func (p *Partition) InvalidateMinMax() {
-	p.mmMu.Lock()
-	defer p.mmMu.Unlock()
-	p.invalidateMinMax()
-}
+// permute rows in place without changing the row count, so nothing else
+// tells a cached summary that it describes the old row order — the
+// reorderer must invalidate explicitly or block pruning would consult
+// stale bounds.
+func (p *Partition) InvalidateMinMax() { p.dropMinMax(-1) }
 
 // SizeBytes estimates the memory consumed by the partition's columns.
 func (p *Partition) SizeBytes() uint64 {
@@ -137,11 +194,12 @@ func (p *Partition) SizeBytes() uint64 {
 	return sz
 }
 
-// Clone returns a deep copy of the partition (used by SortKey, which
-// physically reorders data, and by the engine's copy-on-write checkpoint
-// path when a live snapshot references the current generation).
+// Clone returns a deep copy of the partition with no summaries (used by
+// SortKey, which physically reorders data, and by the engine's
+// copy-on-write checkpoint path when a live snapshot references the
+// current generation).
 func (p *Partition) Clone() *Partition {
-	n := &Partition{schema: p.schema, cols: make([]*Column, len(p.cols)), minmax: make([]*MinMax, len(p.cols))}
+	n := &Partition{schema: p.schema, cols: make([]*Column, len(p.cols)), minmax: make([]atomic.Pointer[MinMax], len(p.cols))}
 	for i, c := range p.cols {
 		n.cols[i] = c.Clone()
 	}
@@ -149,16 +207,18 @@ func (p *Partition) Clone() *Partition {
 }
 
 // Freeze returns an immutable snapshot view of the partition: fresh
-// column headers capped at the current row count and an independent
-// minmax cache, sharing the backing arrays with the live partition. A
-// frozen partition stays valid while the live one receives appends; any
+// column headers capped at the current row count, sharing the backing
+// arrays and the cached summaries with the live partition. A frozen
+// partition stays valid while the live one receives appends; any
 // in-place overwrite or compaction of the live partition must go through
 // Clone + swap instead (the engine enforces this via its generation
-// tracking).
+// tracking). The caller must exclude the partition's writer, as for any
+// write; Freeze may race frozen views publishing into the partition.
 func (p *Partition) Freeze() *Partition {
-	n := &Partition{schema: p.schema, cols: make([]*Column, len(p.cols)), minmax: make([]*MinMax, len(p.cols))}
+	n := &Partition{schema: p.schema, cols: make([]*Column, len(p.cols)), minmax: make([]atomic.Pointer[MinMax], len(p.cols)), src: p, srcMuts: p.mutations.Load()}
 	for i, c := range p.cols {
 		n.cols[i] = c.Freeze()
+		n.minmax[i].Store(p.minmax[i].Load())
 	}
 	return n
 }
