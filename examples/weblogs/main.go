@@ -72,8 +72,8 @@ func main() {
 	fmt.Printf("distinct sessions: %d (reference %v, PatchIndex %v)\n", cRef, tRef, tPI)
 
 	// Trickle inserts: 20 batches of 50 requests. The PatchIndex handles
-	// each batch from its collision state (scanning only partitions that
-	// hold a colliding value) — no recomputation.
+	// each batch from its collision directory (scanning only partitions
+	// that hold a colliding value) — no recomputation.
 	start := time.Now()
 	for batch := 0; batch < 20; batch++ {
 		var ins []patchindex.Row

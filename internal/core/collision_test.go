@@ -29,7 +29,7 @@ func TestGlobalNUCPatchesSplitEquivalence(t *testing.T) {
 				counts[v]++
 			}
 		}
-		got := GlobalNUCPatchesInt64(parts)
+		got := GlobalNUCPatches(parts)
 		for p, vals := range parts {
 			var want []uint64
 			for i, v := range vals {
@@ -49,91 +49,147 @@ func TestGlobalNUCPatchesSplitEquivalence(t *testing.T) {
 	}
 }
 
-// TestNUCStateClassification: the three probes (local count, sealed
-// exception set, foreign filters) classify values as the fast insert
-// path expects.
+// allHeld is a held set naming all nparts partitions.
+func allHeld(nparts int) []bool {
+	held := make([]bool, nparts)
+	for p := range held {
+		held[p] = true
+	}
+	return held
+}
+
+// TestNUCStateClassification: the directory's lookup (Reserve) reports
+// exactly the partitions that count a value — held ones as hits, the
+// others as missing without recording anything — skips sealed values,
+// and keeps exact counts through reserve, withdraw and seal.
 func TestNUCStateClassification(t *testing.T) {
 	// Partition 0: 1,2,3. Partition 1: 3,4. Value 3 is a global
 	// duplicate, so it must be sealed at construction.
-	counts := []map[int64]uint32{
-		CountNUCValuesInt64([]int64{1, 2, 3}),
-		CountNUCValuesInt64([]int64{3, 4}),
-	}
-	st := NewNUCStateInt64(counts)
-
-	if !st.Sealed().ContainsInt64(3) {
+	st := NewNUCState([][]int64{{1, 2, 3}, {3, 4}})
+	if !st.Sealed().Contains(3) {
 		t.Fatal("cross-partition duplicate 3 not sealed at construction")
 	}
-	if st.Sealed().ContainsInt64(1) {
+	if st.Sealed().Contains(1) {
 		t.Fatal("unique value 1 sealed")
 	}
-	if got := st.LocalCountInt64(0, 1); got != 1 {
-		t.Fatalf("local count of 1 in partition 0 = %d", got)
+	if got := st.Count(0, 1); got != 1 {
+		t.Fatalf("count of 1 in partition 0 = %d", got)
 	}
-	if got := st.LocalCountInt64(1, 1); got != 0 {
-		t.Fatalf("local count of 1 in partition 1 = %d", got)
+	if got := st.Count(1, 1); got != 0 {
+		t.Fatalf("count of 1 in partition 1 = %d", got)
 	}
-	// 4 lives only in partition 1: from partition 0's perspective it is
-	// a cross-partition candidate; from partition 1's it is local.
-	if !st.PartitionMayContainInt64(1, 4) {
-		t.Fatal("foreign probe missed a real foreign value (filters cannot be false-negative)")
-	}
-	if st.PartitionMayContainInt64(0, 4) {
-		t.Fatal("foreign probe hit the probing partition's own value (or an implausible false positive)")
-	}
-	if got := st.LocalCountInt64(0, 3) + st.LocalCountInt64(1, 3); got != 2 {
+	if got := st.Count(0, 3) + st.Count(1, 3); got != 2 {
 		t.Fatalf("global count of 3 = %d", got)
 	}
 
-	// Mutation round-trip: insert 5 into partition 0, then delete it.
-	st.AddLocalInt64(0, 5)
-	st.AddBloomInt64(0, 5)
-	if !st.PartitionMayContainInt64(0, 5) {
-		t.Fatal("filter did not learn the inserted value")
+	// 4 lives only in partition 1: a writer holding only partition 0
+	// must look again with partition 1 held, and records nothing yet.
+	type hit struct{ i, q int }
+	var hits []hit
+	record := func(i, q int) { hits = append(hits, hit{i, q}) }
+	if _, missing := st.Reserve(0, []int64{5, 4, 3}, []bool{true, false}, record); len(missing) != 1 || missing[0] != 1 {
+		t.Fatalf("missing = %v, want [1]", missing)
 	}
-	st.RemoveLocalInt64(0, 5)
-	if got := st.LocalCountInt64(0, 5); got != 0 {
-		t.Fatalf("count after delete = %d", got)
+	if len(hits) != 0 || st.Count(0, 5) != 0 || st.Count(0, 4) != 0 {
+		t.Fatalf("a missed lookup recorded something: hits %v, counts %d %d", hits, st.Count(0, 5), st.Count(0, 4))
 	}
-	// The filter stays a superset after deletes — false positives only.
-	if !st.PartitionMayContainInt64(0, 5) {
-		t.Fatal("filter forgot a value (would risk a false negative under re-insert races)")
+	// With partition 1 held, 4 is a hit there; sealed 3 is skipped; the
+	// values are recorded in partition 0.
+	sealed, missing := st.Reserve(0, []int64{5, 4, 3}, allHeld(2), record)
+	if missing != nil || !sealed.Contains(3) {
+		t.Fatalf("missing = %v, sealed 3 = %v", missing, sealed.Contains(3))
+	}
+	if len(hits) != 1 || hits[0] != (hit{1, 1}) {
+		t.Fatalf("hits = %v, want [{1 1}]", hits)
+	}
+	for _, v := range []int64{5, 4, 3} {
+		if got := st.Count(0, v); got != map[int64]uint32{5: 1, 4: 1, 3: 2}[v] {
+			t.Fatalf("count of %d in partition 0 = %d after the reservation", v, got)
+		}
+	}
+
+	// Withdrawing a reservation (or deleting the rows) restores the
+	// counts exactly.
+	st.Remove(0, []int64{5, 4, 3})
+	if st.Count(0, 5) != 0 || st.Count(0, 4) != 0 || st.Count(0, 3) != 1 {
+		t.Fatalf("counts after Remove: %d %d %d", st.Count(0, 5), st.Count(0, 4), st.Count(0, 3))
 	}
 
 	// Sealing is copy-on-write: an old snapshot never changes.
 	old := st.Sealed()
-	st.SealDuplicatesInt64([]int64{7})
-	if old.ContainsInt64(7) {
+	st.Seal([]int64{7})
+	if old.Contains(7) {
 		t.Fatal("sealed snapshot mutated in place")
 	}
-	if !st.Sealed().ContainsInt64(7) {
+	if !st.Sealed().Contains(7) {
 		t.Fatal("new duplicate not sealed")
 	}
 }
 
-// TestNUCStateStringHashing: the string variant classifies through the
-// hashed filters and string-keyed maps.
+// TestNUCStateStringHashing: the string directory keys by the exact
+// string — lookups, counts and the sealed set agree with the int64 one.
 func TestNUCStateStringHashing(t *testing.T) {
-	counts := []map[string]uint32{
-		CountNUCValuesString([]string{"a", "b"}),
-		CountNUCValuesString([]string{"b", "c"}),
-	}
-	st := NewNUCStateString(counts)
-	if !st.IsString() {
-		t.Fatal("IsString = false")
-	}
-	if !st.Sealed().ContainsString("b") {
+	st := NewNUCState([][]string{{"a", "b"}, {"b", "c"}})
+	if !st.Sealed().Contains("b") {
 		t.Fatal("cross-partition duplicate not sealed")
 	}
-	if !st.PartitionMayContainString(1, "c") {
-		t.Fatal("foreign probe missed a real foreign string")
+	var hitQ []int
+	if _, missing := st.Reserve(0, []string{"c", "cc"}, allHeld(2), func(_, q int) { hitQ = append(hitQ, q) }); missing != nil {
+		t.Fatalf("missing = %v with every partition held", missing)
 	}
-	if got := st.LocalCountString(1, "c"); got != 1 {
-		t.Fatalf("local count = %d", got)
+	if len(hitQ) != 1 || hitQ[0] != 1 {
+		t.Fatalf("hits = %v, want partition 1 for \"c\" only", hitQ)
 	}
-	st.SealDuplicatesString([]string{"z"})
-	if !st.Sealed().ContainsString("z") {
+	if got := st.Count(1, "c") + st.Count(0, "c"); got != 2 {
+		t.Fatalf("count of c = %d", got)
+	}
+	if got := st.Patches(0, []string{"a", "b", "c", "cc"}); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("partition 0 patches = %v, want [1] (sealed b)", got)
+	}
+	st.Seal([]string{"z"})
+	if !st.Sealed().Contains("z") {
 		t.Fatal("string seal failed")
+	}
+}
+
+// TestNUCStateReservationsRace: writers reserving the same fresh values
+// into different partitions, each holding only its own, race on the
+// directory mutex. For every value exactly one of them sees the other —
+// the first records, the second is told to take the first's partition —
+// and after the second looks again with both held, each partition counts
+// the value exactly once.
+func TestNUCStateReservationsRace(t *testing.T) {
+	const values = 2000
+	st := NewNUCState(make([][]int64, 2))
+	saw := make([][]bool, 2) // saw[w][v]: writer w was sent to the other partition
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		saw[w] = make([]bool, values)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			own := []bool{w == 0, w == 1}
+			for v := 0; v < values; v++ {
+				vals := []int64{int64(v)}
+				if _, missing := st.Reserve(w, vals, own, func(int, int) {}); missing != nil {
+					saw[w][v] = true
+					hits := 0
+					if _, again := st.Reserve(w, vals, allHeld(2), func(int, int) { hits++ }); again != nil || hits != 1 {
+						t.Errorf("writer %d value %d: second lookup missing %v with %d hits", w, v, again, hits)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for v := 0; v < values; v++ {
+		if saw[0][v] == saw[1][v] {
+			t.Fatalf("value %d: writer 0 saw the other %v, writer 1 %v; want exactly one", v, saw[0][v], saw[1][v])
+		}
+		if c0, c1 := st.Count(0, int64(v)), st.Count(1, int64(v)); c0 != 1 || c1 != 1 {
+			t.Fatalf("value %d counted %d/%d, want 1/1", v, c0, c1)
+		}
 	}
 }
 
@@ -141,7 +197,7 @@ func TestNUCStateStringHashing(t *testing.T) {
 // copy-on-write sealers without the race detector firing, and every
 // reader observes a monotonically growing set.
 func TestNUCStateSealedReadersRaceFree(t *testing.T) {
-	st := NewNUCStateInt64([]map[int64]uint32{{}, {}})
+	st := NewNUCState(make([][]int64, 2))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	var mu sync.Mutex // stands in for the engine's gate around sealing
@@ -168,7 +224,7 @@ func TestNUCStateSealedReadersRaceFree(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		//pilint:ignore deferunlock tight serialization loop; defer would hold the lock across iterations
 		mu.Lock()
-		st.SealDuplicatesInt64([]int64{int64(i)})
+		st.Seal([]int64{int64(i)})
 		mu.Unlock()
 	}
 	close(stop)
@@ -186,30 +242,35 @@ func TestNUCStateSealedReadersRaceFree(t *testing.T) {
 // geometric shape that bounds a lookup.
 func TestSealedOverlayProperty(t *testing.T) {
 	for _, str := range []bool{false, true} {
-		var st *NUCState
 		var seal func(vals []int64)
-		var contains func(e *NUCExceptions, v int64) bool
+		var capture func() *snapshot
 		if str {
-			st = NewNUCStateString([]map[string]uint32{{"s-1": 2}})
+			st := NewNUCState([][]string{{"s-1", "s-1"}})
 			name := func(v int64) string { return fmt.Sprintf("s%d", v) }
 			seal = func(vals []int64) {
 				strs := make([]string, len(vals))
 				for i, v := range vals {
 					strs[i] = name(v)
 				}
-				st.SealDuplicatesString(strs)
+				st.Seal(strs)
 			}
-			contains = func(e *NUCExceptions, v int64) bool { return e.ContainsString(name(v)) }
+			capture = func() *snapshot {
+				e := st.Sealed()
+				return &snapshot{func(v int64) bool { return e.Contains(name(v)) }, e.Len(), levelSizes(e)}
+			}
 		} else {
-			st = NewNUCStateInt64([]map[int64]uint32{{-1: 2}})
-			seal = st.SealDuplicatesInt64
-			contains = func(e *NUCExceptions, v int64) bool { return e.ContainsInt64(v) }
+			st := NewNUCState([][]int64{{-1, -1}})
+			seal = st.Seal
+			capture = func() *snapshot {
+				e := st.Sealed()
+				return &snapshot{e.Contains, e.Len(), levelSizes(e)}
+			}
 		}
 
 		const sealers, batches, domain = 4, 300, 5000
 		type held struct {
-			snap *NUCExceptions
-			has  []bool // contains(snap, v) for v < probe, when taken
+			snap *snapshot
+			has  []bool // snap.contains(v) for v < probe, when taken
 		}
 		const probe = 64
 		var wg sync.WaitGroup
@@ -229,9 +290,9 @@ func TestSealedOverlayProperty(t *testing.T) {
 					}
 					seal(vals)
 					if b%50 == 0 {
-						h := held{snap: st.Sealed(), has: make([]bool, probe)}
+						h := held{snap: capture(), has: make([]bool, probe)}
 						for v := range h.has {
-							h.has[v] = contains(h.snap, int64(v))
+							h.has[v] = h.snap.contains(int64(v))
 						}
 						snaps[w] = append(snaps[w], h)
 					}
@@ -246,31 +307,25 @@ func TestSealedOverlayProperty(t *testing.T) {
 				want[v] = true
 			}
 		}
-		final := st.Sealed()
+		final := capture()
 		for v := int64(0); v < domain; v++ {
-			if contains(final, v) != want[v] {
-				t.Fatalf("string=%v: value %d sealed=%v, want %v", str, v, contains(final, v), want[v])
+			if final.contains(v) != want[v] {
+				t.Fatalf("string=%v: value %d sealed=%v, want %v", str, v, final.contains(v), want[v])
 			}
 		}
-		if got := final.Len(); got != len(want)+1 { // +1: the discovery-time duplicate
+		if got := final.len; got != len(want)+1 { // +1: the discovery-time duplicate
 			t.Fatalf("string=%v: Len = %d, want %d", str, got, len(want)+1)
 		}
 		for _, hs := range snaps {
 			for _, h := range hs {
 				for v := range h.has {
-					if contains(h.snap, int64(v)) != h.has[v] {
+					if h.snap.contains(int64(v)) != h.has[v] {
 						t.Fatalf("string=%v: an old snapshot changed its answer for %d", str, v)
 					}
 				}
 			}
 		}
-		sizes := make([]int, 0, 8)
-		for _, m := range final.ints {
-			sizes = append(sizes, len(m))
-		}
-		for _, m := range final.strs {
-			sizes = append(sizes, len(m))
-		}
+		sizes := final.sizes
 		for i := 1; i < len(sizes); i++ {
 			if sizes[i-1] < sealMergeFactor*sizes[i] {
 				t.Fatalf("string=%v: level sizes %v are not geometric", str, sizes)
@@ -279,36 +334,21 @@ func TestSealedOverlayProperty(t *testing.T) {
 	}
 }
 
-// TestNUCStateRebuildOverfullBlooms: a saturated filter is rebuilt from
-// the live local map — shrinking after deletes, never forgetting a live
-// value.
-func TestNUCStateRebuildOverfullBlooms(t *testing.T) {
-	st := NewNUCStateInt64([]map[int64]uint32{{}})
-	// Saturate far past the initial sizing, then delete most values.
-	for v := int64(0); v < 2000; v++ {
-		st.AddLocalInt64(0, v)
-		st.AddBloomInt64(0, v)
+// snapshot is a kind-erased view of one NUCExceptions snapshot, so the
+// overlay property runs over int64 and string sets alike.
+type snapshot struct {
+	contains func(v int64) bool
+	len      int
+	sizes    []int
+}
+
+// levelSizes lists the sizes of e's levels, largest first.
+func levelSizes[T int64 | string](e *NUCExceptions[T]) []int {
+	sizes := make([]int, len(e.levels))
+	for i, m := range e.levels {
+		sizes[i] = len(m)
 	}
-	for v := int64(100); v < 2000; v++ {
-		st.RemoveLocalInt64(0, v)
-	}
-	st.RebuildOverfullBlooms()
-	// Live values must survive the rebuild.
-	for v := int64(0); v < 100; v++ {
-		if !st.PartitionMayContainInt64(0, v) {
-			t.Fatalf("rebuild lost live value %d", v)
-		}
-	}
-	// The rebuilt filter is tight again: dead values mostly vanish.
-	var hits int
-	for v := int64(100_000); v < 101_000; v++ {
-		if st.PartitionMayContainInt64(0, v) {
-			hits++
-		}
-	}
-	if hits > 50 {
-		t.Fatalf("rebuilt filter still answers yes for %d/1000 never-inserted values", hits)
-	}
+	return sizes
 }
 
 // TestCountMergeParallelSafe: per-partition counting composes under
@@ -327,11 +367,11 @@ func TestCountMergeParallelSafe(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			counts[p] = CountNUCValuesInt64(parts[p])
+			counts[p] = CountNUCValues(parts[p])
 		}(p)
 	}
 	wg.Wait()
-	dup := MergeNUCDuplicatesInt64(counts)
+	dup := MergeNUCDuplicates(counts)
 	if len(dup) != 1 {
 		t.Fatalf("duplicate set = %v, want {42}", dup)
 	}
@@ -339,7 +379,7 @@ func TestCountMergeParallelSafe(t *testing.T) {
 		t.Fatal("42 missing from duplicate set")
 	}
 	for p := range parts {
-		ps := NUCPatchSetInt64(parts[p], dup)
+		ps := NUCPatchSet(parts[p], dup)
 		if len(ps) != 1 || ps[0] != uint64(len(parts[p])-1) {
 			t.Fatalf("partition %d patch set = %v", p, ps)
 		}
@@ -347,11 +387,8 @@ func TestCountMergeParallelSafe(t *testing.T) {
 }
 
 func ExampleNUCState() {
-	st := NewNUCStateInt64([]map[int64]uint32{
-		CountNUCValuesInt64([]int64{1, 2}),
-		CountNUCValuesInt64([]int64{3}),
-	})
-	fmt.Println(st.LocalCountInt64(0, 1), st.LocalCountInt64(1, 3), st.Sealed().Len())
+	st := NewNUCState([][]int64{{1, 2}, {3}})
+	fmt.Println(st.Count(0, 1), st.Count(1, 3), st.Sealed().Len())
 	// Output: 1 1 0
 }
 

@@ -46,43 +46,32 @@ func DiscoverNUCString(vals []string) []uint64 {
 // Global NUC discovery is split into three partition-shardable pieces —
 // per-partition value counting, a merge of the counts into the set of
 // globally duplicated values, and per-partition patch extraction against
-// that set — so the engine can share the counting work between index
-// discovery and the sharded collision state (NUCState) that backs its
-// partition-parallel insert path.
+// that set — so each piece can run per partition, in parallel.
 
-// CountNUCValuesInt64 returns one partition's value → occurrence count
-// map, the partition-local piece of global NUC discovery. Counting is
+// CountNUCValues returns one partition's value → occurrence count map,
+// the partition-local piece of global NUC discovery. Counting is
 // independent per partition, so callers may run it in parallel and merge
-// the results with MergeNUCDuplicatesInt64.
-func CountNUCValuesInt64(vals []int64) map[int64]uint32 {
-	counts := make(map[int64]uint32, len(vals))
+// the results with MergeNUCDuplicates.
+func CountNUCValues[T int64 | string](vals []T) map[T]uint32 {
+	counts := make(map[T]uint32, len(vals))
 	for _, v := range vals {
 		counts[v]++
 	}
 	return counts
 }
 
-// CountNUCValuesString is CountNUCValuesInt64 for string columns.
-func CountNUCValuesString(vals []string) map[string]uint32 {
-	counts := make(map[string]uint32, len(vals))
-	for _, v := range vals {
-		counts[v]++
-	}
-	return counts
-}
-
-// MergeNUCDuplicatesInt64 merges per-partition value counts into the set
-// of globally duplicated values: a value held by tuples in two different
+// MergeNUCDuplicates merges per-partition value counts into the set of
+// globally duplicated values: a value held by tuples in two different
 // partitions violates uniqueness even though each partition is locally
 // unique ("relies on a global view of the table", Section 5.1).
-func MergeNUCDuplicatesInt64(counts []map[int64]uint32) map[int64]struct{} {
-	total := make(map[int64]uint32)
+func MergeNUCDuplicates[T int64 | string](counts []map[T]uint32) map[T]struct{} {
+	total := make(map[T]uint32)
 	for _, c := range counts {
 		for v, n := range c {
 			total[v] += n
 		}
 	}
-	dup := make(map[int64]struct{})
+	dup := make(map[T]struct{})
 	for v, n := range total {
 		if n > 1 {
 			dup[v] = struct{}{}
@@ -91,28 +80,11 @@ func MergeNUCDuplicatesInt64(counts []map[int64]uint32) map[int64]struct{} {
 	return dup
 }
 
-// MergeNUCDuplicatesString is MergeNUCDuplicatesInt64 for string columns.
-func MergeNUCDuplicatesString(counts []map[string]uint32) map[string]struct{} {
-	total := make(map[string]uint32)
-	for _, c := range counts {
-		for v, n := range c {
-			total[v] += n
-		}
-	}
-	dup := make(map[string]struct{})
-	for v, n := range total {
-		if n > 1 {
-			dup[v] = struct{}{}
-		}
-	}
-	return dup
-}
-
-// NUCPatchSetInt64 extracts one partition's sorted patch set given the
+// NUCPatchSet extracts one partition's sorted patch set given the
 // globally duplicated values: the rowIDs of ALL occurrences of values in
 // dup (see the NearlyUnique doc for why all occurrences are kept).
 // Extraction is partition-local and parallelizable.
-func NUCPatchSetInt64(vals []int64, dup map[int64]struct{}) []uint64 {
+func NUCPatchSet[T int64 | string](vals []T, dup map[T]struct{}) []uint64 {
 	var out []uint64
 	for i, v := range vals {
 		if _, ok := dup[v]; ok {
@@ -122,44 +94,19 @@ func NUCPatchSetInt64(vals []int64, dup map[int64]struct{}) []uint64 {
 	return out
 }
 
-// NUCPatchSetString is NUCPatchSetInt64 for string columns.
-func NUCPatchSetString(vals []string, dup map[string]struct{}) []uint64 {
-	var out []uint64
-	for i, v := range vals {
-		if _, ok := dup[v]; ok {
-			out = append(out, uint64(i))
-		}
-	}
-	return out
-}
-
-// GlobalNUCPatchesInt64 computes per-partition NUC patch sets with
-// GLOBAL duplicate detection, composing the three shardable pieces:
-// count per partition, merge into the duplicate set, extract per
-// partition. Only the patch storage is partition-local.
-func GlobalNUCPatchesInt64(parts [][]int64) [][]uint64 {
-	counts := make([]map[int64]uint32, len(parts))
+// GlobalNUCPatches computes per-partition NUC patch sets with GLOBAL
+// duplicate detection, composing the three shardable pieces: count per
+// partition, merge into the duplicate set, extract per partition. Only
+// the patch storage is partition-local.
+func GlobalNUCPatches[T int64 | string](parts [][]T) [][]uint64 {
+	counts := make([]map[T]uint32, len(parts))
 	for p, vals := range parts {
-		counts[p] = CountNUCValuesInt64(vals)
+		counts[p] = CountNUCValues(vals)
 	}
-	dup := MergeNUCDuplicatesInt64(counts)
+	dup := MergeNUCDuplicates(counts)
 	out := make([][]uint64, len(parts))
 	for p, vals := range parts {
-		out[p] = NUCPatchSetInt64(vals, dup)
-	}
-	return out
-}
-
-// GlobalNUCPatchesString is GlobalNUCPatchesInt64 for string columns.
-func GlobalNUCPatchesString(parts [][]string) [][]uint64 {
-	counts := make([]map[string]uint32, len(parts))
-	for p, vals := range parts {
-		counts[p] = CountNUCValuesString(vals)
-	}
-	dup := MergeNUCDuplicatesString(counts)
-	out := make([][]uint64, len(parts))
-	for p, vals := range parts {
-		out[p] = NUCPatchSetString(vals, dup)
+		out[p] = NUCPatchSet(vals, dup)
 	}
 	return out
 }

@@ -5,8 +5,8 @@ import "patchindex/internal/lis"
 // Update handling per Table 1 of the paper. Delete handling for both
 // constraints is Index.HandleDelete. The paper's NUC insert and modify
 // handling runs the join query of Fig. 5; the engine finds the same
-// rowIDs from the sharded collision state (NUCState) instead and feeds
-// them into HandleInsertNUC / AddPatches (see engine.(*Database).Insert),
+// rowIDs from the exact collision directory (NUCState) instead and
+// feeds them into Extend / AddPatches (see engine.(*Database).Insert),
 // keeping the join, built from executor operators, as its test oracle.
 // The NSC handlers below are local computations on the inserted/modified
 // values and live here.
@@ -93,11 +93,11 @@ type NUCJoinResult struct {
 
 // HandleInsertNUC merges the result of the NUC insert handling query
 // into the patch set after the index has been extended by the inserted
-// tuples. The caller (the engine) computes it — from the collision
-// state's counts plus partition-local value scans in production, by
-// the Fig. 5 query itself (inserted tuples joined against the table
-// with dynamic range propagation, both sides' rowIDs projected via
-// intermediate result caching) in the test oracle.
+// tuples. The engine's test oracle computes it by the Fig. 5 query
+// itself (inserted tuples joined against the table with dynamic range
+// propagation, both sides' rowIDs projected via intermediate result
+// caching); production inserts Extend the index and AddPatches the rows
+// the collision directory and partition-local value scans find.
 func (x *Index) HandleInsertNUC(inserted int, join NUCJoinResult) {
 	if x.constraint != NearlyUnique {
 		panic("core: HandleInsertNUC on a non-NUC index")

@@ -5,10 +5,10 @@ package engine_test
 // (sortkey imports engine). Four workers churn their own partitions —
 // partition-targeted inserts and value-predicate deletes only; nothing
 // positional, because the daemon physically permutes partitions under
-// the workers — while the daemon re-sorts eroded NSC partitions,
-// recomputes and condenses slots, and rebuilds saturated collision
-// filters. Afterwards the table must hold exactly the rows the
-// per-worker mirrors predict, every index must validate, and the NSC
+// the workers — while the daemon re-sorts eroded NSC partitions and
+// recomputes and condenses slots. Afterwards the table must hold
+// exactly the rows the per-worker mirrors predict, every index must
+// validate, and the NSC
 // exception rate must sit back under the daemon's threshold. A twin run
 // without the daemon shows the erosion the daemon is repairing.
 

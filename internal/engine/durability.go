@@ -701,7 +701,7 @@ type RecoverStats struct {
 // PatchIndexes read back via core.Index.ReadFrom and validated), then
 // each table's surviving WAL records above the checkpoint LSN are
 // replayed in LSN order through the ordinary update entry points — so
-// index maintenance, collision state, and auto-checkpointing re-run
+// index maintenance, collision directories, and auto-checkpointing re-run
 // exactly as they would live. A torn or corrupt segment tail stops that
 // segment's replay at the last intact record; because records are
 // written before their op publishes, the lost suffix corresponds to
@@ -920,8 +920,8 @@ func (t *Table) replayInsertExclusive(db *Database, perPart [][]storage.Row) err
 // and re-anchors the metadata the way the original rewrite did. It
 // takes the exclusive structure lock (replay is single-threaded, so
 // coarse is fine): a rewrite image from Load changes the value multiset,
-// which invalidates every NUC column's collision state, and rebuilding
-// that state reads all partitions.
+// which invalidates every NUC column's collision directory, and
+// rebuilding that directory reads all partitions.
 func (t *Table) replayRewrite(p int, rows []storage.Row) error {
 	if p < 0 || p >= t.store.NumPartitions() {
 		return fmt.Errorf("engine: rewrite record for unknown partition %d", p)

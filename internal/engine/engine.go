@@ -68,16 +68,17 @@
 //
 //   - structure write lock alone: table-wide operations that mutate
 //     shared table state — DDL (CreatePatchIndex, DropPatchIndex, Load)
-//     and updates whose index maintenance needs a global table view:
-//     Insert, the fallback of the partition-parallel insert path and
-//     NUC-column Modify. All three classify the changed values exactly
-//     from every partition's collision counts and patch the partitions
-//     that really collide.
+//     — and the two updates that stay all-or-nothing: Insert and
+//     NUC-column Modify. Both look the changed values up in the exact
+//     collision directory, where every partition is theirs, and patch
+//     the partitions that really collide.
 //   - structure read lock + one partition lock: partition-scoped
 //     updates — DeleteRowIDs, Modify of columns without a NUC index,
 //     and each partition chunk of a batched insert (InsertRows,
 //     InsertRowsPartition) — including their per-partition checkpoint.
-//     Updates to disjoint partitions run concurrently.
+//     Updates to disjoint partitions run concurrently. A chunk whose NUC
+//     value lives in another partition q widens to its partition locks
+//     plus q's, released and re-taken in ascending order.
 //   - structure read lock + ALL partition locks in index order:
 //     multi-partition reads that must observe one consistent table
 //     state — snapshot capture, Checkpoint, NumRows, PatchIndexes.
@@ -86,35 +87,33 @@
 //     all-partition holders deadlock-free against each other.
 //
 // The global lock order is: database map lock → table structure lock →
-// partition locks in ascending index order → the storage registry
-// mutex. Holding the structure write lock implies exclusive access to
-// every partition (it excludes all read-lock holders), so write-locked
-// paths never touch the partition mutexes.
+// partition locks in ascending index order → a NUC column's collision
+// directory mutex → the storage registry mutex. Holding the structure
+// write lock implies exclusive access to every partition (it excludes
+// all read-lock holders), so write-locked paths never touch the
+// partition mutexes.
 //
-// # Partition-parallel inserts and the sharded NUC collision state
+// # Partition-parallel inserts and the NUC collision directory
 //
 // Insert handling of a NUC-indexed column is the one update whose
 // maintenance is inherently global — uniqueness has per-partition
 // exceptions but table-wide meaning, so the paper's Fig. 5 collision
 // join probes every partition. No production path runs that join (it
-// is the test oracle insertViaJoin): Insert takes the exclusive
-// structure lock, reads the exact value counts of every partition and
-// scans only the partitions that hold a colliding value.
-// InsertRows/InsertRowsPartition remove even that per-table
-// serialization point for the common case: each NUC column carries a
-// core.NUCState that shards the collision knowledge — exact
-// per-partition value counts owned by the partition locks, an immutable
-// sealed set of known-duplicated values read lock-free, and
-// per-partition Bloom filters probed and updated with lock-free atomics
-// under an optimistic pre-publication ordering (add your own values,
-// then probe the foreign filters; sequentially consistent atomics stop
-// two racing batches from both missing each other). A batch that stays
-// classifiable locally commits chunk by chunk in partition-lock mode; a
-// cross-partition candidate collision falls back to the exclusive lock
-// and Insert's exact classification — one insert body serves both. A
-// concurrent snapshot observes a prefix of a multi-partition batch's
-// chunks (each chunk atomically); Insert and single-partition batches
-// remain all-or-nothing. See insert.go for the full protocol.
+// is the test oracle insertViaJoin). Each NUC column instead carries an
+// exact collision directory (core.NUCState): value → live count per
+// partition under one mutex (rank 35), plus an immutable sealed set of
+// known-duplicated values read lock-free. Partition q's counts change
+// only under q's lock, so a writer that holds q and finds a value
+// counted there sees committed rows. An InsertRows chunk bound for p
+// looks its values up holding p; a value counted in a partition q it
+// does not hold makes it release, re-lock p and q in ascending order and
+// look again, and once every hit is held the same critical section
+// reserves the chunk's values, so of two chunks racing one value into
+// different partitions the second sees the first. Insert holds the
+// exclusive structure lock, so its lookups never miss. A concurrent
+// snapshot observes a prefix of a multi-partition batch's chunks (each
+// chunk atomically); Insert and single-partition batches remain
+// all-or-nothing. See insert.go for the full protocol.
 //
 // # The maintenance daemon
 //
@@ -123,8 +122,7 @@
 // per-partition index health (PartitionIndexStats,
 // PartitionSortedness) and repairs decayed slots — re-sorting via a
 // registered sort-key reorderer, recomputing or condensing index
-// slots, rebuilding saturated NUC collision filters, and optionally
-// adopting PatchIndexes on discovered near-unique columns. Its lock
+// slots, and optionally adopting PatchIndexes on discovered near-unique columns. Its lock
 // discipline is deliberately boring: the daemon is an ordinary engine
 // client. It calls only exported entry points, holds no lock of its
 // own across any engine call (its registry mutex is leaf-level and
@@ -218,15 +216,16 @@
 //     carries a `// lock-rank: N` marker on its declaration — the
 //     database map lock (rank 10), the table structure lock (20), the
 //     partition locks (30, a slice rank that additionally enforces
-//     ascending index order), and the storage registry mutex (40, with
-//     the partition minmax lock at 50, which orders summary-cache writes
-//     only; capture reads the cache with atomic loads, no lock, and a
-//     frozen view never holds its own lock while publishing to its
-//     source's). Acquiring a lower rank while
-//     holding a higher one, or partition locks out of index order, is
-//     reported — through arbitrary call chains (lockPartition,
-//     lockAllPartitions, engine→storage→bitmap, ...), with the chain's
-//     defining function and position named in the message.
+//     ascending index order), a NUC column's collision directory mutex
+//     (35), and the storage registry mutex (40, with the partition
+//     minmax lock at 50, which orders summary-cache writes only; capture
+//     reads the cache with atomic loads, no lock, and a frozen view never
+//     holds its own lock while publishing to its source's). Acquiring a
+//     lower rank while holding a higher one, or partition locks out of
+//     index order, is reported — through arbitrary call chains
+//     (lockPartition, lockAllPartitions, engine→storage→bitmap, ...),
+//     with the chain's defining function and position named in the
+//     message.
 //   - lockblock: no rank-marked lock is held across a potentially
 //     blocking operation — channel send/receive, select without a
 //     default, time.Sleep, WaitGroup/Cond waits, or os/net/io calls
@@ -242,9 +241,9 @@
 //   - closeowner: once a handle's release is handed to a new owner
 //     (exec.OnClose(op, s.Close), Queries' internal snapshots), the
 //     original holder must neither close it again nor keep using it.
-//   - atomicmix: state accessed via sync/atomic (the NUC Bloom words,
-//     insert-gate counters) is never also accessed with a plain read or
-//     write.
+//   - atomicmix: state accessed via sync/atomic (the NUC sealed-set
+//     pointer, the insert counters) is never also accessed with a plain
+//     read or write.
 //   - deferunlock: lock regions with return paths or panic-capable
 //     calls inside use defer for the release.
 //
@@ -280,11 +279,10 @@ import (
 // InsertRowsPartition batch) take only their target partition's lock,
 // so updates to disjoint partitions of the same table run in parallel —
 // including inserts into NUC-indexed tables, whose collision handling
-// probes sharded per-partition state instead of joining globally and
-// falls back to the exclusive lock only on cross-partition candidate
-// collisions. Table-wide updates (Insert and Modify of a NUC-indexed
-// column, which read every partition's collision counts) and DDL
-// serialize on the table's structure lock.
+// looks values up in an exact directory instead of joining globally and
+// also locks just the partitions that hold a colliding value.
+// Table-wide updates (Insert and Modify of a NUC-indexed column) and
+// DDL serialize on the table's structure lock.
 //
 // Queries are snapshot-isolated from updates (the MVCC-lite analogue of
 // the host system's snapshot isolation the paper assumes, Section 5.4):
@@ -387,25 +385,25 @@ type Table struct {
 	// indexes[column] holds one PatchIndex per partition.
 	indexes map[string][]*core.Index
 
-	// nuc[column] is the partition-sharded collision state of a
-	// NUC-indexed column (core.NUCState), created and dropped together
-	// with the index. Its per-partition count maps follow partition
-	// ownership like the index slots; its sealed exception set and
-	// Bloom filters use lock-free atomics with the pre-publication
-	// ordering documented in insert.go. The map itself changes only
-	// under the exclusive structure lock.
-	nuc map[string]*core.NUCState
+	// nuc[column] is the collision directory of a NUC-indexed column
+	// (nucColumn over core.NUCState), created and dropped together with
+	// the index. Partition p's counts change only while p is owned, like
+	// index slot p; lookups across partitions take the directory's own
+	// mutex (insert.go). The map itself changes only under the exclusive
+	// structure lock.
+	nuc map[string]*nucColumn
 
-	// fastInserts / fallbackInserts count InsertRows batches that took
-	// the partition-parallel path vs fell back to the exclusive-lock
-	// exact retry (see InsertStats).
+	// fastInserts / fallbackInserts count InsertRows batches whose
+	// chunks each ran under their own partition lock vs that widened
+	// some chunk's lock set to a partition holding a colliding value
+	// (see InsertStats).
 	fastInserts     atomic.Uint64
 	fallbackInserts atomic.Uint64
 
 	// collisionJoins counts executions of the global collision handling
 	// (the paper's Fig. 5 join and its string-column equivalent). No
 	// production path runs it — inserts and NUC-column modifies patch
-	// colliding partitions from the count maps — so only the test
+	// colliding partitions from the collision directory — so only the test
 	// oracles (insertViaJoin, modifyViaJoin) ever raise it; the field
 	// stays for the benchmark probe reading CollisionJoins.
 	collisionJoins atomic.Uint64
@@ -432,7 +430,7 @@ func (db *Database) CreateTable(name string, schema storage.Schema, partitions i
 		pmu:         make([]sync.Mutex, partitions),
 		store:       st,
 		indexes:     make(map[string][]*core.Index),
-		nuc:         make(map[string]*core.NUCState),
+		nuc:         make(map[string]*nucColumn),
 		deltaShared: make([]bool, partitions),
 	}
 	t.delta = make([]*pdt.Delta, partitions)
@@ -682,7 +680,7 @@ func (t *Table) Load(rows []storage.Row) error {
 		t.delta[p] = pdt.NewDelta(t.store.Schema(), t.store.Partition(p).NumRows())
 		t.deltaShared[p] = false
 	}
-	// Collision state tracks column contents, which just changed
+	// Collision directories track column contents, which just changed
 	// wholesale; recompute it (the indexes themselves are the caller's
 	// to recreate, as before).
 	for column := range t.nuc {
@@ -735,35 +733,15 @@ func (t *Table) CreatePatchIndex(column string, constraint core.Constraint, opts
 	if constraint == core.NearlyUnique {
 		// Uniqueness relies on a global view of the table (Section 5.1):
 		// duplicates across partitions are patches too. Discovery counts
-		// values per partition, merges the counts into the global
-		// duplicate set, and extracts the partition-local patch sets;
-		// the same counting pass seeds the sharded collision state that
-		// backs the partition-parallel insert path (InsertRows).
-		if kind == storage.KindString {
-			parts := make([][]string, nparts)
-			counts := make([]map[string]uint32, nparts)
-			for p := range parts {
-				parts[p] = t.viewLocked(p).MaterializeString(col)
-				counts[p] = core.CountNUCValuesString(parts[p])
-			}
-			dup := core.MergeNUCDuplicatesString(counts)
-			for p := range indexes {
-				indexes[p] = core.New(core.NearlyUnique, uint64(len(parts[p])), core.NUCPatchSetString(parts[p], dup), opts)
-			}
-			t.nuc[column] = core.NewNUCStateString(counts)
-		} else {
-			parts := make([][]int64, nparts)
-			counts := make([]map[int64]uint32, nparts)
-			for p := range parts {
-				parts[p] = t.viewLocked(p).MaterializeInt64(col)
-				counts[p] = core.CountNUCValuesInt64(parts[p])
-			}
-			dup := core.MergeNUCDuplicatesInt64(counts)
-			for p := range indexes {
-				indexes[p] = core.New(core.NearlyUnique, uint64(len(parts[p])), core.NUCPatchSetInt64(parts[p], dup), opts)
-			}
-			t.nuc[column] = core.NewNUCStateInt64(counts)
+		// values per partition into the column's collision directory,
+		// which seals every value counted more than once overall, and
+		// each partition's patch set is then read off the directory.
+		c := t.newNUCColumnLocked(column)
+		for p := range indexes {
+			rows, patches := c.patches(t.viewLocked(p), p)
+			indexes[p] = core.New(core.NearlyUnique, uint64(rows), patches, opts)
 		}
+		t.nuc[column] = c
 		t.indexes[column] = indexes
 		return nil
 	}
@@ -796,7 +774,7 @@ func (t *Table) RestorePatchIndexes(column string, indexes []*core.Index) {
 			len(indexes), t.store.NumPartitions()))
 	}
 	t.indexes[column] = indexes
-	// A restored NUC index needs its collision state recomputed from the
+	// A restored NUC index needs its collision directory recomputed from the
 	// restored data (checkpoints persist only the patch sets).
 	if indexes[0] != nil && indexes[0].ConstraintKind() == core.NearlyUnique {
 		t.rebuildNUCStateLocked(column)
@@ -805,24 +783,10 @@ func (t *Table) RestorePatchIndexes(column string, indexes []*core.Index) {
 	}
 }
 
-// rebuildNUCStateLocked recomputes column's sharded collision state from
+// rebuildNUCStateLocked recomputes column's collision directory from
 // the current table contents. The caller holds the table exclusively.
 func (t *Table) rebuildNUCStateLocked(column string) {
-	col := t.store.Schema().MustColumnIndex(column)
-	nparts := t.store.NumPartitions()
-	if t.store.Schema()[col].Kind == storage.KindString {
-		counts := make([]map[string]uint32, nparts)
-		for p := range counts {
-			counts[p] = core.CountNUCValuesString(t.viewLocked(p).MaterializeString(col))
-		}
-		t.nuc[column] = core.NewNUCStateString(counts)
-		return
-	}
-	counts := make([]map[int64]uint32, nparts)
-	for p := range counts {
-		counts[p] = core.CountNUCValuesInt64(t.viewLocked(p).MaterializeInt64(col))
-	}
-	t.nuc[column] = core.NewNUCStateInt64(counts)
+	t.nuc[column] = t.newNUCColumnLocked(column)
 }
 
 // DropPatchIndex removes the PatchIndex on the named column.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"patchindex/internal/core"
 	"patchindex/internal/exec"
@@ -113,9 +114,9 @@ func TestInsertRowsMatchesInsert(t *testing.T) {
 }
 
 // TestCrossPartitionNUCCollision: inserting a value that already lives
-// in a DIFFERENT partition must still be detected — the foreign Bloom
-// probe forces the batch onto the exclusive-lock collision join, which
-// patches both sides across partitions.
+// in a DIFFERENT partition must still be detected — the directory lookup
+// finds it in a partition the chunk does not hold, the chunk widens its
+// lock set to that partition, and both sides become patches.
 func TestCrossPartitionNUCCollision(t *testing.T) {
 	db := newDB(t)
 	tb := nucTable(t, db, "t", seqVals(400), 4) // partition p holds [100p, 100p+100)
@@ -133,8 +134,9 @@ func TestCrossPartitionNUCCollision(t *testing.T) {
 	assertPatchAt(t, tb, "v", 2, 49, false)
 
 	// 250 is now a sealed exception: a third occurrence inserted into
-	// yet another partition takes the fast path (every existing
-	// occurrence is already a patch) and patches only itself.
+	// yet another partition needs no lookup (every existing occurrence
+	// is already a patch), keeps to its own partition lock and patches
+	// only itself.
 	if err := db.InsertRowsPartition("t", 1, i64Rows(250)); err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +153,11 @@ func TestCrossPartitionNUCCollision(t *testing.T) {
 
 // TestConcurrentSameValueInsertsDetected: two goroutines racing the
 // SAME fresh value into different partitions must never both miss the
-// collision — the insert gate forces one of them (or both) through the
-// exclusive join. Every duplicated value must end up with all its
-// occurrences patched, no matter how the schedules interleave.
+// collision — the directory records each chunk's values in the lookup's
+// critical section, so the later chunk sees the earlier one's
+// reservation and widens to its partition. Every duplicated value must
+// end up with all its occurrences patched, no matter how the schedules
+// interleave.
 func TestConcurrentSameValueInsertsDetected(t *testing.T) {
 	const rounds = 60
 	db := newDB(t)
@@ -310,7 +314,7 @@ func TestParallelInsertDisjointPartitions(t *testing.T) {
 
 // TestInsertRowsLocalDuplicateStaysFast: a duplicate confined to the
 // target partition is handled under that partition's lock alone — no
-// fallback — and both occurrences become patches.
+// widening — and both occurrences become patches.
 func TestInsertRowsLocalDuplicateStaysFast(t *testing.T) {
 	db := newDB(t)
 	tb := nucTable(t, db, "t", seqVals(400), 4)
@@ -327,7 +331,7 @@ func TestInsertRowsLocalDuplicateStaysFast(t *testing.T) {
 	assertPatchAt(t, tb, "v", 0, 41, false)
 
 	// An intra-batch duplicate of a fresh value is also local: both new
-	// rows are patches, still no fallback.
+	// rows are patches, still no widening.
 	if err := db.InsertRowsPartition("t", 3, i64Rows(7777, 7777)); err != nil {
 		t.Fatal(err)
 	}
@@ -344,9 +348,9 @@ func TestInsertRowsLocalDuplicateStaysFast(t *testing.T) {
 }
 
 // TestInsertRowsRoundRobinDuplicate: the round-robin entry point
-// spreads an intra-batch duplicate across two partitions; the planner
-// classifies both occurrences as patches up front and the batch stays
-// on the fast path.
+// spreads an intra-batch duplicate across two partitions; the first
+// chunk patches and seals it as a batch duplicate, so the second chunk
+// patches its occurrence without widening either.
 func TestInsertRowsRoundRobinDuplicate(t *testing.T) {
 	db := newDB(t)
 	tb := nucTable(t, db, "t", seqVals(40), 2)
@@ -372,8 +376,8 @@ func TestInsertRowsRoundRobinDuplicate(t *testing.T) {
 	assertPatchAt(t, tb, "v", 0, 21, true)
 }
 
-// TestInsertRowsNoNUCFullyParallel: a table without NUC indexes never
-// consults the gate and never falls back.
+// TestInsertRowsNoNUCFullyParallel: a table without NUC indexes has no
+// directory to consult and never widens.
 func TestInsertRowsNoNUCFullyParallel(t *testing.T) {
 	db := newDB(t)
 	tb := singleColTable(t, db, "t", seqVals(100), 4)
@@ -398,9 +402,9 @@ func TestInsertRowsNoNUCFullyParallel(t *testing.T) {
 	}
 }
 
-// TestInsertRowsStringNUC: the sharded state handles string NUC columns
-// (hashed Bloom filters, string-keyed maps) — local duplicates stay
-// fast, cross-partition duplicates fall back and are detected.
+// TestInsertRowsStringNUC: the directory handles string NUC columns
+// (keyed by the exact string) — local duplicates stay on their own
+// partition lock, cross-partition duplicates widen and are detected.
 func TestInsertRowsStringNUC(t *testing.T) {
 	db := newDB(t)
 	tb, err := db.CreateTable("t", storage.Schema{{Name: "s", Kind: storage.KindString}}, 2)
@@ -530,12 +534,12 @@ func TestInsertEmptyBatchLogsNothing(t *testing.T) {
 	}
 }
 
-// TestInsertTeachesPartitionFilters: Insert classifies from the count
-// maps and consults no filter, but it must still TEACH the partition
-// filters its values — the parallel path proves freshness from them. A
+// TestInsertTeachesPartitionFilters: Insert runs under the exclusive
+// structure lock, but it must still record its values in the collision
+// directory — the partition-parallel path proves freshness from it. A
 // value Insert put into partition p and a later batch carries into
-// q != p must read as a cross-partition candidate (fallback), after
-// which both rows are patches and the value is sealed.
+// q != p must widen that chunk's lock set to p, after which both rows
+// are patches and the value is sealed.
 func TestInsertTeachesPartitionFilters(t *testing.T) {
 	for _, k := range nucKinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -574,11 +578,10 @@ func TestInsertTeachesPartitionFilters(t *testing.T) {
 	}
 }
 
-// TestBloomFilterSkipsCollisionJoins: the always-on partition filters of
-// the collision state prove fresh values collision-free, so batches of
-// them — after Inserts taught the filters plenty of other values — stay
-// on the fast path with no exclusive-lock retry, while a real collision
-// is still caught (no false negatives).
+// TestBloomFilterSkipsCollisionJoins: the exact collision directory
+// proves fresh values collision-free, so batches of them — after Inserts
+// recorded plenty of other values — keep to their own partition locks,
+// while a real collision is still caught.
 func TestBloomFilterSkipsCollisionJoins(t *testing.T) {
 	db := newDB(t)
 	tb := nucTable(t, db, "t", seqVals(5000), 2)
@@ -621,8 +624,8 @@ func TestBloomFilterSkipsCollisionJoins(t *testing.T) {
 }
 
 // TestBloomFilterCatchesDuplicateWithinBatch: two equal fresh values in
-// one Insert collide with each other although no filter or count map
-// knows the value yet.
+// one Insert collide with each other although the directory does not
+// know the value yet.
 func TestBloomFilterCatchesDuplicateWithinBatch(t *testing.T) {
 	db := newDB(t)
 	tb := nucTable(t, db, "t", seqVals(100), 1)
@@ -633,15 +636,14 @@ func TestBloomFilterCatchesDuplicateWithinBatch(t *testing.T) {
 	if x.NumPatches() != 2 {
 		t.Fatalf("patches = %d, want 2", x.NumPatches())
 	}
-	if !tb.nuc["v"].Sealed().ContainsInt64(7777) {
+	if !nucSealed(tb, storage.I64(7777)) {
 		t.Fatal("in-batch duplicate not sealed")
 	}
 }
 
-// TestBloomFilterModifyPath: a NUC-column Modify teaches the partition
-// filters its new value, so a parallel batch carrying that value into
-// another partition is a cross-partition candidate, not a false
-// negative.
+// TestBloomFilterModifyPath: a NUC-column Modify records its new value
+// in the directory, so a parallel batch carrying that value into another
+// partition finds the collision and widens to the modified partition.
 func TestBloomFilterModifyPath(t *testing.T) {
 	db := newDB(t)
 	tb := nucTable(t, db, "t", seqVals(100), 2)
@@ -769,6 +771,45 @@ func TestModifyRejectsDuplicateRowIDs(t *testing.T) {
 		if x.NumPatches() != 0 {
 			t.Fatalf("rejected Modify leaked collision state: %d patches", x.NumPatches())
 		}
+	}
+}
+
+// TestInsertRowsNeverTakesExclusiveLock: a chunk whose value already
+// lives in another partition widens its partition lock set instead of
+// taking the exclusive structure lock, so it completes while a reader
+// holds the structure lock shared — and patches both occurrences.
+func TestInsertRowsNeverTakesExclusiveLock(t *testing.T) {
+	db := newDB(t)
+	tb := nucTable(t, db, "t", seqVals(400), 4) // partition p holds [100p, 100p+100)
+
+	done := make(chan error, 1)
+	insertUnderSharedLock := func() (finished bool, err error) {
+		tb.mu.RLock()
+		defer tb.mu.RUnlock()
+		go func() { done <- db.InsertRowsPartition("t", 0, i64Rows(250)) }()
+		//pilint:ignore lockblock the test holds the structure lock shared on purpose: the insert must finish without the exclusive lock
+		select {
+		case err = <-done:
+			return true, err
+		case <-time.After(10 * time.Second):
+			return false, nil
+		}
+	}
+	finished, err := insertUnderSharedLock()
+	if !finished {
+		<-done
+		t.Fatal("InsertRowsPartition waited for the exclusive structure lock while a reader held it shared")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast, fallback := tb.InsertStats(); fast != 0 || fallback != 1 {
+		t.Fatalf("stats: fast=%d fallback=%d, want 0/1 (one widened chunk)", fast, fallback)
+	}
+	assertPatchAt(t, tb, "v", 0, 100, true) // the new row
+	assertPatchAt(t, tb, "v", 2, 50, true)  // 250's existing occurrence
+	if !nucSealed(tb, storage.I64(250)) {
+		t.Fatal("the cross-partition duplicate 250 is not sealed")
 	}
 }
 

@@ -11,15 +11,15 @@ import (
 
 // The paper's NUC update handling (Section 5.1/5.2, Fig. 5) joins the
 // changed tuples against every partition. Production code classifies
-// them from the sharded collision state instead (insert.go,
+// them from the exact collision directory instead (insert.go,
 // maintenance.go); the join lives on here, verbatim, as the oracle the
 // differential tests drive on a twin table: insertViaJoin below,
 // modifyViaJoin in modify_differential_test.go.
 
 // nucKinds are the column kinds a NUC index supports, each with a
 // constructor of its d-th domain value — what the differential and
-// regression tests iterate to cover the int64 and the string twins of
-// the collision state.
+// regression tests iterate to cover the int64 and the string instances
+// of the collision directory.
 var nucKinds = []struct {
 	name string
 	kind storage.Kind
@@ -32,19 +32,28 @@ var nucKinds = []struct {
 // nucSealed reports whether v is in the sealed exception set of tb's
 // NUC column "v".
 func nucSealed(tb *Table, v storage.Value) bool {
-	if v.Kind == storage.KindString {
-		return tb.nuc["v"].Sealed().ContainsString(v.S)
+	if c := tb.nuc["v"]; c.strs != nil {
+		return c.strs.Sealed().Contains(v.S)
 	}
-	return tb.nuc["v"].Sealed().ContainsInt64(v.I)
+	return tb.nuc["v"].ints.Sealed().Contains(v.I)
 }
 
-// nucLocalCount returns partition p's collision-state count of v in
-// tb's NUC column "v".
-func nucLocalCount(tb *Table, p int, v storage.Value) uint32 {
-	if v.Kind == storage.KindString {
-		return tb.nuc["v"].LocalCountString(p, v.S)
+// nucSealedLen returns the size of the sealed exception set of tb's NUC
+// column "v".
+func nucSealedLen(tb *Table) int {
+	if c := tb.nuc["v"]; c.strs != nil {
+		return c.strs.Sealed().Len()
 	}
-	return tb.nuc["v"].LocalCountInt64(p, v.I)
+	return tb.nuc["v"].ints.Sealed().Len()
+}
+
+// nucLocalCount returns partition p's directory count of v in tb's NUC
+// column "v".
+func nucLocalCount(tb *Table, p int, v storage.Value) uint32 {
+	if c := tb.nuc["v"]; c.strs != nil {
+		return c.strs.Count(p, v.S)
+	}
+	return tb.nuc["v"].ints.Count(p, v.I)
 }
 
 // changedRef identifies one inserted or modified tuple across the
@@ -208,8 +217,8 @@ func (t *Table) stringCollisions(col int, changedStrs [][]string, out []core.NUC
 // as the oracle for Insert and InsertRows: append the rows round-robin,
 // run NSC insert handling, run the collision join of Fig. 5 over the
 // inserted tuples against every partition and merge both join sides
-// into the patches, force-patch inserted rows whose value is sealed,
-// then fold the batch into the collision state.
+// into the patches, then fold the batch into the collision directory and
+// force-patch inserted rows whose value was sealed.
 func insertViaJoin(db *Database, t *Table, rows []storage.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -271,27 +280,28 @@ func insertViaJoin(db *Database, t *Table, rows []storage.Row) error {
 			for p := range idx {
 				idx[p].HandleInsertNUC(len(perPart[p]), joins[p])
 			}
-			// Keep the sealed-set invariant the parallel path relies
-			// on — every LIVE occurrence of a sealed value is a
-			// patch. A sealed value may have had all its occurrences
-			// deleted, so the collision join legitimately comes back
-			// empty for a fresh one; patch it anyway (conservative:
-			// the extra patch costs plan optimality, never
-			// correctness — deletes already erode optimality the
+			// Keep the sealed-set invariant the lookups rely on — every
+			// LIVE occurrence of a sealed value is a patch. A sealed value
+			// may have had all its occurrences deleted, so the collision
+			// join legitimately comes back empty for a fresh one; patch it
+			// anyway (conservative: the extra patch costs plan optimality,
+			// never correctness — deletes already erode optimality the
 			// same way).
-			st := t.nuc[column]
-			sealed := st.Sealed()
+			news := make([][]storage.Value, len(perPart))
 			for p, prows := range perPart {
+				for _, r := range prows {
+					news[p] = append(news[p], r[col])
+				}
+			}
+			for p, sealed := range foldJoined(t, column, 0, nil, news) {
 				var forced []uint64
-				for i, r := range prows {
-					if isInt && sealed.ContainsInt64(r[col].I) ||
-						!isInt && sealed.ContainsString(r[col].S) {
+				for i, was := range sealed {
+					if was {
 						forced = append(forced, uint64(baseRows[p]+i))
 					}
 				}
 				idx[p].AddPatches(forced)
 			}
-			maintainNUCStateInsertLocked(st, col, perPart)
 		}
 	}
 	if db.AutoCheckpoint {
@@ -300,69 +310,49 @@ func insertViaJoin(db *Database, t *Table, rows []storage.Row) error {
 	return nil
 }
 
-// maintainNUCStateInsertLocked folds a joined insert into the sharded
-// collision state: local counts rise, values that just became
-// duplicated are sealed, the partition filters learn the inserted
-// values, and saturated filters are rebuilt.
-func maintainNUCStateInsertLocked(st *core.NUCState, col int, perPart [][]storage.Row) {
-	if st.IsString() {
-		for p, prows := range perPart {
-			for _, r := range prows {
-				st.AddLocalString(p, r[col].S)
-				st.AddBloomString(p, r[col].S)
-			}
-		}
-		sealed := st.Sealed()
-		seen := make(map[string]struct{})
-		var newDup []string
-		for _, prows := range perPart {
-			for _, r := range prows {
-				v := r[col].S
-				if _, ok := seen[v]; ok {
-					continue
-				}
-				seen[v] = struct{}{}
-				if globalCount(st, st.LocalCountString, v) > 1 && !sealed.ContainsString(v) {
-					newDup = append(newDup, v)
-				}
-			}
-		}
-		st.SealDuplicatesString(newDup)
-	} else {
-		for p, prows := range perPart {
-			for _, r := range prows {
-				st.AddLocalInt64(p, r[col].I)
-				st.AddBloomInt64(p, r[col].I)
-			}
-		}
-		sealed := st.Sealed()
-		seen := make(map[int64]struct{})
-		var newDup []int64
-		for _, prows := range perPart {
-			for _, r := range prows {
-				v := r[col].I
-				if _, ok := seen[v]; ok {
-					continue
-				}
-				seen[v] = struct{}{}
-				if globalCount(st, st.LocalCountInt64, v) > 1 && !sealed.ContainsInt64(v) {
-					newDup = append(newDup, v)
-				}
-			}
-		}
-		st.SealDuplicatesInt64(newDup)
+// foldJoined records an update an oracle applied by join in column's
+// collision directory the way the production paths leave it: olds leave
+// partition p, news[q] enter partition q, and every new value the table
+// now holds more than once is sealed. It reports, per news[q][i],
+// whether the value was sealed before the update. The caller owns every
+// partition.
+func foldJoined(t *Table, column string, p int, olds []storage.Value, news [][]storage.Value) [][]bool {
+	if c := t.nuc[column]; c.strs != nil {
+		return foldJoinedAs(c.strs, p, olds, news)
 	}
-	st.RebuildOverfullBlooms()
+	return foldJoinedAs(t.nuc[column].ints, p, olds, news)
 }
 
-// globalCount sums v's occurrence count across all partitions. The
-// caller owns every partition.
-func globalCount[T int64 | string](st *core.NUCState, local func(p int, v T) uint32, v T) uint64 {
-	var n uint64
-	for p := 0; p < st.NumPartitions(); p++ {
-		n += uint64(local(p, v))
+func foldJoinedAs[T int64 | string](st *core.NUCState[T], p int, olds []storage.Value, news [][]storage.Value) [][]bool {
+	values := func(vs []storage.Value) []T {
+		return cells[T](len(vs), func(i int) storage.Value { return vs[i] })
 	}
-	return n
+	st.Remove(p, values(olds))
+	before := st.Sealed()
+	all := make([]bool, len(news)) // news has one slot per partition
+	for q := range all {
+		all[q] = true
+	}
+	for q, vs := range news {
+		st.Reserve(q, values(vs), all, func(int, int) {})
+	}
+	wasSealed := make([][]bool, len(news))
+	var newDup []T
+	for q, vs := range news {
+		wasSealed[q] = make([]bool, len(vs))
+		for i, v := range values(vs) {
+			wasSealed[q][i] = before.Contains(v)
+			var n uint32
+			for r := range news {
+				n += st.Count(r, v)
+			}
+			if !wasSealed[q][i] && n > 1 {
+				newDup = append(newDup, v)
+			}
+		}
+	}
+	st.Seal(newDup)
+	return wasSealed
 }
 
 func perPartStrings(perPart [][]storage.Row, col int, kind storage.Kind) [][]string {

@@ -19,10 +19,9 @@ import (
 // concrete with a self-managing background sweep. A Maintainer
 // periodically samples every table's per-partition health — exception
 // rates and patch-storage utilization from the index slots
-// (PartitionIndexStats), physical sortedness measured against the
-// stored values (PartitionSortedness), collision-filter saturation —
-// and repairs exactly the partitions whose metrics crossed the
-// configured thresholds:
+// (PartitionIndexStats) and physical sortedness measured against the
+// stored values (PartitionSortedness) — and repairs exactly the
+// partitions whose metrics crossed the configured thresholds:
 //
 //   - a NSC partition whose physical order decayed is handed to its
 //     registered PartitionReorderer (the SortKey rebuild), which goes
@@ -32,10 +31,6 @@ import (
 //     over-patched, not disordered) is recomputed in place
 //     (RecomputePartitionIndex);
 //   - sparse patch bitmaps are condensed (CondensePartitionIndex);
-//   - saturated per-partition collision filters are rebuilt
-//     (RebuildSaturatedBlooms) — safe concurrently with the insert fast
-//     path because in-flight publications survive the swap via the
-//     collision state's pre-publication ledger;
 //   - optionally, unindexed BIGINT columns are probed for
 //     near-uniqueness on a bounded per-partition sample and adopted as
 //     NUC PatchIndexes when their exception rate is low enough
@@ -147,12 +142,11 @@ type MaintainerStats struct {
 	Retries  uint64
 	Errors   uint64
 
-	Reorders      uint64
-	Recomputes    uint64
-	Condenses     uint64
-	BloomRebuilds uint64
-	Discoveries   uint64
-	Checkpoints   uint64
+	Reorders    uint64
+	Recomputes  uint64
+	Condenses   uint64
+	Discoveries uint64
+	Checkpoints uint64
 }
 
 // Maintainer is the engine-owned maintenance daemon. Create one with
@@ -172,9 +166,9 @@ type Maintainer struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	sweeps, actions, refusals, retries, errs                    atomic.Uint64
-	reorders, recomputes, condenses, bloomRebuilds, discoveries atomic.Uint64
-	checkpoints                                                 atomic.Uint64
+	sweeps, actions, refusals, retries, errs     atomic.Uint64
+	reorders, recomputes, condenses, discoveries atomic.Uint64
+	checkpoints                                  atomic.Uint64
 }
 
 // StartMaintainer creates the database's maintenance daemon and, when
@@ -257,17 +251,16 @@ func (m *Maintainer) reorderer(table, column string) PartitionReorderer {
 // Stats snapshots the daemon's counters.
 func (m *Maintainer) Stats() MaintainerStats {
 	return MaintainerStats{
-		Sweeps:        m.sweeps.Load(),
-		Actions:       m.actions.Load(),
-		Refusals:      m.refusals.Load(),
-		Retries:       m.retries.Load(),
-		Errors:        m.errs.Load(),
-		Reorders:      m.reorders.Load(),
-		Recomputes:    m.recomputes.Load(),
-		Condenses:     m.condenses.Load(),
-		BloomRebuilds: m.bloomRebuilds.Load(),
-		Discoveries:   m.discoveries.Load(),
-		Checkpoints:   m.checkpoints.Load(),
+		Sweeps:      m.sweeps.Load(),
+		Actions:     m.actions.Load(),
+		Refusals:    m.refusals.Load(),
+		Retries:     m.retries.Load(),
+		Errors:      m.errs.Load(),
+		Reorders:    m.reorders.Load(),
+		Recomputes:  m.recomputes.Load(),
+		Condenses:   m.condenses.Load(),
+		Discoveries: m.discoveries.Load(),
+		Checkpoints: m.checkpoints.Load(),
 	}
 }
 
@@ -347,12 +340,6 @@ func (m *Maintainer) sweepIndexes(t *Table) []indexedColumn {
 				if m.attempt(&m.condenses, func() error { return t.CondensePartitionIndex(column, p) }) {
 					continue
 				}
-			}
-		}
-		if c.constraint == core.NearlyUnique {
-			if n := t.RebuildSaturatedBlooms(c.name); n > 0 {
-				m.bloomRebuilds.Add(uint64(n))
-				m.actions.Add(uint64(n))
 			}
 		}
 	}

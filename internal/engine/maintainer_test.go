@@ -217,9 +217,11 @@ func TestMaintainerCondensesSparseBitmaps(t *testing.T) {
 	}
 }
 
-// TestMaintainerRebuildsSaturatedBlooms: a long insert stream saturates
-// a partition's collision filter; the sweep rebuilds it, and a second
-// sweep finds nothing left to do.
+// TestMaintainerRebuildsSaturatedBlooms: the collision directory is
+// exact, so a long insert stream leaves nothing in it to saturate or
+// rebuild: a sweep takes no action, and afterwards the directory still
+// proves a fresh value collision-free and finds a streamed value in the
+// partition it went to.
 func TestMaintainerRebuildsSaturatedBlooms(t *testing.T) {
 	db := newDB(t)
 	tb := singleColTable(t, db, "t", seq(8), 2)
@@ -235,14 +237,26 @@ func TestMaintainerRebuildsSaturatedBlooms(t *testing.T) {
 	}
 	m := manualMaintainer(t, db, MaintainerConfig{})
 	m.Sweep()
-	st := m.Stats()
-	if st.BloomRebuilds == 0 {
-		t.Fatalf("saturated filter not rebuilt: %+v", st)
+	if st := m.Stats(); st.Actions != 0 {
+		t.Fatalf("the sweep repaired something after an insert stream: %+v", st)
 	}
-	m.Sweep()
-	if again := m.Stats().BloomRebuilds; again != st.BloomRebuilds {
-		t.Fatalf("second sweep rebuilt again: %d -> %d", st.BloomRebuilds, again)
+	for _, v := range []int64{10_000, 10_650, 11_299} {
+		if c0, c1 := nucLocalCount(tb, 0, storage.I64(v)), nucLocalCount(tb, 1, storage.I64(v)); c0 != 1 || c1 != 0 {
+			t.Fatalf("directory counts of %d = %d/%d, want 1/0", v, c0, c1)
+		}
 	}
+	if err := db.InsertRowsPartition("t", 1, i64Rows(20_000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRowsPartition("t", 1, i64Rows(10_650)); err != nil {
+		t.Fatal(err)
+	}
+	if fast, fallback := tb.InsertStats(); fast != 2 || fallback != 1 {
+		t.Fatalf("stats: fast=%d fallback=%d, want 2/1 (only the collision widens)", fast, fallback)
+	}
+	assertPatchAt(t, tb, "v", 0, 4+650, true)
+	assertPatchAt(t, tb, "v", 1, 5, true)
+	assertPatchAt(t, tb, "v", 1, 4, false)
 }
 
 // TestMaintainerDiscoversNearUniqueColumn: an unindexed BIGINT column

@@ -23,27 +23,23 @@ import (
 // their target partition (delete handling and NSC modify handling are
 // partition-local, Table 1), so they run under that partition's lock
 // alone and disjoint-partition updates proceed in parallel. Uniqueness
-// is a global property (Section 5.1), so the NUC update handlers need
-// the whole table and take the exclusive structure lock. Where the
-// paper joins the changed tuples against every partition (Fig. 5), both
-// Insert (insert.go) and NUC-column Modify read every partition's exact
-// value counts from the sharded collision state and scan only the
-// partitions that hold a colliding value (modifyNUCInt64Locked) — none
-// at all when the new values are fresh; the join survives as the test
-// oracle (insertViaJoin, modifyViaJoin). InsertRows is the
-// partition-parallel insert path, which falls back to the exclusive
-// lock on cross-partition candidate collisions and resolves them there
-// the way Insert does. An auto-checkpoint
-// inside a partition-scoped update propagates only that partition's
-// delta; other partitions' deltas (pending from AutoCheckpoint-off
-// phases) are left for their own updates or an explicit Checkpoint.
+// is a global property (Section 5.1), so NUC-column Modify takes the
+// exclusive structure lock. Where the paper joins the changed tuples
+// against every partition (Fig. 5), every insert (insert.go) and
+// NUC-column Modify looks the new values up in the column's exact
+// collision directory and scans only the partitions that hold a
+// colliding value (modifyNUCLocked) — none at all when the new values
+// are fresh; the join survives as the test oracle (insertViaJoin,
+// modifyViaJoin). An auto-checkpoint inside a partition-scoped update
+// propagates only that partition's delta; other partitions' deltas
+// (pending from AutoCheckpoint-off phases) are left for their own
+// updates or an explicit Checkpoint.
 //
 // Every path that changes a NUC column's values also maintains that
-// column's sharded collision state (core.NUCState): inserts raise the
-// partition-local counts (and seal newly duplicated values), deletes
-// lower them, NUC-column modifies do both. The state's per-partition
-// maps follow the same ownership as the index slots, so partition-
-// scoped updates touch only their partition's map.
+// column's collision directory (core.NUCState): inserts raise the
+// partition's counts (and seal newly duplicated values), deletes lower
+// them, NUC-column modifies do both. Partition p's counts change only
+// while p is owned, like its index slot.
 
 // DeleteRowIDs removes the tuples at the given strictly ascending
 // partition-local rowIDs and maintains all PatchIndexes by dropping
@@ -93,28 +89,16 @@ func (t *Table) deleteRowIDsLocked(db *Database, partition int, rowIDs []uint64)
 			return err
 		}
 	}
-	// Fold the deleted occurrences out of the sharded collision state
-	// before the delta forgets their values. A sealed duplicated value
-	// stays sealed even when deletes erode it back to uniqueness (or to
-	// zero occurrences): surviving occurrences keep their patch marks,
-	// and the exclusive insert/modify paths force-patch any FRESH
-	// occurrence of a sealed value, so "every live occurrence of a
-	// sealed value is a patch" keeps holding — the invariant the
-	// parallel insert path's sealed shortcut relies on.
-	if len(t.nuc) > 0 {
-		view := t.viewLocked(partition)
-		for column, st := range t.nuc {
-			col := t.store.Schema().MustColumnIndex(column)
-			if st.IsString() {
-				for _, r := range rowIDs {
-					st.RemoveLocalString(partition, view.Get(int(r), col).S)
-				}
-			} else {
-				for _, r := range rowIDs {
-					st.RemoveLocalInt64(partition, view.Get(int(r), col).I)
-				}
-			}
-		}
+	// Fold the deleted occurrences out of the collision directory before
+	// the delta forgets their values. A sealed duplicated value stays
+	// sealed even when deletes erode it back to uniqueness (or to zero
+	// occurrences): surviving occurrences keep their patch marks, and
+	// every insert and modify force-patches a FRESH occurrence of a
+	// sealed value, so "every live occurrence of a sealed value is a
+	// patch" keeps holding — the invariant the lookups' sealed shortcut
+	// relies on.
+	for _, c := range t.nuc {
+		c.remove(t.viewLocked(partition), partition, rowIDs)
 	}
 	logical := make([]int, len(rowIDs))
 	for i, r := range rowIDs {
@@ -133,15 +117,22 @@ func (t *Table) deleteRowIDsLocked(db *Database, partition int, rowIDs []uint64)
 // DeleteWhereInt64 deletes all tuples whose value in column satisfies
 // pred, across all partitions, and returns the number of deleted tuples.
 // The scan-and-delete must observe and mutate one consistent table
-// state, so it holds every partition lock for its duration.
+// state, so it holds every partition lock for its duration. An unknown
+// or non-BIGINT column is an error, reported before any lock is taken.
 func (db *Database) DeleteWhereInt64(table, column string, pred func(int64) bool) (int, error) {
 	t, err := db.LookupTable(table)
 	if err != nil {
 		return 0, err
 	}
+	col := t.store.Schema().ColumnIndex(column)
+	if col < 0 {
+		return 0, fmt.Errorf("engine: table %q has no column %q", table, column)
+	}
+	if kind := t.store.Schema()[col].Kind; kind != storage.KindInt64 {
+		return 0, fmt.Errorf("engine: DeleteWhereInt64 on %s.%s: column is %v, not BIGINT", table, column, kind)
+	}
 	t.lockAllPartitions()
 	defer t.unlockAllPartitions()
-	col := t.store.Schema().MustColumnIndex(column)
 	var total int
 	for p := 0; p < t.store.NumPartitions(); p++ {
 		vals := t.viewLocked(p).MaterializeInt64(col)
@@ -168,7 +159,7 @@ func (db *Database) DeleteWhereInt64(table, column string, pred func(int64) bool
 //
 //   - NSC on the modified column: all modified tuples become patches.
 //   - NUC on the modified column: the new values are classified exactly
-//     from the sharded collision state (modifyNUCInt64Locked) — the
+//     from the collision directory (modifyNUCLocked) — the
 //     paper's modify handling query, the collision join of Fig. 5 over
 //     the new values, is not run; the bitmap is not reallocated either
 //     (the cardinality is unchanged).
@@ -278,12 +269,9 @@ func (t *Table) modifyLocked(db *Database, partition int, rowIDs []uint64, colum
 			return err
 		}
 	}
-	switch {
-	case isNUC && t.store.Schema()[col].Kind == storage.KindString:
-		t.modifyNUCStringLocked(partition, rowIDs, column, col, values)
-	case isNUC:
-		t.modifyNUCInt64Locked(partition, rowIDs, column, col, values)
-	default:
+	if isNUC {
+		t.nuc[column].modify(t, partition, rowIDs, values)
+	} else {
 		t.modifyDeltaLocked(partition, rowIDs, col, values)
 		if len(idx) > 0 {
 			idx[partition].HandleModifyNSC(rowIDs)
@@ -303,106 +291,32 @@ func (t *Table) modifyDeltaLocked(partition int, rowIDs []uint64, col int, value
 	}
 }
 
-// modifyNUCInt64Locked is NUC modify handling on a BIGINT column. Where
-// the paper joins the new values against a scan of the whole table
-// (Section 5.2, the Fig. 5 query), this resolves them the way Insert
-// does (insertExactLocked), from the sharded collision state, whose count
-// maps are all readable under the exclusive structure lock the caller
-// holds:
+// modifyNUCLocked is NUC modify handling on column c of partition p.
+// Where the paper joins the new values against a scan of the whole
+// table (Section 5.2, the Fig. 5 query), this resolves them the way
+// every insert does, from the collision directory, every partition of
+// which the exclusive structure lock the caller holds owns:
 //
 //  1. fold the outgoing values out of the partition's counts, so a row
 //     never collides with the value it is losing (new == old, or two
 //     rows of the batch swapping values);
-//  2. classify every new value exactly (classifyNUCModify);
-//  3. apply the delta and re-point counts and filter to the new values;
+//  2. look every new value up and reserve it (classifyNUC);
+//  3. apply the delta;
 //  4. patch the modified rows that collide and, for each partition with
-//     a count-map hit, the occurrences a partition-local value scan
+//     a directory hit, the occurrences a partition-local value scan
 //     finds there (valuescan.go) — no hit, the common case of fresh
-//     values, means no table access at all;
-//  5. seal the values the modify duplicated.
+//     values, means no table access at all — then seal the values the
+//     modify duplicated.
 //
 // Nothing here can fail, so a logged modify always applies whole.
-func (t *Table) modifyNUCInt64Locked(partition int, rowIDs []uint64, column string, col int, values []storage.Value) {
-	st := t.nuc[column]
-	view := t.viewLocked(partition)
-	news := make([]int64, len(values))
-	for i, r := range rowIDs {
-		st.RemoveLocalInt64(partition, view.Get(int(r), col).I)
-		news[i] = values[i].I
-	}
-	patched, hits, newDup := classifyNUCModify(rowIDs, news, t.store.NumPartitions(), st.Sealed().ContainsInt64, st.LocalCountInt64)
-	t.modifyDeltaLocked(partition, rowIDs, col, values)
-	for _, v := range news {
-		st.AddLocalInt64(partition, v)
-		st.AddBloomInt64(partition, v)
-	}
-	idx := t.mutableIndexesLocked(column)
-	idx[partition].AddPatches(patched)
-	patchValueHits(idx, hits, func(q int) []int64 { return t.viewLocked(q).MaterializeInt64(col) })
-	st.SealDuplicatesInt64(newDup)
-	st.RebuildBloomPartition(partition)
-}
-
-// modifyNUCStringLocked is modifyNUCInt64Locked for string columns.
-func (t *Table) modifyNUCStringLocked(partition int, rowIDs []uint64, column string, col int, values []storage.Value) {
-	st := t.nuc[column]
-	view := t.viewLocked(partition)
-	news := make([]string, len(values))
-	for i, r := range rowIDs {
-		st.RemoveLocalString(partition, view.Get(int(r), col).S)
-		news[i] = values[i].S
-	}
-	patched, hits, newDup := classifyNUCModify(rowIDs, news, t.store.NumPartitions(), st.Sealed().ContainsString, st.LocalCountString)
-	t.modifyDeltaLocked(partition, rowIDs, col, values)
-	for _, v := range news {
-		st.AddLocalString(partition, v)
-		st.AddBloomString(partition, v)
-	}
-	idx := t.mutableIndexesLocked(column)
-	idx[partition].AddPatches(patched)
-	patchValueHits(idx, hits, func(q int) []string { return t.viewLocked(q).MaterializeString(col) })
-	st.SealDuplicatesString(newDup)
-	st.RebuildBloomPartition(partition)
-}
-
-// classifyNUCModify decides the fate of each new value of a NUC-column
-// modify from the collision state, read after the outgoing values were
-// folded out of it: count(q, v) is partition q's exact occurrence count
-// of v, sealed the exception-set snapshot.
-//
-//   - A sealed value patches only its own row: every other live
-//     occurrence already is a patch — and the row must be patched even
-//     when deletes eroded the value to no occurrence at all, or the
-//     parallel insert path's sealed shortcut stops being sound.
-//   - A value the batch carries more than once, or that some partition
-//     still counts, is a new duplicate: its rows are patched, it is
-//     sealed (newDup), and each partition counting it is recorded in
-//     hits for a value scan.
-//   - Any other value is fresh: nothing to do.
-//
-// patched lists the rowIDs (of the modified partition, in order) that
-// become patches.
-func classifyNUCModify[T int64 | string](rowIDs []uint64, news []T, nparts int, sealed func(T) bool, count func(q int, v T) uint32) (patched []uint64, hits valueHits[T], newDup []T) {
+func modifyNUCLocked[T int64 | string](t *Table, c *nucColumn, st *core.NUCState[T], p int, rowIDs []uint64, values []storage.Value) {
+	st.Remove(p, rowValues[T](t.viewLocked(p), c.col, rowIDs))
+	news := cells[T](len(values), func(i int) storage.Value { return values[i] })
 	inBatch := make(map[T]int, len(news))
 	for _, v := range news {
 		inBatch[v]++
 	}
-	for i, v := range news {
-		if sealed(v) {
-			patched = append(patched, rowIDs[i])
-			continue
-		}
-		dup := inBatch[v] > 1
-		for q := 0; q < nparts; q++ {
-			if count(q, v) > 0 {
-				dup = true
-				hits.add(q, v)
-			}
-		}
-		if dup {
-			patched = append(patched, rowIDs[i])
-			newDup = append(newDup, v)
-		}
-	}
-	return patched, hits, newDup
+	ch, _ := classifyNUC(st, p, news, inBatch, t.allPartitions())
+	t.modifyDeltaLocked(p, rowIDs, c.col, values)
+	ch.commit(t, c, st, p, func(i int) uint64 { return rowIDs[i] })
 }

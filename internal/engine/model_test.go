@@ -291,7 +291,7 @@ func modelWorkerRun(db *Database, tb *Table, mw *modelWorker, ops int) error {
 		default: // insert an id duplicated across workers' view of time:
 			// reuse one of our own EXISTING ids (possibly living in a
 			// foreign partition) — exercises sealed exceptions, local
-			// collisions, and cross-partition fallbacks.
+			// collisions, and chunks widened to a foreign partition.
 			var id int64
 			found := false
 			for p := 0; p < modelParts && !found; p++ {
@@ -353,8 +353,8 @@ func TestModelRandomSchedules(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The maintenance daemon churns alongside the workers: recomputes,
-	// condenses, and filter rebuilds only — no reorderer is registered
+	// The maintenance daemon churns alongside the workers: recomputes
+	// and condenses only — no reorderer is registered
 	// (the model's positional bookkeeping cannot survive a physical
 	// permutation) and discovery stays off (the model owns the schema).
 	// Repairs preserve the model's observable invariants: recompute keeps
@@ -443,7 +443,7 @@ func TestModelRandomSchedules(t *testing.T) {
 	// Quiescent final check 2: the NUC index is internally consistent
 	// and every globally duplicated id has ALL its occurrences patched —
 	// the cross-partition uniqueness contract, no matter which path
-	// (fast, sealed, fallback) handled each insert.
+	// (own partition, sealed, widened) handled each insert.
 	idx := tb.PatchIndexes("id")
 	global := make(map[int64]int)
 	for p := 0; p < modelParts; p++ {
@@ -468,5 +468,5 @@ func TestModelRandomSchedules(t *testing.T) {
 		}
 	}
 	fast, fallback := tb.InsertStats()
-	t.Logf("model run: %d fast-path batches, %d fallbacks, %d final rows", fast, fallback, totalRows)
+	t.Logf("model run: %d fast batches, %d widened, %d final rows", fast, fallback, totalRows)
 }

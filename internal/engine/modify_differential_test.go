@@ -18,13 +18,12 @@ var (
 // modifyViaJoin is the paper's NUC modify handling (Section 5.2), kept
 // as the oracle for Modify: apply the delta, run the collision join of
 // Fig. 5 over the new values against every partition, merge both join
-// sides into the patches, then re-point the collision state and
-// force-patch rows whose new value is sealed.
+// sides into the patches, then re-point the collision directory and
+// force-patch rows whose new value was sealed.
 func modifyViaJoin(db *Database, t *Table, partition int, rowIDs []uint64, column string, values []storage.Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	col := t.store.Schema().MustColumnIndex(column)
-	st := t.nuc[column]
 	view := t.viewLocked(partition)
 	olds := make([]storage.Value, len(rowIDs))
 	for i, r := range rowIDs {
@@ -43,46 +42,15 @@ func modifyViaJoin(db *Database, t *Table, partition int, rowIDs []uint64, colum
 	for p := range idx {
 		idx[p].HandleModifyNUC(joins[p])
 	}
+	news := make([][]storage.Value, len(idx))
+	news[partition] = values
 	var forced []uint64
-	if st.IsString() {
-		for _, v := range olds {
-			st.RemoveLocalString(partition, v.S)
+	for i, was := range foldJoined(t, column, partition, olds, news)[partition] {
+		if was {
+			forced = append(forced, rowIDs[i])
 		}
-		for _, v := range values {
-			st.AddLocalString(partition, v.S)
-			st.AddBloomString(partition, v.S)
-		}
-		sealed := st.Sealed()
-		var newDup []string
-		for i, v := range values {
-			if sealed.ContainsString(v.S) {
-				forced = append(forced, rowIDs[i])
-			} else if globalCount(st, st.LocalCountString, v.S) > 1 {
-				newDup = append(newDup, v.S)
-			}
-		}
-		st.SealDuplicatesString(newDup)
-	} else {
-		for _, v := range olds {
-			st.RemoveLocalInt64(partition, v.I)
-		}
-		for _, v := range values {
-			st.AddLocalInt64(partition, v.I)
-			st.AddBloomInt64(partition, v.I)
-		}
-		sealed := st.Sealed()
-		var newDup []int64
-		for i, v := range values {
-			if sealed.ContainsInt64(v.I) {
-				forced = append(forced, rowIDs[i])
-			} else if globalCount(st, st.LocalCountInt64, v.I) > 1 {
-				newDup = append(newDup, v.I)
-			}
-		}
-		st.SealDuplicatesInt64(newDup)
 	}
 	idx[partition].AddPatches(forced)
-	st.RebuildOverfullBlooms()
 	if db.AutoCheckpoint {
 		t.checkpointPartitionLocked(partition)
 	}
@@ -210,7 +178,7 @@ func TestModifyNUCDifferentialVsJoin(t *testing.T) {
 							t.Fatalf("%s: value %v sealed: join=%v Modify=%v", step, k.mk(d), sa, sb)
 						}
 					}
-					if la, lb := a.nuc["v"].Sealed().Len(), b.nuc["v"].Sealed().Len(); la != lb {
+					if la, lb := nucSealedLen(a), nucSealedLen(b); la != lb {
 						t.Fatalf("%s: sealed set sizes diverged: join=%d Modify=%d", step, la, lb)
 					}
 				}

@@ -38,9 +38,8 @@ func BenchmarkParallelDisjointUpdates(b *testing.B) {
 // BenchmarkParallelInserts measures the partition-parallel insert
 // path: concurrent InsertRowsPartition batches into
 // disjoint partitions of a NUC-indexed table. Each op appends one
-// 16-row batch of worker-unique values — sharded collision
-// classification (sealed/exception probes, pre-publication, foreign
-// filter probes), the delta append, NUC index maintenance, and the
+// 16-row batch of worker-unique values — the collision directory
+// lookup and reservation, the delta append, NUC index maintenance, and the
 // in-place auto-checkpoint, all under the shared structure lock plus
 // the target partition's lock. The workers=N variants split b.N ops
 // over N goroutines, one partition each. Two in-bench baselines run the
@@ -48,15 +47,12 @@ func BenchmarkParallelDisjointUpdates(b *testing.B) {
 //
 //   - serialized: the identical InsertRowsPartition calls funneled
 //     through one global mutex — isolates pure lock contention;
-//   - exclusive: Insert — the same batches classified exactly from
-//     the count maps of all partitions under the exclusive structure
-//     lock (round-robin placement, one probe per value and partition,
-//     no filters): the price of the exclusive lock and the
-//     per-partition probes.
+//   - exclusive: Insert — the same batches looked up in the collision
+//     directory under the exclusive structure lock (round-robin
+//     placement): the price of the exclusive lock.
 //
-// Occasional fallbacks (filter saturation or a false positive, healed
-// by the exclusive-lock exact retry) are part of the measured fast-path
-// cost; the run reports the observed fast/fallback split. Reference
+// Worker-unique values never widen a chunk's lock set; the run reports
+// the observed fast/widened split (InsertStats). Reference
 // numbers on the single-vCPU dev runner (batch=16, 8 partitions):
 // ~13-16 µs/op for the parallel variants and the lock-only serialized
 // control alike — at this op size the global mutex handoff is <2% of an

@@ -8,6 +8,7 @@ import (
 	"patchindex/internal/core"
 	"patchindex/internal/exec"
 	"patchindex/internal/storage"
+	"patchindex/internal/wal"
 )
 
 // partitionReorderable reports whether partition p currently admits a
@@ -278,5 +279,45 @@ func TestParallelDisjointUpdates(t *testing.T) {
 		if gotVals[i] != wantVals[i] {
 			t.Fatalf("plans diverge at %d: %d vs %d", i, gotVals[i], wantVals[i])
 		}
+	}
+}
+
+// TestDeleteWhereInt64RejectsBadColumns: a caller-supplied column that
+// is unknown, STRING or DOUBLE is an error reported before any lock is
+// taken — not a panic under every partition lock, and not a silent
+// no-op — and nothing is deleted or logged, pending delta or not.
+func TestDeleteWhereInt64RejectsBadColumns(t *testing.T) {
+	db := newDB(t)
+	db.AutoCheckpoint = false // keep a delta pending: a STRING column used to panic on it
+	tb, err := db.CreateTable("t", storage.Schema{
+		{Name: "k", Kind: storage.KindInt64},
+		{Name: "s", Kind: storage.KindString},
+		{Name: "f", Kind: storage.KindFloat64},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableWAL(t.TempDir(), wal.SyncNone); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]storage.Row, 10)
+	for i := range rows {
+		rows[i] = storage.Row{storage.I64(int64(i)), storage.Str(fmt.Sprint(i)), storage.F64(float64(i))}
+	}
+	if err := db.Insert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	want, logged := tableContents(tb), tb.wal.lsn.Load()
+	for _, column := range []string{"missing", "s", "f"} {
+		t.Run(column, func(t *testing.T) {
+			n, err := db.DeleteWhereInt64("t", column, func(int64) bool { return true })
+			if err == nil || n != 0 {
+				t.Fatalf("DeleteWhereInt64 on column %q = %d, %v; want 0 and an error", column, n, err)
+			}
+			comparePartitions(t, "after the refused delete", tableContents(tb), want)
+			if got := tb.wal.lsn.Load(); got != logged {
+				t.Fatalf("the refused delete appended %d WAL record(s)", got-logged)
+			}
+		})
 	}
 }

@@ -135,8 +135,8 @@ func (t *Table) recomputePartitionIndexesLocked(p int) {
 // partition's current contents, preserving the slot's construction
 // options. The caller owns partition p. The rebuilt state is adopted
 // into the existing *Index IN PLACE (core.Index.AdoptState), never by
-// swapping the slot pointer: readers in other lock domains — the insert
-// fast path under a sibling partition's lock, planners under the shared
+// swapping the slot pointer: readers in other lock domains — insert
+// chunks under a sibling partition's lock, planners under the shared
 // structure lock — consult a representative slot's immutable constraint
 // kind without holding THIS partition's lock, which is only safe while
 // slot pointers stay stable between DDL operations.
@@ -161,30 +161,11 @@ func (t *Table) recomputeIndexSlotLocked(column string, idx []*core.Index, p int
 	case core.NearlySorted:
 		x.AdoptState(core.BuildNSC(t.viewLocked(p).MaterializeInt64(col), x.Options()))
 	case core.NearlyUnique:
-		st := t.nuc[column]
-		if st == nil {
-			return // no collision state to recompute from; keep the slot
+		c := t.nuc[column]
+		if c == nil {
+			return // no collision directory to recompute from; keep the slot
 		}
-		sealed := st.Sealed()
-		var rows int
-		var patches []uint64
-		if t.store.Schema()[col].Kind == storage.KindString {
-			vals := t.viewLocked(p).MaterializeString(col)
-			rows = len(vals)
-			for r, v := range vals {
-				if sealed.ContainsString(v) || st.LocalCountString(p, v) > 1 {
-					patches = append(patches, uint64(r))
-				}
-			}
-		} else {
-			vals := t.viewLocked(p).MaterializeInt64(col)
-			rows = len(vals)
-			for r, v := range vals {
-				if sealed.ContainsInt64(v) || st.LocalCountInt64(p, v) > 1 {
-					patches = append(patches, uint64(r))
-				}
-			}
-		}
+		rows, patches := c.patches(t.viewLocked(p), p)
 		x.AdoptState(core.New(core.NearlyUnique, uint64(rows), patches, x.Options()))
 	}
 }
@@ -226,29 +207,4 @@ func (t *Table) CondensePartitionIndex(column string, p int) error {
 	}
 	idx[p].Condense()
 	return nil
-}
-
-// RebuildSaturatedBlooms rebuilds column's per-partition collision
-// filters that have drifted past their sizing capacity, one partition
-// lock at a time, and reports how many were rebuilt. Values being
-// published by in-flight inserts survive the swap via the
-// pre-publication ledger (core.NUCState), which is what makes this safe
-// to run without the exclusive structure lock — the property the
-// maintenance daemon relies on.
-func (t *Table) RebuildSaturatedBlooms(column string) int {
-	t.mu.RLock()
-	st := t.nuc[column]
-	t.mu.RUnlock()
-	if st == nil {
-		return 0
-	}
-	var n int
-	for p := 0; p < st.NumPartitions(); p++ {
-		t.lockPartition(p)
-		if st.RebuildBloomPartition(p) {
-			n++
-		}
-		t.unlockPartition(p)
-	}
-	return n
 }

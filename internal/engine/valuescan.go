@@ -4,16 +4,17 @@ import (
 	"slices"
 
 	"patchindex/internal/core"
+	"patchindex/internal/pdt"
+	"patchindex/internal/storage"
 )
 
 // Partition-local value scans. When an update duplicates a value that
-// the sharded collision state (core.NUCState) shows live in partition q,
+// the collision directory (core.NUCState) shows live in partition q,
 // q's existing occurrences must join the patch set too. Their rowIDs are
 // not tracked anywhere, so one scan of q's column finds them — the only
 // table access NUC maintenance performs, and it runs only for
-// partitions with a real count-map hit. Insert and the exact InsertRows
-// retry, the insert chunks' local collisions and NUC-column Modify all
-// resolve their collisions through it.
+// partitions with a real directory hit. Every insert chunk and every
+// NUC-column Modify resolves its collisions through it.
 
 // valueHits maps a partition to the column values whose occurrences
 // there must become patches. Repeated values are fine.
@@ -58,4 +59,38 @@ func patchValueHits[T int64 | string](idx []*core.Index, hits valueHits[T], colu
 	for q, vals := range hits {
 		idx[q].AddPatches(matchingRowIDs(column(q), vals))
 	}
+}
+
+// cells returns n cell values as T: their int64 or their string.
+func cells[T int64 | string](n int, cell func(i int) storage.Value) []T {
+	out := make([]T, n)
+	switch o := any(out).(type) {
+	case []int64:
+		for i := range o {
+			o[i] = cell(i).I
+		}
+	case []string:
+		for i := range o {
+			o[i] = cell(i).S
+		}
+	}
+	return out
+}
+
+// rowValues returns the values of column col at rowIDs of view.
+func rowValues[T int64 | string](view *pdt.View, col int, rowIDs []uint64) []T {
+	return cells[T](len(rowIDs), func(i int) storage.Value { return view.Get(int(rowIDs[i]), col) })
+}
+
+// materialize returns view's column col (pending delta included) as T.
+// The result may alias live storage: read it only under the lock.
+func materialize[T int64 | string](view *pdt.View, col int) []T {
+	var out any
+	switch any(*new(T)).(type) {
+	case int64:
+		out = view.MaterializeInt64(col)
+	default:
+		out = view.MaterializeString(col)
+	}
+	return out.([]T)
 }

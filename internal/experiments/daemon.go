@@ -23,13 +23,13 @@ import (
 // inversion fraction) and a NUC index (value column, mostly-unique with
 // a shared duplicate pool), once with the maintenance daemon ticking
 // under the workload and once without. Reported per run: churn wall
-// time, final table size, the fast-path/fallback insert split, the
-// final NSC/NUC exception rates and index memory — plus the daemon's
-// action counters, which show where the repair work went (partition
-// re-sorts through the sort-key reorderer, in-place slot recomputes,
-// condenses, collision-filter rebuilds). A concurrent reader drives the
-// general query layer (query.Run in Auto mode) against the churning
-// table throughout, so each run also reports read latency under churn —
+// time, final table size, the fast/widened insert split, the final
+// NSC/NUC exception rates and index memory — plus the daemon's action
+// counters, which show where the repair work went (partition re-sorts
+// through the sort-key reorderer, in-place slot recomputes, condenses).
+// A concurrent reader drives the general query layer (query.Run in Auto
+// mode) against the churning table throughout, so each run also reports
+// read latency under churn —
 // the daemon's keep-the-index-healthy work should show up as cheaper
 // patch plans, not just lower exception rates.
 func RunDaemon(w io.Writer, s Scale) {
@@ -142,7 +142,7 @@ func runDaemonChurn(w io.Writer, s Scale, steps int, withDaemon bool) {
 		label = "daemon on "
 	}
 	fast, fallback := tb.InsertStats()
-	fmt.Fprintf(w, "%s  churn %8.1f ms  rows %8d  inserts fast/fallback %d/%d\n",
+	fmt.Fprintf(w, "%s  churn %8.1f ms  rows %8d  inserts fast/widened %d/%d\n",
 		label, ms(elapsed), tb.NumRows(), fast, fallback)
 	fmt.Fprintf(w, "%s  NSC rate %.4f  NUC rate %.4f  index mem %d B\n",
 		label, tb.ExceptionRate("k"), tb.ExceptionRate("v"),
@@ -152,8 +152,8 @@ func runDaemonChurn(w io.Writer, s Scale, steps int, withDaemon bool) {
 		label, len(lats), ms(mean), ms(p95))
 	if m != nil {
 		st := m.Stats()
-		fmt.Fprintf(w, "%s  sweeps %d  actions %d (reorders %d, recomputes %d, condenses %d, bloom rebuilds %d)  refusals/retries/errors %d/%d/%d\n",
-			label, st.Sweeps, st.Actions, st.Reorders, st.Recomputes, st.Condenses, st.BloomRebuilds,
+		fmt.Fprintf(w, "%s  sweeps %d  actions %d (reorders %d, recomputes %d, condenses %d)  refusals/retries/errors %d/%d/%d\n",
+			label, st.Sweeps, st.Actions, st.Reorders, st.Recomputes, st.Condenses,
 			st.Refusals, st.Retries, st.Errors)
 	}
 }

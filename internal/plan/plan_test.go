@@ -31,7 +31,7 @@ func buildParts(t *testing.T, vals []int64, nparts int) ([]*pdt.View, [][]int64)
 
 func nucInputs(t *testing.T, vals []int64, nparts int, d core.Design) []PartitionInput {
 	views, partVals := buildParts(t, vals, nparts)
-	patchSets := core.GlobalNUCPatchesInt64(partVals)
+	patchSets := core.GlobalNUCPatches(partVals)
 	inputs := make([]PartitionInput, nparts)
 	for p := range inputs {
 		inputs[p] = PartitionInput{

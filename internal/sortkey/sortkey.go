@@ -178,7 +178,8 @@ func (s *SortKey) RebuildPartitionChecked(p int) error {
 	})
 }
 
-// sortPartition reorders all columns of p by the key column.
+// sortPartition reorders all columns of p by the key column and drops
+// p's cached minmax summaries, which describe the old row order.
 func sortPartition(p *storage.Partition, col int, desc bool) {
 	n := p.NumRows()
 	perm := make([]int, n)
@@ -219,6 +220,7 @@ func sortPartition(p *storage.Partition, col int, desc bool) {
 			copy(src, dst)
 		}
 	}
+	p.InvalidateMinMax()
 }
 
 // SortedScan returns the sort-query plan under a SortKey: per-partition

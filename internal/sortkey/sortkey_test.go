@@ -39,6 +39,34 @@ func TestCreateSortsAllColumns(t *testing.T) {
 	}
 }
 
+// TestRawCreateInvalidatesMinMax: a summary cached before a raw Create
+// describes the old row order; after the permutation the partition's
+// summary must be the one the sorted column yields, or pruning skips
+// blocks that now hold matching rows.
+func TestRawCreateInvalidatesMinMax(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	vals := make([]int64, 4*storage.BlockRows+100)
+	for i := range vals {
+		vals[i] = rng.Int63n(1_000_000)
+	}
+	tb := table(vals, 1)
+	p := tb.Partition(0)
+	stale := p.MinMax(0)
+	Create(tb, 0, false)
+	got, want := p.MinMax(0), storage.BuildMinMax(p.Column(0).Int64s())
+	if got == stale || got.Blocks() != want.Blocks() || got.Rows() != want.Rows() {
+		t.Fatalf("summary after Create: %d blocks over %d rows (stale: %v), want %d over %d",
+			got.Blocks(), got.Rows(), got == stale, want.Blocks(), want.Rows())
+	}
+	for b := 0; b < want.Blocks(); b++ {
+		glo, ghi := got.BlockRange(b)
+		wlo, whi := want.BlockRange(b)
+		if glo != wlo || ghi != whi {
+			t.Fatalf("block %d summarized as [%d, %d], the sorted column holds [%d, %d]", b, glo, ghi, wlo, whi)
+		}
+	}
+}
+
 func TestSortedScanGloballySorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	vals := make([]int64, 4000)

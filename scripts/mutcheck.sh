@@ -22,6 +22,7 @@ trap 'rm -rf "$work"' EXIT
 
 insert=internal/engine/insert.go
 maint=internal/engine/maintenance.go
+dir=internal/core/collision.go
 storage=internal/storage/table.go
 minmax=internal/storage/minmax.go
 scan=internal/exec/scan.go
@@ -67,34 +68,32 @@ check() {
 }
 
 # The unmutated copy must pass, or "the test fails" proves nothing.
-if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|^TestInsertTeachesPartitionFilters\$" ./internal/engine >/dev/null 2>&1 &&
+if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff" ./internal/engine >/dev/null 2>&1 &&
 	go test -count=1 -run "$mmprop" ./internal/storage >/dev/null 2>&1 &&
 	go test -count=1 -run "$scanids" ./internal/exec >/dev/null 2>&1); then
 	echo "mutcheck: the tests fail on the unmutated tree" >&2
 	exit 1
 fi
 
-check "insert: skip patching foreign collisions" $insert ./internal/engine "$insdiff" \
-	$'\tt.patchForeignCollisionsLocked(plan)\n' ''
+check "insert: skip the value scans of hit partitions" $insert ./internal/engine "$insdiff" \
+	$'\tpatchValueHits(idx, ch.hits, func(q int) []T { return materialize[T](t.viewLocked(q), c.col) })\n' ''
 check "insert: skip the sealed force-patch" $insert ./internal/engine "$insdiff" \
-	$'if fc.sealed.ContainsInt64(v) {\n\t\t\t\t\t\tfc.knownPatch[p][i] = true' \
-	$'if false {\n\t\t\t\t\t\tfc.knownPatch[p][i] = true'
+	$'case sealed.Contains(v):\n\t\t\tch.patched = append(ch.patched, i)\n' $'case sealed.Contains(v):\n'
 check "insert: drop the batch-duplicate rule" $insert ./internal/engine "$insdiff" \
-	$'} else if batch[v] > 1 {\n\t\t\t\t\t\tfc.knownPatch[p][i] = true\n\t\t\t\t\t\tif fc.dupTargetsInt == nil {' \
-	$'} else if false {\n\t\t\t\t\t\tfc.knownPatch[p][i] = true\n\t\t\t\t\t\tif fc.dupTargetsInt == nil {'
-check "insert: Insert does not teach the filters" $insert ./internal/engine '^TestInsertTeachesPartitionFilters$' \
-	$'\tif !retry {\n\t\tplan.eachValue(' \
-	$'\tif false {\n\t\tplan.eachValue('
+	$'\t\t\tni.inBatch[v]++\n' $'\t\t\tni.inBatch[v] = 1\n'
+check "insert: a chunk ignores a hit in a partition it does not hold" $dir ./internal/engine "$insdiff" \
+	$'\t\t\tmissing = append(missing, q)\n' ''
+check "delete: skip the directory decrement" $maint ./internal/engine "$insdiff" \
+	'c.remove(t.viewLocked(partition), partition, rowIDs)' '_ = c'
 check "modify: classify before folding out" $maint ./internal/engine "$moddiff" \
-	$'\tfor i, r := range rowIDs {\n\t\tst.RemoveLocalInt64(partition, view.Get(int(r), col).I)\n\t\tnews[i] = values[i].I\n\t}\n\tpatched, hits, newDup := classifyNUCModify(rowIDs, news, t.store.NumPartitions(), st.Sealed().ContainsInt64, st.LocalCountInt64)\n' \
-	$'\tfor i := range rowIDs {\n\t\tnews[i] = values[i].I\n\t}\n\tpatched, hits, newDup := classifyNUCModify(rowIDs, news, t.store.NumPartitions(), st.Sealed().ContainsInt64, st.LocalCountInt64)\n\tfor _, r := range rowIDs {\n\t\tst.RemoveLocalInt64(partition, view.Get(int(r), col).I)\n\t}\n'
-check "modify: drop the count-map hits" $maint ./internal/engine "$moddiff" \
-	$'\t\t\t\thits.add(q, v)\n' ''
-check "modify: skip the sealed force-patch" $maint ./internal/engine "$moddiff" \
-	$'\t\tif sealed(v) {\n\t\t\tpatched = append(patched, rowIDs[i])\n' \
-	$'\t\tif sealed(v) {\n'
+	$'\tst.Remove(p, rowValues[T](t.viewLocked(p), c.col, rowIDs))\n\tnews := cells[T](len(values), func(i int) storage.Value { return values[i] })\n\tinBatch := make(map[T]int, len(news))\n\tfor _, v := range news {\n\t\tinBatch[v]++\n\t}\n\tch, _ := classifyNUC(st, p, news, inBatch, t.allPartitions())\n' \
+	$'\tnews := cells[T](len(values), func(i int) storage.Value { return values[i] })\n\tinBatch := make(map[T]int, len(news))\n\tfor _, v := range news {\n\t\tinBatch[v]++\n\t}\n\tch, _ := classifyNUC(st, p, news, inBatch, t.allPartitions())\n\tst.Remove(p, rowValues[T](t.viewLocked(p), c.col, rowIDs))\n'
+check "modify: drop the directory hits" $insert ./internal/engine "$moddiff" \
+	$'\t\tch.hits.add(q, vals[i])\n' ''
+check "modify: skip the sealed force-patch" $insert ./internal/engine "$moddiff" \
+	$'case sealed.Contains(v):\n\t\t\tch.patched = append(ch.patched, i)\n' $'case sealed.Contains(v):\n'
 check "modify: drop the batch-duplicate rule" $maint ./internal/engine "$moddiff" \
-	$'dup := inBatch[v] > 1' 'dup := false'
+	$'\t\tinBatch[v]++\n' $'\t\tinBatch[v] = 1\n'
 check "minmax: extension skips the partial last block" $minmax ./internal/storage "$mmprop" \
 	'if m.n%BlockRows != 0 && len(data) > m.n {' 'if false {'
 check "minmax: DeleteRows stops counting mutations" $storage ./internal/storage "$mmprop" \
