@@ -29,7 +29,9 @@ import (
 //     exclusive-lock operations, and the per-table LSN counter.
 //   - the logical record codec (encode*/decode*): rows, deletes,
 //     modifies, and partition rewrite images, encoded against the
-//     table schema.
+//     table schema. Whole-partition images (rewrite records and
+//     checkpoint partitions) are encoded from and decoded into typed
+//     columns (colBuf, partBuilder), never into storage.Row values.
 //   - Database.EnableWAL / CheckpointToDisk / Recover: turn logging
 //     on, persist a consistent snapshot and truncate the logs behind
 //     it, and rebuild a database from checkpoint + surviving records.
@@ -206,58 +208,214 @@ func encodeModify(schema storage.Schema, p int, column string, rowIDs []uint64, 
 }
 
 // encodeRewrite: u32 partition | rows — the partition's full logical
-// image after a physical rewrite (reorder, bulk load). Positional
-// records logged before the rewrite refer to the pre-rewrite order, so
-// the image re-baselines replay exactly like the rewrite re-anchored the
-// live metadata.
-func encodeRewrite(schema storage.Schema, p int, rows []storage.Row) []byte {
-	b := getWALBody(4 + rowsSize(schema, rows))
-	return encodeRows(appendU32(b, uint32(p)), schema, rows)
+// image after a physical rewrite (reorder, bulk load), taken from view
+// v. Positional records logged before the rewrite refer to the
+// pre-rewrite order, so the image re-baselines replay exactly like the
+// rewrite re-anchored the live metadata. The rows are encoded straight
+// from the view's typed columns, in the same row-major layout as
+// encodeRows.
+func encodeRewrite(schema storage.Schema, p int, v *pdt.View) []byte {
+	cols := make([]colBuf, len(schema))
+	n := v.NumRows()
+	size := 8
+	for c, def := range schema {
+		switch def.Kind {
+		case storage.KindInt64:
+			cols[c].ints = v.MaterializeInt64(c)
+			size += 8 * n
+		case storage.KindFloat64:
+			cols[c].floats = v.MaterializeFloat64(c)
+			size += 8 * n
+		default:
+			cols[c].strs = v.MaterializeString(c)
+			for _, s := range cols[c].strs {
+				size += 4 + len(s)
+			}
+		}
+	}
+	b := appendU32(appendU32(getWALBody(size), uint32(p)), uint32(n))
+	for r := 0; r < n; r++ {
+		for c, def := range schema {
+			switch def.Kind {
+			case storage.KindInt64:
+				b = appendU64(b, uint64(cols[c].ints[r]))
+			case storage.KindFloat64:
+				b = appendU64(b, math.Float64bits(cols[c].floats[r]))
+			default:
+				b = appendStr(b, cols[c].strs[r])
+			}
+		}
+	}
+	return b
 }
 
-// walDec is a cursor over a record body. Reads past the end set err and
-// return zero values; finish() reports the first error and rejects
-// trailing bytes.
+// colBuf holds one column's values in the typed slice its kind selects
+// — the unboxed form whole-partition images are encoded from and
+// decoded into.
+type colBuf struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+}
+
+// partBuilder decodes one whole partition (a checkpoint partition or a
+// rewrite image) into typed columns preallocated to its row count, then
+// hands them to storage without a second copy.
+type partBuilder struct {
+	schema storage.Schema
+	cols   []colBuf
+}
+
+func newPartBuilder(schema storage.Schema, n int) *partBuilder {
+	b := &partBuilder{schema: schema, cols: make([]colBuf, len(schema))}
+	for c, def := range schema {
+		switch def.Kind {
+		case storage.KindInt64:
+			b.cols[c].ints = make([]int64, n)
+		case storage.KindFloat64:
+			b.cols[c].floats = make([]float64, n)
+		default:
+			b.cols[c].strs = make([]string, n)
+		}
+	}
+	return b
+}
+
+// block decodes rows [0, n) of column c from a checkpoint column
+// block, where they lie one after another.
+func (b *partBuilder) block(d *walDec, c, n int) {
+	col := &b.cols[c]
+	switch b.schema[c].Kind {
+	case storage.KindInt64:
+		raw := d.take(8 * n)
+		for i := range len(raw) / 8 {
+			col.ints[i] = int64(leU64(raw[8*i:]))
+		}
+	case storage.KindFloat64:
+		raw := d.take(8 * n)
+		for i := range len(raw) / 8 {
+			col.floats[i] = math.Float64frombits(leU64(raw[8*i:]))
+		}
+	default:
+		for i := 0; i < n && d.err == nil; i++ {
+			col.strs[i] = d.str()
+		}
+	}
+}
+
+// cell decodes one value of column c into row r (row-major images).
+func (b *partBuilder) cell(d *walDec, c, r int) {
+	switch b.schema[c].Kind {
+	case storage.KindInt64:
+		b.cols[c].ints[r] = int64(d.u64())
+	case storage.KindFloat64:
+		b.cols[c].floats[r] = math.Float64frombits(d.u64())
+	default:
+		b.cols[c].strs[r] = d.str()
+	}
+}
+
+// partition publishes the decoded columns as a storage partition.
+func (b *partBuilder) partition() *storage.Partition {
+	cols := make([]*storage.Column, len(b.schema))
+	for c, def := range b.schema {
+		switch def.Kind {
+		case storage.KindInt64:
+			cols[c] = storage.ColumnOf(def.Name, b.cols[c].ints)
+		case storage.KindFloat64:
+			cols[c] = storage.ColumnOf(def.Name, b.cols[c].floats)
+		default:
+			cols[c] = storage.ColumnOf(def.Name, b.cols[c].strs)
+		}
+	}
+	return storage.NewPartitionFromColumns(b.schema, cols)
+}
+
+// rowsFit reports whether n rows of schema can fit in the undecoded
+// bytes: a numeric cell takes 8 bytes and a string cell at least its
+// 4-byte length. It bounds every allocation sized by a decoded row
+// count, so a short input fails before it allocates, not after.
+func (d *walDec) rowsFit(schema storage.Schema, n uint64) bool {
+	var perRow uint64
+	for _, def := range schema {
+		if def.Kind == storage.KindString {
+			perRow += 4
+		} else {
+			perRow += 8
+		}
+	}
+	if perRow == 0 {
+		return n == 0
+	}
+	return n <= uint64(len(d.b)-d.off)/perRow
+}
+
+// rewriteImage decodes a rewrite record's rows (u32 count, then
+// row-major cells) into a partition.
+func (d *walDec) rewriteImage(schema storage.Schema) *storage.Partition {
+	n := d.u32()
+	if d.err != nil || !d.rowsFit(schema, uint64(n)) {
+		d.fail()
+		return nil
+	}
+	b := newPartBuilder(schema, int(n))
+	for r := 0; r < int(n); r++ {
+		for c := range schema {
+			b.cell(d, c, r)
+		}
+	}
+	return b.partition()
+}
+
+// walDec is a cursor over a record body (or, with what set, another
+// encoded image). Reads past the end set err and return zero values;
+// finish() reports the first error and rejects trailing bytes.
 type walDec struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	what string // names the input in errors; "" means a WAL record body
+}
+
+func (d *walDec) name() string {
+	if d.what == "" {
+		return "WAL record body"
+	}
+	return d.what
+}
+
+// take returns the next n bytes, or nil (failing d) when fewer remain.
+func (d *walDec) take(n int) []byte {
+	if d.err != nil || n < 0 || n > len(d.b)-d.off {
+		d.fail()
+		return nil
+	}
+	b := d.b[d.off : d.off+n]
+	d.off += n
+	return b
 }
 
 func (d *walDec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
+	if b := d.take(4); b != nil {
+		return leU32(b)
 	}
-	v := leU32(d.b[d.off:])
-	d.off += 4
-	return v
+	return 0
 }
 
 func (d *walDec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
+	if b := d.take(8); b != nil {
+		return leU64(b)
 	}
-	v := leU64(d.b[d.off:])
-	d.off += 8
-	return v
+	return 0
 }
 
 func (d *walDec) str() string {
-	n := int(d.u32())
-	if d.err != nil || d.off+n > len(d.b) || n < 0 {
-		d.fail()
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
+	return string(d.take(int(d.u32())))
 }
 
 func (d *walDec) fail() {
 	if d.err == nil {
-		d.err = errors.New("engine: truncated WAL record body")
+		d.err = fmt.Errorf("engine: truncated %s", d.name())
 	}
 }
 
@@ -266,7 +424,7 @@ func (d *walDec) finish() error {
 		return d.err
 	}
 	if d.off != len(d.b) {
-		return fmt.Errorf("engine: %d trailing bytes in WAL record body", len(d.b)-d.off)
+		return fmt.Errorf("engine: %d trailing bytes in %s", len(d.b)-d.off, d.name())
 	}
 	return nil
 }
@@ -366,22 +524,6 @@ func (db *Database) WALDir() string {
 	db.tablesMu.RLock()
 	defer db.tablesMu.RUnlock()
 	return db.walDir
-}
-
-// materializePartitionLocked assembles partition p's full logical row
-// image (base plus pending delta). The caller owns partition p.
-func (t *Table) materializePartitionLocked(p int) []storage.Row {
-	v := t.viewLocked(p)
-	schema := t.store.Schema()
-	rows := make([]storage.Row, v.NumRows())
-	for i := range rows {
-		row := make(storage.Row, len(schema))
-		for c := range schema {
-			row[c] = v.Get(i, c)
-		}
-		rows[i] = row
-	}
-	return rows
 }
 
 // --- checkpoint files -----------------------------------------------
@@ -582,15 +724,27 @@ func writeCheckpointFile(dir, name string, snap *TableSnapshot, cpLSN uint64) er
 type ckptTable struct {
 	cpLSN   uint64
 	schema  storage.Schema
-	parts   [][]storage.Row
+	parts   []*storage.Partition
 	indexes map[string][]*core.Index
 }
 
+// readCheckpointFile parses and verifies one checkpoint file. The whole
+// file is checked against its CRC trailer first; then each partition's
+// column blocks — one column after another, a column's values one after
+// another — are decoded straight into typed columns preallocated to the
+// partition's row count, once the remaining bytes are known to be able
+// to hold that many rows. Every index slot must pass core.Index.Validate.
 func readCheckpointFile(path string) (*ckptTable, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return decodeCheckpoint(data, path)
+}
+
+// decodeCheckpoint is readCheckpointFile on the file's bytes; path only
+// names the file in errors.
+func decodeCheckpoint(data []byte, path string) (*ckptTable, error) {
 	if len(data) < 24 {
 		return nil, fmt.Errorf("engine: checkpoint %s truncated", path)
 	}
@@ -598,7 +752,7 @@ func readCheckpointFile(path string) (*ckptTable, error) {
 	if crc32.ChecksumIEEE(body) != leU32(data[len(data)-4:]) {
 		return nil, fmt.Errorf("engine: checkpoint %s fails its checksum", path)
 	}
-	d := &walDec{b: body}
+	d := &walDec{b: body, what: "checkpoint"}
 	if d.u32() != magicCheckpoint {
 		return nil, fmt.Errorf("engine: bad magic in checkpoint %s", path)
 	}
@@ -626,26 +780,15 @@ func readCheckpointFile(path string) (*ckptTable, error) {
 	}
 	for p := uint32(0); p < nparts && d.err == nil; p++ {
 		nrows := d.u64()
-		if nrows > uint64(len(d.b)) {
-			return nil, fmt.Errorf("engine: implausible row count %d in checkpoint %s", nrows, path)
+		if d.err == nil && !d.rowsFit(ck.schema, nrows) {
+			return nil, fmt.Errorf("engine: partition %d of checkpoint %s declares %d rows, more than its remaining %d bytes hold", p, path, nrows, len(d.b)-d.off)
 		}
-		rows := make([]storage.Row, nrows)
-		for r := range rows {
-			rows[r] = make(storage.Row, len(ck.schema))
+		n := int(nrows)
+		b := newPartBuilder(ck.schema, n)
+		for c := range ck.schema {
+			b.block(d, c, n)
 		}
-		for c, def := range ck.schema {
-			for r := uint64(0); r < nrows && d.err == nil; r++ {
-				switch def.Kind {
-				case storage.KindInt64:
-					rows[r][c] = storage.I64(int64(d.u64()))
-				case storage.KindFloat64:
-					rows[r][c] = storage.F64(math.Float64frombits(d.u64()))
-				default:
-					rows[r][c] = storage.Str(d.str())
-				}
-			}
-		}
-		ck.parts = append(ck.parts, rows)
+		ck.parts = append(ck.parts, b.partition())
 	}
 	nidx := d.u32()
 	for i := uint32(0); i < nidx && d.err == nil; i++ {
@@ -697,16 +840,20 @@ type RecoverStats struct {
 }
 
 // Recover rebuilds the database from dir: every manifest table is
-// restored from its checkpoint file (partition data loaded exactly,
-// PatchIndexes read back via core.Index.ReadFrom and validated), then
+// restored from its checkpoint file — each partition's column blocks
+// decoded straight into typed columns that become the table's
+// partitions as persisted, with no per-row or per-cell boxing, and the
+// PatchIndexes read back via core.Index.ReadFrom and validated — then
 // each table's surviving WAL records above the checkpoint LSN are
 // replayed in LSN order through the ordinary update entry points — so
 // index maintenance, collision directories, and auto-checkpointing re-run
-// exactly as they would live. A torn or corrupt segment tail stops that
-// segment's replay at the last intact record; because records are
-// written before their op publishes, the lost suffix corresponds to
-// operations that never returned, and the recovered state is a legal
-// chunk-prefix state of the original history.
+// exactly as they would live. A rewrite record's image is decoded into
+// typed columns the same way and replaces its partition wholesale. A
+// torn or corrupt segment tail stops that segment's replay at the last
+// intact record; because records are written before their op
+// publishes, the lost suffix corresponds to operations that never
+// returned, and the recovered state is a legal chunk-prefix state of
+// the original history.
 //
 // The database must be empty. On success WAL logging is re-attached
 // (SyncNone) so the recovered database keeps its durability.
@@ -814,17 +961,15 @@ func readTableWAL(dir, name string, nparts int) ([]wal.Record, int, error) {
 	return all, torn, nil
 }
 
-// loadPartitionsExact appends checkpointed rows to each store partition
-// exactly as persisted (no round-robin redistribution) and resets the
-// deltas — the recovery loader.
-func (t *Table) loadPartitionsExact(parts [][]storage.Row) {
+// loadPartitionsExact publishes the checkpoint's decoded partitions
+// exactly as persisted (no redistribution) and resets the deltas — the
+// recovery loader. The partitions' columns become the table's own.
+func (t *Table) loadPartitionsExact(parts []*storage.Partition) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for p, rows := range parts {
-		for _, r := range rows {
-			t.store.AppendRow(p, r)
-		}
-		t.delta[p] = pdt.NewDelta(t.store.Schema(), t.store.Partition(p).NumRows())
+	for p, part := range parts {
+		t.store.SetPartition(p, part)
+		t.delta[p] = pdt.NewDelta(t.store.Schema(), part.NumRows())
 		t.deltaShared[p] = false
 	}
 }
@@ -896,11 +1041,11 @@ func (t *Table) applyWALRecord(db *Database, rec wal.Record) error {
 		return db.Modify(t.name, p, rowIDs, column, values)
 	case walOpRewrite:
 		p := int(d.u32())
-		rows := d.rows(schema)
+		part := d.rewriteImage(schema)
 		if err := d.finish(); err != nil {
 			return err
 		}
-		return t.replayRewrite(p, rows)
+		return t.replayRewrite(p, part)
 	default:
 		return fmt.Errorf("engine: unknown WAL op %d", rec.Op)
 	}
@@ -922,18 +1067,14 @@ func (t *Table) replayInsertExclusive(db *Database, perPart [][]storage.Row) err
 // coarse is fine): a rewrite image from Load changes the value multiset,
 // which invalidates every NUC column's collision directory, and
 // rebuilding that directory reads all partitions.
-func (t *Table) replayRewrite(p int, rows []storage.Row) error {
+func (t *Table) replayRewrite(p int, fresh *storage.Partition) error {
 	if p < 0 || p >= t.store.NumPartitions() {
 		return fmt.Errorf("engine: rewrite record for unknown partition %d", p)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	fresh := storage.NewPartition(t.store.Schema())
-	for _, r := range rows {
-		fresh.AppendRow(r)
-	}
 	t.store.SetPartition(p, fresh)
-	t.delta[p] = pdt.NewDelta(t.store.Schema(), len(rows))
+	t.delta[p] = pdt.NewDelta(t.store.Schema(), fresh.NumRows())
 	t.deltaShared[p] = false
 	for column := range t.nuc {
 		t.rebuildNUCStateLocked(column)

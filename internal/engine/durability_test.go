@@ -75,6 +75,19 @@ func tableContents(tb *Table) [][]storage.Row {
 	return out
 }
 
+// partitionRows boxes one storage partition into rows.
+func partitionRows(part *storage.Partition) []storage.Row {
+	rows := make([]storage.Row, part.NumRows())
+	for i := range rows {
+		row := make(storage.Row, len(part.Schema()))
+		for c := range row {
+			row[c] = part.Column(c).Get(i)
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
 func comparePartitions(t *testing.T, label string, got, want [][]storage.Row) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -226,7 +239,11 @@ func expectedAfterCrash(t *testing.T, dir, table string, nparts int) [][]storage
 	if err != nil {
 		t.Fatalf("reading checkpoint: %v", err)
 	}
-	m := newWALRefModel(ck.schema, ck.parts)
+	base := make([][]storage.Row, len(ck.parts))
+	for p, part := range ck.parts {
+		base[p] = partitionRows(part)
+	}
+	m := newWALRefModel(ck.schema, base)
 	var recs []wal.Record
 	paths := make([]string, 0, nparts+1)
 	for p := 0; p < nparts; p++ {

@@ -193,6 +193,15 @@
 // durable at the next CheckpointToDisk (the maintainer can run one
 // periodically; see MaintainerConfig.CheckpointEvery).
 //
+// Checkpoints and recovery: a checkpoint stores each partition column
+// after column, then every PatchIndex. Recover decodes each column block
+// straight into a typed column, once the remaining bytes are known to
+// hold the declared rows, and hands the columns to
+// storage.NewPartitionFromColumns, which takes ownership: no cell is
+// boxed into a storage.Value. Rewrite images keep their row-major WAL
+// layout and are encoded from and replayed into typed columns the same
+// way. Checkpoint truncation leaves alone a segment it would not change.
+//
 // Cost: one logical record per chunk, encoded into a pooled buffer and
 // written with a single write syscall under the already-held lock.
 // BenchmarkInsertWALOverhead and `pibench -exp recover` both measure
@@ -693,7 +702,7 @@ func (t *Table) Load(rows []storage.Row) error {
 	if t.wal != nil {
 		for p := 0; p < t.store.NumPartitions(); p++ {
 			//pilint:ignore lockblock the re-baselining images must be logged under the same structure lock that ordered the load (Durability, package docs)
-			if err := t.logWAL(t.wal.excl, walOpRewrite, encodeRewrite(t.store.Schema(), p, t.materializePartitionLocked(p))); err != nil {
+			if err := t.logWAL(t.wal.excl, walOpRewrite, encodeRewrite(t.store.Schema(), p, t.viewLocked(p))); err != nil {
 				return err
 			}
 		}

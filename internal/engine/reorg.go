@@ -78,7 +78,7 @@ func (t *Table) ReorderPartition(p int, fn func(*storage.Table) error) error {
 	// replay without it reproduces the legal pre-reorder state.
 	if t.wal != nil {
 		//pilint:ignore lockblock the rewrite image must be logged under the same partition lock that ordered the permutation (Durability, package docs)
-		if err := t.logWAL(t.wal.segs[p], walOpRewrite, encodeRewrite(t.store.Schema(), p, t.materializePartitionLocked(p))); err != nil {
+		if err := t.logWAL(t.wal.segs[p], walOpRewrite, encodeRewrite(t.store.Schema(), p, t.viewLocked(p))); err != nil {
 			return err
 		}
 	}
@@ -115,7 +115,7 @@ func (t *Table) ReorderStorage(fn func(*storage.Table) error) error {
 	if t.wal != nil {
 		for p := 0; p < t.store.NumPartitions(); p++ {
 			//pilint:ignore lockblock the rewrite images must be logged under the same structure lock that ordered the reorganization (Durability, package docs)
-			if err := t.logWAL(t.wal.excl, walOpRewrite, encodeRewrite(t.store.Schema(), p, t.materializePartitionLocked(p))); err != nil {
+			if err := t.logWAL(t.wal.excl, walOpRewrite, encodeRewrite(t.store.Schema(), p, t.viewLocked(p))); err != nil {
 				return err
 			}
 		}

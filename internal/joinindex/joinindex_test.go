@@ -27,7 +27,7 @@ func factDim(factKeys []int64, dimKeys []int64, nparts int) (*storage.Table, *st
 	}
 	dim := storage.NewTable("dim", dschema, 1)
 	for _, k := range dimKeys {
-		dim.AppendRow(0, storage.Row{storage.I64(k), storage.I64(k * 10)})
+		dim.Partition(0).AppendRow(storage.Row{storage.I64(k), storage.I64(k * 10)})
 	}
 	return fact, dim
 }
@@ -79,8 +79,8 @@ func TestJoinMatchesHashJoin(t *testing.T) {
 func TestHandleInsert(t *testing.T) {
 	fact, dim := factDim([]int64{0, 1}, []int64{0, 1, 2}, 1)
 	ji := Create(fact, 0, dim, 0)
-	fact.AppendRow(0, storage.Row{storage.I64(2), storage.I64(99)})
-	fact.AppendRow(0, storage.Row{storage.I64(77), storage.I64(99)}) // dangling
+	fact.Partition(0).AppendRow(storage.Row{storage.I64(2), storage.I64(99)})
+	fact.Partition(0).AppendRow(storage.Row{storage.I64(77), storage.I64(99)}) // dangling
 	ji.HandleInsert(0, []int64{2, 77})
 	n, err := exec.Count(ji.Join([]int{0}, []int{1}))
 	if err != nil {

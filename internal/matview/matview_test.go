@@ -71,7 +71,7 @@ func TestStringView(t *testing.T) {
 	schema := storage.Schema{{Name: "s", Kind: storage.KindString}}
 	table := storage.NewTable("t", schema, 1)
 	for _, s := range []string{"a", "b", "a"} {
-		table.AppendRow(0, storage.Row{storage.Str(s)})
+		table.Partition(0).AppendRow(storage.Row{storage.Str(s)})
 	}
 	v, err := Create([]*pdt.View{pdt.NewView(table.Partition(0), nil)}, 0)
 	if err != nil {

@@ -107,7 +107,7 @@ func TestRebuildAfterUpdate(t *testing.T) {
 	if sk.Rebuilds != 0 {
 		t.Fatalf("fresh Rebuilds = %d", sk.Rebuilds)
 	}
-	tb.AppendRow(0, storage.Row{storage.I64(0), storage.Str("z")})
+	tb.Partition(0).AppendRow(storage.Row{storage.I64(0), storage.Str("z")})
 	sk.Rebuild()
 	if sk.Rebuilds != 1 {
 		t.Fatalf("Rebuilds = %d", sk.Rebuilds)

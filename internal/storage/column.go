@@ -18,6 +18,22 @@ func NewColumn(name string, kind Kind) *Column {
 	return &Column{Name: name, Kind: kind}
 }
 
+// ColumnOf returns a column named name that takes ownership of vals —
+// no value is copied or boxed. It is how loaders publish decoded data;
+// the caller must not touch vals afterwards.
+func ColumnOf[T int64 | float64 | string](name string, vals []T) *Column {
+	c := &Column{Name: name}
+	switch v := any(vals).(type) {
+	case []int64:
+		c.Kind, c.ints = KindInt64, v
+	case []float64:
+		c.Kind, c.floats = KindFloat64, v
+	case []string:
+		c.Kind, c.strings = KindString, v
+	}
+	return c
+}
+
 // Len returns the number of values in the column.
 func (c *Column) Len() int {
 	switch c.Kind {

@@ -284,7 +284,7 @@ func TestColumnClone(t *testing.T) {
 func TestTableSizeBytes(t *testing.T) {
 	tb := NewTable("t", Schema{{Name: "k", Kind: KindInt64}}, 2)
 	for i := 0; i < 100; i++ {
-		tb.AppendRow(i%2, Row{I64(int64(i))})
+		tb.Partition(i % 2).AppendRow(Row{I64(int64(i))})
 	}
 	if got := tb.SizeBytes(); got != 800 {
 		t.Fatalf("SizeBytes = %d, want 800", got)
@@ -314,14 +314,14 @@ func TestColumnFreezeIsolatedFromAppends(t *testing.T) {
 func TestPartitionFreezeAndSetPartition(t *testing.T) {
 	tb := NewTable("t", Schema{{Name: "k", Kind: KindInt64}}, 1)
 	for i := 0; i < 10; i++ {
-		tb.AppendRow(0, Row{I64(int64(i))})
+		tb.Partition(0).AppendRow(Row{I64(int64(i))})
 	}
 	frozen := tb.Partition(0).Freeze()
 	if frozen.NumRows() != 10 {
 		t.Fatalf("frozen NumRows = %d, want 10", frozen.NumRows())
 	}
 	// Appends to the live partition are invisible to the frozen view.
-	tb.AppendRow(0, Row{I64(100)})
+	tb.Partition(0).AppendRow(Row{I64(100)})
 	if frozen.NumRows() != 10 {
 		t.Fatalf("frozen NumRows after append = %d, want 10", frozen.NumRows())
 	}

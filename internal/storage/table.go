@@ -38,11 +38,27 @@ type Partition struct {
 
 // NewPartition returns an empty partition with the given schema.
 func NewPartition(schema Schema) *Partition {
-	p := &Partition{schema: schema, cols: make([]*Column, len(schema)), minmax: make([]atomic.Pointer[MinMax], len(schema))}
+	cols := make([]*Column, len(schema))
 	for i, def := range schema {
-		p.cols[i] = NewColumn(def.Name, def.Kind)
+		cols[i] = NewColumn(def.Name, def.Kind)
 	}
-	return p
+	return NewPartitionFromColumns(schema, cols)
+}
+
+// NewPartitionFromColumns returns a partition that takes ownership of
+// cols, one per schema slot and all equally long, without copying or
+// boxing a value — the constructor recovery and rewrite replay publish
+// decoded columns through.
+func NewPartitionFromColumns(schema Schema, cols []*Column) *Partition {
+	if len(cols) != len(schema) {
+		panic(fmt.Sprintf("storage: %d columns for schema width %d", len(cols), len(schema)))
+	}
+	for i, c := range cols {
+		if c.Kind != schema[i].Kind || c.Len() != cols[0].Len() {
+			panic(fmt.Sprintf("storage: column %d (%v, %d rows) does not fit schema slot %v with %d rows", i, c.Kind, c.Len(), schema[i].Kind, cols[0].Len()))
+		}
+	}
+	return &Partition{schema: schema, cols: cols, minmax: make([]atomic.Pointer[MinMax], len(schema))}
 }
 
 // Schema returns the partition's schema.
@@ -441,11 +457,6 @@ func (t *Table) NumRows() int {
 		n += p.NumRows()
 	}
 	return n
-}
-
-// AppendRow appends a tuple to the given partition.
-func (t *Table) AppendRow(partition int, row Row) {
-	t.parts[partition].AppendRow(row)
 }
 
 // LoadRows distributes rows over partitions in contiguous, nearly equal

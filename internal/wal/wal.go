@@ -191,7 +191,9 @@ func (s *Segment) appendLocked(lsn uint64, op byte, body []byte) error {
 // truncation: records covered by a persisted checkpoint are dead weight.
 // Survivors are rewritten to a temporary file that atomically replaces
 // the segment, so a crash mid-truncation leaves either the old or the
-// new file, both valid.
+// new file, both valid. A segment the rewrite would reproduce byte for
+// byte — it parses cleanly to its end, is not broken, and holds no
+// record at or below lsn — is left as it is, with no fsync or rename.
 func (s *Segment) TruncateThrough(lsn uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -204,7 +206,10 @@ func (s *Segment) truncateLocked(lsn uint64) error {
 	if err != nil {
 		return err
 	}
-	recs, _, _ := parseRecords(data)
+	recs, validEnd, _ := parseRecords(data)
+	if s.broken == nil && validEnd == int64(len(data)) && (len(recs) == 0 || recs[0].LSN > lsn) {
+		return nil
+	}
 	tmp, err := os.CreateTemp(dirOf(s.path), ".waltrunc-*")
 	if err != nil {
 		return err

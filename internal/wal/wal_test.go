@@ -190,4 +190,46 @@ func TestTruncateThrough(t *testing.T) {
 	if len(recs) != 1 || recs[0].LSN != 101 {
 		t.Fatalf("append after full truncation: %+v", recs)
 	}
+	// A truncation that would drop nothing keeps the very same file.
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.TruncateThrough(100); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("a truncation that drops nothing replaced the segment file")
+	}
+	recs, clean, err = ReadSegment(path)
+	if err != nil || !clean || len(recs) != 1 || recs[0].LSN != 101 {
+		t.Fatalf("no-op truncation changed the segment: clean=%v err=%v recs=%+v", clean, err, recs)
+	}
+	// A torn tail is still rewritten away, even with nothing to drop.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{40, 0, 0, 0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := s.TruncateThrough(100); err != nil {
+		t.Fatal(err)
+	}
+	after, err = os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, after) {
+		t.Fatal("a segment with a torn tail was not rewritten")
+	}
+	recs, clean, err = ReadSegment(path)
+	if err != nil || !clean || len(recs) != 1 || recs[0].LSN != 101 {
+		t.Fatalf("after rewriting the torn tail: clean=%v err=%v recs=%+v", clean, err, recs)
+	}
 }

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Mutation check for the NUC differentials and the minmax/scan tests.
+# Mutation check for the NUC differentials, the minmax/scan tests and
+# the checkpoint/rewrite image tests.
 #
 # The insert and modify paths are pinned to the paper's algorithms by
-# twin-table differentials against test-only oracles, and the block
-# summaries that outlive snapshots by a storage property test. This
+# twin-table differentials against test-only oracles, the block
+# summaries that outlive snapshots by a storage property test, and the
+# typed checkpoint loader and rewrite encoder by round-trip and
+# byte-format tests. This
 # script re-verifies that those tests have teeth: it copies the tree to a
 # temp directory, breaks one rule of the production code at a time, and
 # requires the matching test to FAIL. A mutation that still compiles
@@ -26,10 +29,13 @@ dir=internal/core/collision.go
 storage=internal/storage/table.go
 minmax=internal/storage/minmax.go
 scan=internal/exec/scan.go
+dur=internal/engine/durability.go
 insdiff='^TestInsertRowsDifferentialVsInsert$'
 moddiff='^TestModifyNUCDifferentialVsJoin$'
 mmprop='^TestMinMaxSurvivesWritesProperty$'
 scanids='^TestScanPrunedRowIDsAllocateOneBatch$'
+ckptrt='^TestCheckpointRoundTripTyped$'
+rwfmt='^TestRewriteImageFormat$'
 
 # mutate FILE replaces the one occurrence of $FROM by $TO (exit 3 unless
 # it occurs exactly once).
@@ -68,7 +74,7 @@ check() {
 }
 
 # The unmutated copy must pass, or "the test fails" proves nothing.
-if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff" ./internal/engine >/dev/null 2>&1 &&
+if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt" ./internal/engine >/dev/null 2>&1 &&
 	go test -count=1 -run "$mmprop" ./internal/storage >/dev/null 2>&1 &&
 	go test -count=1 -run "$scanids" ./internal/exec >/dev/null 2>&1); then
 	echo "mutcheck: the tests fail on the unmutated tree" >&2
@@ -101,5 +107,9 @@ check "minmax: DeleteRows stops counting mutations" $storage ./internal/storage 
 	$'\t\tc.DeletePositions(positions)\n\t}\n\tfor i := range p.minmax {\n\t\tp.minmax[i].Store(nil)\n\t}\n'
 check "scan: rowIDs restart at 0 in every batch" $scan ./internal/exec "$scanids" \
 	'ids[i] = uint64(s.pos + i)' 'ids[i] = uint64(i)'
+check "checkpoint: a column block decodes a row short" $dur ./internal/engine "$ckptrt" \
+	'b.block(d, c, n)' 'b.block(d, c, n-1)'
+check "rewrite: the encoder skips the last row" $dur ./internal/engine "$rwfmt" \
+	'for r := 0; r < n; r++ {' 'for r := 0; r < n-1; r++ {'
 
 exit $failed
