@@ -46,9 +46,9 @@ const (
 )
 
 func run(pass *driver.Pass) (interface{}, error) {
-	vars := make(map[*types.Var]kind)        // the atomic set
-	sanctioned := make(map[token.Pos]bool)   // ident positions inside atomic calls
-	where := make(map[*types.Var]token.Pos)  // first atomic use, for the message
+	vars := make(map[*types.Var]kind)       // the atomic set
+	sanctioned := make(map[token.Pos]bool)  // ident positions inside atomic calls
+	where := make(map[*types.Var]token.Pos) // first atomic use, for the message
 
 	// Phase 1: find atomic calls, collect operands.
 	for _, f := range pass.Files {

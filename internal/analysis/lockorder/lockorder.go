@@ -38,6 +38,12 @@
 // events name the function and position actually performing the
 // operation.
 //
+// A callee summary truncated at locksum's event cap is an exact prefix
+// whose trailing releases may be lost, so a lock it leaves held may not
+// be held at all. A finding that would blame such a lock is not
+// reported; one finding at that position names the truncated call
+// instead.
+//
 // Approximations, chosen to stay quiet rather than clever: branches
 // are walked in source order against a single lock set, loop bodies
 // are walked once, non-constant indexes other than the loop variable
@@ -81,6 +87,13 @@ type held struct {
 	expr     string // for diagnostics
 	pos      token.Pos
 	fromCall bool // acquired inside a replayed callee summary
+	cut      bool // that summary was truncated: the release may be lost
+}
+
+// lost reports whether h may not be held any more at ctx: it came from
+// a truncated summary, and ctx is past the call that replayed it.
+func (h *held) lost(ctx locksum.Ctx) bool {
+	return h.cut && !(ctx.FromCall && h.pos == ctx.Pos)
 }
 
 func run(pass *driver.Pass) (interface{}, error) {
@@ -113,7 +126,7 @@ func run(pass *driver.Pass) (interface{}, error) {
 type checker struct {
 	pass     *driver.Pass
 	locks    []held
-	reported map[string]bool // one lockblock report per (position, op, lock)
+	reported map[string]bool // one lockblock report per (position, op, lock), one skip report per (position, call)
 }
 
 func (ck *checker) Event(ev locksum.Event, ctx locksum.Ctx) {
@@ -142,6 +155,19 @@ func (ck *checker) reportf(ctx locksum.Ctx, ev locksum.Event, format string, arg
 	ck.pass.ReportKindf("lockorder", ctx.Pos, "%s", msg)
 }
 
+// skipped reports, once per position and truncated call, a kind check
+// of what against h that was not made because h came from a truncated
+// summary.
+func (ck *checker) skipped(kind string, ctx locksum.Ctx, h *held, what string) {
+	key := fmt.Sprintf("cut|%d|%d", ctx.Pos, h.pos)
+	if ck.reported[key] {
+		return
+	}
+	ck.reported[key] = true
+	ck.pass.ReportKindf(kind, ctx.Pos, "%s not checked against %s: the call at %s replays a lock summary truncated at its event cap, which may have lost the release",
+		what, h.expr, ck.pass.Fset.Position(h.pos))
+}
+
 func (ck *checker) acquire(ev locksum.Event, ctx locksum.Ctx) {
 	// A lock loop sweeping indexes downward is an ordering violation on
 	// its own; reported where the loop is written, not at call sites.
@@ -151,6 +177,13 @@ func (ck *checker) acquire(ev locksum.Event, ctx locksum.Ctx) {
 	inst, multi := ctx.Inst, ctx.Multi
 	for i := range ck.locks {
 		h := &ck.locks[i]
+		report := func(format string, args ...interface{}) {
+			if h.lost(ctx) {
+				ck.skipped("lockorder", ctx, h, ev.Expr+" acquisition")
+				return
+			}
+			ck.reportf(ctx, ev, format, args...)
+		}
 		if h.mutex == ev.Mutex {
 			sameInst := h.inst == inst && !h.multi && !multi
 			if !sameInst {
@@ -158,30 +191,30 @@ func (ck *checker) acquire(ev locksum.Event, ctx locksum.Ctx) {
 			}
 			if !ev.Slice {
 				if !h.read || !ev.Read {
-					ck.reportf(ctx, ev, "%s acquired while already held (acquired at %s)", ev.Expr, ck.pass.Fset.Position(h.pos))
+					report("%s acquired while already held (acquired at %s)", ev.Expr, ck.pass.Fset.Position(h.pos))
 				}
 				continue
 			}
 			switch {
 			case h.idx == locksum.IdxConst && ev.Idx == locksum.IdxConst:
 				if ev.Index <= h.c {
-					ck.reportf(ctx, ev, "%s[%d] acquired while holding %s[%d]; partition locks must be acquired in ascending index order", inst, ev.Index, inst, h.c)
+					report("%s[%d] acquired while holding %s[%d]; partition locks must be acquired in ascending index order", inst, ev.Index, inst, h.c)
 				}
 			case h.idx == locksum.IdxLoopAsc:
-				ck.reportf(ctx, ev, "%s acquired after an ascending sweep already locked every element of %s", ev.Expr, inst)
+				report("%s acquired after an ascending sweep already locked every element of %s", ev.Expr, inst)
 			case h.idx == locksum.IdxConst && ev.Idx == locksum.IdxLoopAsc && ev.FromZero:
-				ck.reportf(ctx, ev, "ascending sweep of %s would re-acquire index %d, which is already held", inst, h.c)
+				report("ascending sweep of %s would re-acquire index %d, which is already held", inst, h.c)
 			}
 			continue
 		}
 		if h.rank > ev.Rank {
-			ck.reportf(ctx, ev, "%s (lock-rank %d) acquired while holding %s (lock-rank %d); locks must be acquired in ascending lock-rank order", ev.Expr, ev.Rank, h.expr, h.rank)
+			report("%s (lock-rank %d) acquired while holding %s (lock-rank %d); locks must be acquired in ascending lock-rank order", ev.Expr, ev.Rank, h.expr, h.rank)
 		}
 	}
 	ck.locks = append(ck.locks, held{
 		mutex: ev.Mutex, rank: ev.Rank, slice: ev.Slice, read: ev.Read,
 		idx: ev.Idx, c: ev.Index, fromZero: ev.FromZero,
-		inst: inst, multi: multi, expr: ev.Expr, pos: ctx.Pos, fromCall: ctx.FromCall,
+		inst: inst, multi: multi, expr: ev.Expr, pos: ctx.Pos, fromCall: ctx.FromCall, cut: ctx.Cut,
 	})
 }
 
@@ -211,6 +244,10 @@ func (ck *checker) blocked(ev locksum.Event, ctx locksum.Ctx) {
 		// the callee's own acquire+block pair; the callee's direct walk
 		// reports it once at the defining site, not at every caller.
 		if ctx.FromCall && h.fromCall && h.pos == ctx.Pos {
+			continue
+		}
+		if h.lost(ctx) {
+			ck.skipped("lockblock", ctx, &h, ev.Op)
 			continue
 		}
 		key := fmt.Sprintf("%d|%s|%s", ctx.Pos, ev.Op, h.mutex)

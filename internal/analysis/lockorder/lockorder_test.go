@@ -26,6 +26,14 @@ func TestLockBlock(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), lockorder.Analyzer, "lockblock")
 }
 
+// TestTruncatedSummary pins what a callee summary cut at locksum's
+// event cap does to its callers: the locks its prefix leaves held yield
+// one skipped-check report each, not lockorder or lockblock findings,
+// while its prefix is still checked against the caller's locks.
+func TestTruncatedSummary(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(t), lockorder.Analyzer, "locktrunc")
+}
+
 func TestRankDecl(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), lockorder.Analyzer, "rankdecl")
 }

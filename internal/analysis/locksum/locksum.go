@@ -109,7 +109,7 @@ func (e *Event) Marked() bool { return e.Rank != RankUnmarked }
 // FuncSummary is one function's flattened event stream.
 type FuncSummary struct {
 	Events    []Event
-	Truncated bool // fixpoint hit the event cap; the stream is a prefix
+	Truncated bool // fixpoint hit the event cap; the stream is a prefix whose trailing releases may be lost
 }
 
 // MutexRank describes one declared mutex for consumers that see only
@@ -395,7 +395,10 @@ func shortFuncName(fn *types.Func) string {
 
 // Fixpoint bounds: no summary grows past maxEvents, no package
 // iterates past maxRounds — in-package recursion beyond that
-// truncates (flagged on the summary).
+// truncates (flagged on the summary). A truncated stream is an exact
+// prefix, so lock checks may still trust every event in it, but not the
+// locks it leaves held: their releases may be in the lost tail
+// (lockorder skips checks against them and says so).
 const (
 	maxEvents = 512
 	maxRounds = 12

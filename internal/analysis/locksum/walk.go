@@ -18,6 +18,7 @@ type Ctx struct {
 	Pos      token.Pos
 	Deferred bool // event applies at function exit (deferred unlock)
 	FromCall bool // event replayed out of a callee summary at a call site
+	Cut      bool // that summary was truncated at its event cap: its tail is lost
 
 	// Check-mode instance resolution for lock events: the full instance
 	// string in the current frame ("t.pmu", "tbl.store.regMu") and
@@ -398,7 +399,7 @@ func (w *Walker) replay(call *ast.CallExpr, sum *FuncSummary) {
 		}
 	}
 	for _, ev := range sum.Events {
-		ctx := Ctx{Pos: call.Pos(), FromCall: true}
+		ctx := Ctx{Pos: call.Pos(), FromCall: true, Cut: sum.Truncated}
 		switch {
 		case ev.Kind == Block:
 		case ev.RecvPath != "":

@@ -728,12 +728,26 @@ type ckptTable struct {
 	indexes map[string][]*core.Index
 }
 
+// IndexRowsError reports a checkpoint index slot that covers a different
+// number of rows than its partition holds.
+type IndexRowsError struct {
+	Path, Column        string
+	Partition           int
+	IndexRows, PartRows uint64
+}
+
+func (e *IndexRowsError) Error() string {
+	return fmt.Sprintf("engine: index %q partition %d in checkpoint %s covers %d rows, the partition holds %d",
+		e.Column, e.Partition, e.Path, e.IndexRows, e.PartRows)
+}
+
 // readCheckpointFile parses and verifies one checkpoint file. The whole
 // file is checked against its CRC trailer first; then each partition's
 // column blocks — one column after another, a column's values one after
 // another — are decoded straight into typed columns preallocated to the
 // partition's row count, once the remaining bytes are known to be able
-// to hold that many rows. Every index slot must pass core.Index.Validate.
+// to hold that many rows. Every index slot must pass core.Index.Validate
+// and cover exactly its partition's rows (*IndexRowsError otherwise).
 func readCheckpointFile(path string) (*ckptTable, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -807,6 +821,9 @@ func decodeCheckpoint(data []byte, path string) (*ckptTable, error) {
 			d.off += int(n)
 			if err := x.Validate(); err != nil {
 				return nil, fmt.Errorf("engine: index %q partition %d in checkpoint %s: %w", column, p, path, err)
+			}
+			if rows := uint64(ck.parts[p].NumRows()); x.Rows() != rows {
+				return nil, &IndexRowsError{Path: path, Column: column, Partition: p, IndexRows: x.Rows(), PartRows: rows}
 			}
 			idxs[p] = x
 		}
@@ -1079,7 +1096,16 @@ func (t *Table) replayRewrite(p int, fresh *storage.Partition) error {
 	for column := range t.nuc {
 		t.rebuildNUCStateLocked(column)
 	}
-	t.recomputePartitionIndexesLocked(p)
+	// The rebuilt directories may seal values other partitions hold (a
+	// Load image adds their duplicates), so every NUC slot is re-derived;
+	// the other slots depend on p's rows alone.
+	for column, idx := range t.indexes {
+		for q := range idx {
+			if q == p || t.nuc[column] != nil {
+				t.recomputeIndexSlotLocked(column, idx, q)
+			}
+		}
+	}
 	return nil
 }
 

@@ -677,10 +677,12 @@ func (t *Table) ExclusivePartition(p int, fn func(*storage.Table) error) error {
 // Load bulk-loads rows into base storage in contiguous partition chunks
 // and resets the deltas (initial load path, not an update query). Loading
 // only appends, so live snapshots stay valid without cloning; the old
-// deltas are left to their snapshots and replaced wholesale. With WAL
-// enabled the loaded state is logged as per-partition rewrite images, so
-// a crash after Load returns replays it; the error return is that
-// logging (always nil with WAL off).
+// deltas are left to their snapshots and replaced wholesale. Every
+// existing PatchIndex slot is re-derived from the loaded rows with its
+// own constraint and options. With WAL enabled the loaded state is
+// logged as per-partition rewrite images, so a crash after Load returns
+// replays it; the error return is that logging (always nil with WAL
+// off).
 func (t *Table) Load(rows []storage.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -689,11 +691,14 @@ func (t *Table) Load(rows []storage.Row) error {
 		t.delta[p] = pdt.NewDelta(t.store.Schema(), t.store.Partition(p).NumRows())
 		t.deltaShared[p] = false
 	}
-	// Collision directories track column contents, which just changed
-	// wholesale; recompute it (the indexes themselves are the caller's
-	// to recreate, as before).
+	// Collision directories and PatchIndex slots track column contents,
+	// which just changed wholesale: re-derive both from the loaded rows,
+	// as the replay of the rewrite images below does (replayRewrite).
 	for column := range t.nuc {
 		t.rebuildNUCStateLocked(column)
+	}
+	for p := range t.delta {
+		t.recomputePartitionIndexesLocked(p)
 	}
 	// Post-state rewrite images, like ReorderStorage: positional records
 	// logged before the load refer to pre-load rows, so replay needs the

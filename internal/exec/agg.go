@@ -43,10 +43,10 @@ type HashAggregate struct {
 	built   bool
 	ngroups int       // group count; groups.Len() is 0 when groupCols is empty
 	groups  *Batch    // one tuple per group (group columns only)
-	counts []int64   // per group per agg: packed [group*nagg + agg]
-	sumsI  []int64   // AggSum/Min/Max int64 accumulators
-	sumsF  []float64 // AggSum/Min/Max float64 accumulators
-	seen   []bool    // Min/Max initialized flag per (group, agg)
+	counts  []int64   // per group per agg: packed [group*nagg + agg]
+	sumsI   []int64   // AggSum/Min/Max int64 accumulators
+	sumsF   []float64 // AggSum/Min/Max float64 accumulators
+	seen    []bool    // Min/Max initialized flag per (group, agg)
 
 	emitPos int
 	out     *Batch

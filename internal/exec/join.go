@@ -3,10 +3,11 @@ package exec
 import "patchindex/internal/storage"
 
 // HashJoin is an equi-join on int64 keys: the build side is materialized
-// into a hash table, the probe side streams through it. The probe side's
-// tuple order is preserved, which is why the paper allows probe-side
-// HashJoins inside the order-sensitive subtrees of its optimizations
-// (Section 3.3). The planner chooses the smaller side as build side.
+// (read in place when it is a ReuseLoad) into a hash table, the probe
+// side streams through it. The probe side's tuple order is preserved,
+// which is why the paper allows probe-side HashJoins inside the
+// order-sensitive subtrees of its optimizations (Section 3.3). The
+// planner chooses the smaller side as build side.
 //
 // Dynamic range propagation (Section 5): if a target Scan is registered,
 // the join summarizes the build keys into value ranges after the build
@@ -60,7 +61,7 @@ func (j *HashJoin) Schema() storage.Schema { return j.schema }
 
 func (j *HashJoin) buildPhase() error {
 	j.built = true
-	data, err := materializeAll(j.build)
+	data, err := materializeShared(j.build)
 	if err != nil {
 		return err
 	}
@@ -132,9 +133,10 @@ func (j *HashJoin) Close() {
 // sorted ascending on their keys — the faster join the PatchIndex
 // optimization substitutes for the HashJoin in the patch-free subtree
 // when a nearly sorted column is involved (Section 3.3). The right
-// (dimension) side is materialized once; the left side streams through
-// it with a single monotone cursor, and matches are emitted through
-// selection vectors (no per-row type dispatch, no hash table).
+// (dimension) side is materialized once (read in place when it is a
+// ReuseLoad); the left side streams through it with a single monotone
+// cursor, and matches are emitted through selection vectors (no per-row
+// type dispatch, no hash table).
 type MergeJoin struct {
 	left     Operator
 	right    Operator
@@ -173,7 +175,7 @@ func (j *MergeJoin) Schema() storage.Schema { return j.schema }
 
 func (j *MergeJoin) open() error {
 	j.started = true
-	data, err := materializeAll(j.right)
+	data, err := materializeShared(j.right)
 	if err != nil {
 		return err
 	}

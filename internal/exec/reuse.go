@@ -1,6 +1,10 @@
 package exec
 
-import "patchindex/internal/storage"
+import (
+	"sync"
+
+	"patchindex/internal/storage"
+)
 
 // Reuse implements intermediate result caching (Section 5): the
 // ReuseCache operator materializes its child's result in main memory the
@@ -10,13 +14,18 @@ import "patchindex/internal/storage"
 // handling query caches the join result to project both sides' rowIDs.
 
 // Cached is a materialized intermediate result shared by ReuseLoad
-// readers.
+// readers. Loads may run on different goroutines (a Parallel plan drains
+// its partitions concurrently): the child is drained and closed exactly
+// once, and the result, or the error that stopped it, is then shared by
+// every load. The batch is immutable once filled, so consumers that read
+// it in place (MergeJoin, HashJoin) must not write to it. A cache no load
+// ever reads never opens its child and leaves it unclosed.
 type Cached struct {
 	schema storage.Schema
-	data   *Batch
-	filled bool
-	failed error // sticky materialization error
 	child  Operator
+	once   sync.Once
+	data   *Batch
+	failed error // sticky materialization error
 }
 
 // NewReuseCache wraps child; the result is materialized on first use.
@@ -28,21 +37,11 @@ func NewReuseCache(child Operator) *Cached {
 func (c *Cached) MaterializeNow() error { return c.fill() }
 
 func (c *Cached) fill() error {
-	if c.filled {
-		return nil
-	}
-	if c.failed != nil {
-		return c.failed
-	}
-	data, err := materializeAll(c.child)
-	c.child.Close()
-	if err != nil {
-		c.failed = err
-		return err
-	}
-	c.data = data
-	c.filled = true
-	return nil
+	c.once.Do(func() {
+		c.data, c.failed = materializeAll(c.child)
+		c.child.Close()
+	})
+	return c.failed
 }
 
 // Rows returns the number of cached tuples (materializing if needed).
@@ -60,6 +59,21 @@ func (c *Cached) Load() Operator { return &reuseLoad{cache: c} }
 type reuseLoad struct {
 	cache *Cached
 	pos   int
+}
+
+// materializeShared is materializeAll for consumers that only read the
+// result: an unread ReuseLoad hands over its cache's batch in place
+// instead of a copy. The caller must not write to the returned batch.
+func materializeShared(op Operator) (*Batch, error) {
+	r, ok := op.(*reuseLoad)
+	if !ok || r.pos != 0 {
+		return materializeAll(op)
+	}
+	if err := r.cache.fill(); err != nil {
+		return nil, err
+	}
+	r.pos = r.cache.data.Len()
+	return r.cache.data, nil
 }
 
 func (r *reuseLoad) Schema() storage.Schema { return r.cache.schema }

@@ -153,9 +153,10 @@ type JoinInput struct {
 	Fact     []PartitionInput
 	FactCols []int // columns to scan from the fact table; FactKey indexes them
 	FactKey  int   // position of the join key within FactCols
-	// Dim returns a fresh sorted dimension operator per call (the
-	// builder may need one per partition subtree).
-	Dim    func() exec.Operator
+	// Dim is the dimension subtree "X", sorted on DimKey. The builders
+	// wrap it in one exec.Cached that every partition subtree loads, so
+	// X is computed once per query, as the cost model charges it.
+	Dim    exec.Operator
 	DimKey int
 	// FactTransform optionally wraps the fact-side stream (after the
 	// patch selection) with additional order-preserving operators —
@@ -173,12 +174,14 @@ func (in JoinInput) transform(op exec.Operator) exec.Operator {
 }
 
 // JoinReference builds the unoptimized join: HashJoin per partition with
-// the dimension as build side.
+// the dimension as build side, computed once and shared by all
+// partitions.
 func JoinReference(in JoinInput, opts Options) exec.Operator {
+	dim := exec.NewReuseCache(in.Dim)
 	parts := make([]exec.Operator, len(in.Fact))
 	for i, f := range in.Fact {
 		scan := in.transform(f.scan(in.FactCols))
-		parts[i] = exec.NewHashJoin(scan, in.Dim(), in.FactKey, in.DimKey)
+		parts[i] = exec.NewHashJoin(scan, dim.Load(), in.FactKey, in.DimKey)
 	}
 	return combine(opts, parts)
 }
@@ -186,22 +189,22 @@ func JoinReference(in JoinInput, opts Options) exec.Operator {
 // Join builds the PatchIndex join plan (Fig. 2 right): per partition the
 // patch-free stream — sorted on the join key by the NSC invariant — uses
 // the faster MergeJoin against the sorted dimension subtree "X", while
-// the patches use a HashJoin. The dimension result is buffered with a
-// Reuse cache instead of being computed twice, and the HashJoin builds
-// on the patches, typically the side with the lowest cardinality
-// (Section 3.3). Union recombines both streams.
+// the patches use a HashJoin. The dimension result is buffered in one
+// Reuse cache that both subtrees of every partition share, so X is
+// computed once per query, and the HashJoin builds on the patches,
+// typically the side with the lowest cardinality (Section 3.3). Union
+// recombines both streams.
 func Join(in JoinInput, opts Options) exec.Operator {
+	cache := exec.NewReuseCache(in.Dim)
 	parts := make([]exec.Operator, len(in.Fact))
 	for i, f := range in.Fact {
 		scanEx := f.scan(in.FactCols)
 		exclude := exec.Operator(exec.NewPatchFilter(scanEx, f.Index, exec.ExcludePatches))
 		if opts.ZeroBranchPruning && f.Index.NumPatches() == 0 {
 			// Patch subtree pruned: a single MergeJoin remains.
-			parts[i] = exec.NewMergeJoin(in.transform(scanEx), in.Dim(), in.FactKey, in.DimKey)
+			parts[i] = exec.NewMergeJoin(in.transform(scanEx), cache.Load(), in.FactKey, in.DimKey)
 			continue
 		}
-		// Buffer the shared dimension subtree ("X") once per partition.
-		cache := exec.NewReuseCache(in.Dim())
 		mj := exec.NewMergeJoin(in.transform(exclude), cache.Load(), in.FactKey, in.DimKey)
 
 		scanUse := f.scan(in.FactCols)

@@ -175,11 +175,12 @@ func TestJoinPlanMatchesReference(t *testing.T) {
 				Fact:     nscInputs(t, fact, nparts, core.DesignBitmap),
 				FactCols: []int{0},
 				FactKey:  0,
-				Dim:      mkDim,
+				Dim:      mkDim(),
 				DimKey:   0,
 			}
 			want := drainInt64(t, JoinReference(in, Options{}), 0)
 			in.Fact = nscInputs(t, fact, nparts, core.DesignBitmap)
+			in.Dim = mkDim()
 			got := drainInt64(t, Join(in, Options{ZeroBranchPruning: zbp}), 0)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
@@ -208,7 +209,7 @@ func TestJoinPlanZBPCleanData(t *testing.T) {
 		Fact:     nscInputs(t, fact, 2, core.DesignBitmap),
 		FactCols: []int{0},
 		FactKey:  0,
-		Dim:      func() exec.Operator { return exec.NewInt64Source("dk", dim, nil) },
+		Dim:      exec.NewInt64Source("dk", dim, nil),
 		DimKey:   0,
 	}
 	for _, f := range in.Fact {

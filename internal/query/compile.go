@@ -610,20 +610,21 @@ func (c *compiler) compileJoin(j *joinNode) (exec.Operator, error) {
 		return c.compileJoinIndex(j, binding, factT, factCols, steps, dimScan, dimSteps)
 	}
 
-	// Validate the spine steps and the dim subtree once, eagerly, so
-	// plan construction below cannot fail: the per-partition factories
-	// resolve against schemas that are supersets of the validated ones.
+	// Validate the spine steps once, eagerly, so plan construction below
+	// cannot fail: the per-partition FactTransform resolves against
+	// schemas that are supersets of the validated one. The dim subtree
+	// is compiled once; every partition reads it through one cache.
 	probe, err := c.applySteps(steps, schemaSource{subSchema(factT.Schema(), factCols)})
 	if err != nil {
 		return nil, err
 	}
-	dimProto, err := c.compile(j.right)
+	dim, err := c.compile(j.right)
 	if err != nil {
 		return nil, err
 	}
-	dimKeyPos := dimProto.Schema().ColumnIndex(j.rkey)
+	dimKeyPos := dim.Schema().ColumnIndex(j.rkey)
 	if dimKeyPos < 0 {
-		return nil, fmt.Errorf("query: join key %q not in dim schema (%s)", j.rkey, schemaNames(dimProto.Schema()))
+		return nil, fmt.Errorf("query: join key %q not in dim schema (%s)", j.rkey, schemaNames(dim.Schema()))
 	}
 	if probe.Schema().ColumnIndex(j.lkey) != keyPos {
 		return nil, fmt.Errorf("query: spine steps moved join key %q", j.lkey)
@@ -639,23 +640,16 @@ func (c *compiler) compileJoin(j *joinNode) (exec.Operator, error) {
 		}
 	}
 
-	meter := c.opts.Mode == Auto && c.opts.Chooser != nil
+	if c.opts.Mode == Auto && c.opts.Chooser != nil {
+		ch := c.opts.Chooser
+		dim = exec.NewMeter(dim, func(actual uint64) { ch.Observe(dimFP, dimEst, actual) })
+	}
 	in := plan.JoinInput{
 		Fact:     inputs,
 		FactCols: factCols,
 		FactKey:  keyPos,
 		DimKey:   dimKeyPos,
-		Dim: func() exec.Operator {
-			op, err := c.compile(j.right)
-			if err != nil {
-				panic(fmt.Sprintf("query: validated dim subtree failed to compile: %v", err))
-			}
-			if meter {
-				ch, est := c.opts.Chooser, dimEst
-				op = exec.NewMeter(op, func(actual uint64) { ch.Observe(dimFP, est, actual) })
-			}
-			return op
-		},
+		Dim:      dim,
 		FactTransform: func(op exec.Operator) exec.Operator {
 			out, err := c.applySteps(steps, op)
 			if err != nil {

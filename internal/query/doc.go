@@ -63,11 +63,17 @@
 // no index exists falls back to the reference lowering (see
 // ForcePatchIndex).
 //
+// A choosable join compiles its dimension subtree once. The reference
+// and patch plans both read it through one exec.Cached shared by every
+// fact partition, so the dimension subtree "X" is computed and
+// materialized once per query, as the cost model charges it, also when
+// Options.Parallel drains the partitions concurrently.
+//
 // Inputs are partition row counts, live patch counts (exception rates),
 // and dimension-side cardinality estimates. Estimates start from
 // textbook selectivities; when Options.Chooser is set and Mode is Auto,
 // dimension subtrees are metered at execution time (exec.NewMeter) and
-// the actual row counts feed plan.Chooser.Observe, so later
+// the actual row count feeds plan.Chooser.Observe once per query, so later
 // compilations of structurally identical subtrees (matched by
 // fingerprint) run with corrected estimates — cardinality feedback in
 // the style of adaptive reoptimization. Decisions are recorded on the

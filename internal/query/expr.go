@@ -94,7 +94,7 @@ func Ge(l, r Expr) Expr { return cmp{">=", l, r} }
 
 // And and Or combine boolean expressions.
 func And(args ...Expr) Expr { return logic{"and", args} }
-func Or(args ...Expr) Expr { return logic{"or", args} }
+func Or(args ...Expr) Expr  { return logic{"or", args} }
 
 // In tests membership of e in a set of literals (all the same kind).
 func In(e Expr, vals ...Expr) Expr { return inExpr{e, vals} }
@@ -119,17 +119,17 @@ func (e colExpr) kind(s storage.Schema) (exprKind, error) {
 
 type litInt struct{ v int64 }
 
-func (e litInt) String() string                       { return fmt.Sprintf("%d", e.v) }
+func (e litInt) String() string                        { return fmt.Sprintf("%d", e.v) }
 func (e litInt) kind(storage.Schema) (exprKind, error) { return kindInt64, nil }
 
 type litFloat struct{ v float64 }
 
-func (e litFloat) String() string                       { return fmt.Sprintf("%g", e.v) }
+func (e litFloat) String() string                        { return fmt.Sprintf("%g", e.v) }
 func (e litFloat) kind(storage.Schema) (exprKind, error) { return kindFloat64, nil }
 
 type litStr struct{ v string }
 
-func (e litStr) String() string                       { return fmt.Sprintf("%q", e.v) }
+func (e litStr) String() string                        { return fmt.Sprintf("%q", e.v) }
 func (e litStr) kind(storage.Schema) (exprKind, error) { return kindString, nil }
 
 type arith struct {

@@ -67,10 +67,10 @@ type AggTerm struct {
 // Sum, CountAll, MinOf, MaxOf build aggregate terms. The expression may
 // be any numeric expression; non-column expressions are lowered through
 // a Compute operator before the aggregation.
-func Sum(e Expr, name string) AggTerm    { return AggTerm{"sum", e, name} }
-func CountAll(name string) AggTerm       { return AggTerm{"count", nil, name} }
-func MinOf(e Expr, name string) AggTerm  { return AggTerm{"min", e, name} }
-func MaxOf(e Expr, name string) AggTerm  { return AggTerm{"max", e, name} }
+func Sum(e Expr, name string) AggTerm   { return AggTerm{"sum", e, name} }
+func CountAll(name string) AggTerm      { return AggTerm{"count", nil, name} }
+func MinOf(e Expr, name string) AggTerm { return AggTerm{"min", e, name} }
+func MaxOf(e Expr, name string) AggTerm { return AggTerm{"max", e, name} }
 
 func (a AggTerm) fingerprint() string {
 	if a.expr == nil {

@@ -20,7 +20,7 @@ func (q *Queries) handJoinInput(factCols []int, transform func(exec.Operator) ex
 		Fact:          q.snap.MustTable("lineitem").Inputs("l_orderkey"),
 		FactCols:      factCols,
 		FactKey:       0,
-		Dim:           dim,
+		Dim:           dim(),
 		DimKey:        0,
 		FactTransform: transform,
 	}

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Mutation check for the NUC differentials, the minmax/scan tests and
-# the checkpoint/rewrite image tests.
+# Mutation check for the NUC differentials, the minmax/scan tests, the
+# checkpoint/rewrite image tests and the join plans' compute-once test.
 #
 # The insert and modify paths are pinned to the paper's algorithms by
 # twin-table differentials against test-only oracles, the block
 # summaries that outlive snapshots by a storage property test, and the
 # typed checkpoint loader and rewrite encoder by round-trip and
-# byte-format tests. This
+# byte-format tests, and the join plans' shared dimension cache by a
+# counting test. This
 # script re-verifies that those tests have teeth: it copies the tree to a
 # temp directory, breaks one rule of the production code at a time, and
 # requires the matching test to FAIL. A mutation that still compiles
@@ -30,12 +31,14 @@ storage=internal/storage/table.go
 minmax=internal/storage/minmax.go
 scan=internal/exec/scan.go
 dur=internal/engine/durability.go
+plan=internal/plan/plan.go
 insdiff='^TestInsertRowsDifferentialVsInsert$'
 moddiff='^TestModifyNUCDifferentialVsJoin$'
 mmprop='^TestMinMaxSurvivesWritesProperty$'
 scanids='^TestScanPrunedRowIDsAllocateOneBatch$'
 ckptrt='^TestCheckpointRoundTripTyped$'
 rwfmt='^TestRewriteImageFormat$'
+dimonce='^TestJoinComputesDimensionOnce$'
 
 # mutate FILE replaces the one occurrence of $FROM by $TO (exit 3 unless
 # it occurs exactly once).
@@ -76,7 +79,8 @@ check() {
 # The unmutated copy must pass, or "the test fails" proves nothing.
 if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt" ./internal/engine >/dev/null 2>&1 &&
 	go test -count=1 -run "$mmprop" ./internal/storage >/dev/null 2>&1 &&
-	go test -count=1 -run "$scanids" ./internal/exec >/dev/null 2>&1); then
+	go test -count=1 -run "$scanids" ./internal/exec >/dev/null 2>&1 &&
+	go test -count=1 -run "$dimonce" ./internal/plan >/dev/null 2>&1); then
 	echo "mutcheck: the tests fail on the unmutated tree" >&2
 	exit 1
 fi
@@ -111,5 +115,8 @@ check "checkpoint: a column block decodes a row short" $dur ./internal/engine "$
 	'b.block(d, c, n)' 'b.block(d, c, n-1)'
 check "rewrite: the encoder skips the last row" $dur ./internal/engine "$rwfmt" \
 	'for r := 0; r < n; r++ {' 'for r := 0; r < n-1; r++ {'
+check "plan.Join: one dimension cache per partition" $plan ./internal/plan "$dimonce" \
+	$'\tcache := exec.NewReuseCache(in.Dim)\n\tparts := make([]exec.Operator, len(in.Fact))\n\tfor i, f := range in.Fact {\n' \
+	$'\tparts := make([]exec.Operator, len(in.Fact))\n\tfor i, f := range in.Fact {\n\t\tcache := exec.NewReuseCache(in.Dim)\n'
 
 exit $failed
