@@ -644,3 +644,55 @@ func TestModifyValidatesBeforeLogging(t *testing.T) {
 	got, _ := recoveredContents(t, dir, "t", "k")
 	comparePartitions(t, "recovered", got, want)
 }
+
+// TestLoadKeepsPendingUpdates loads into a table whose deltas still hold
+// inserts, deletes and a modify (AutoCheckpoint off): Load must fold them
+// into base storage before appending, live and after WAL recovery.
+func TestLoadKeepsPendingUpdates(t *testing.T) {
+	dir := t.TempDir()
+	db := NewDatabase()
+	db.AutoCheckpoint = false
+	tb, err := db.CreateTable("t", durSchema(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var load []storage.Row
+	for k := int64(0); k < 10; k++ {
+		load = append(load, durRow(k))
+	}
+	if err := tb.Load(load); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreatePatchIndex("k", core.NearlySorted, tinyOpts(core.DesignBitmap)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.EnableWAL(dir, wal.SyncNone); err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(db.InsertRowsPartition("t", 0, []storage.Row{durRow(100), durRow(101), durRow(102)}))
+	must(db.DeleteRowIDs("t", 1, []uint64{0, 2}))
+	must(db.Modify("t", 1, []uint64{1}, "k", []storage.Value{storage.I64(60)}))
+
+	// The model: rowIDs are positions in the current view, so the
+	// delete drops 5 and 7 and the modify then rewrites the key of 8.
+	var want [][]storage.Row
+	want = append(want, []storage.Row{durRow(0), durRow(1), durRow(2), durRow(3), durRow(4), durRow(100), durRow(101), durRow(102)})
+	want = append(want, []storage.Row{durRow(6), {storage.I64(60), storage.Str("s8")}, durRow(9)})
+	comparePartitions(t, "before Load", tableContents(tb), want)
+
+	more := []storage.Row{durRow(200), durRow(201)}
+	must(tb.Load(more))
+	want[0] = append(want[0], more[0])
+	want[1] = append(want[1], more[1])
+	comparePartitions(t, "after Load", tableContents(tb), want)
+	validateIndexes(t, tb, "k")
+
+	got, _ := recoveredContents(t, dir, "t", "k")
+	comparePartitions(t, "recovered", got, want)
+}

@@ -675,9 +675,10 @@ func (t *Table) ExclusivePartition(p int, fn func(*storage.Table) error) error {
 }
 
 // Load bulk-loads rows into base storage in contiguous partition chunks
-// and resets the deltas (initial load path, not an update query). Loading
-// only appends, so live snapshots stay valid without cloning; the old
-// deltas are left to their snapshots and replaced wholesale. Every
+// (initial load path, not an update query). Pending inserts, deletes and
+// modifies are checkpointed into base storage first, as Checkpoint does
+// (cloning partitions live snapshots hold), so no update is lost; the
+// appended rows then leave live snapshots valid without cloning. Every
 // existing PatchIndex slot is re-derived from the loaded rows with its
 // own constraint and options. With WAL enabled the loaded state is
 // logged as per-partition rewrite images, so a crash after Load returns
@@ -686,6 +687,7 @@ func (t *Table) ExclusivePartition(p int, fn func(*storage.Table) error) error {
 func (t *Table) Load(rows []storage.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.checkpointLocked()
 	t.store.LoadRows(rows)
 	for p := range t.delta {
 		t.delta[p] = pdt.NewDelta(t.store.Schema(), t.store.Partition(p).NumRows())

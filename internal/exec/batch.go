@@ -119,13 +119,22 @@ func (b *Batch) Len() int {
 	return b.Cols[0].Len()
 }
 
-// AppendRowFrom copies tuple i of src (same schema) into b.
-func (b *Batch) AppendRowFrom(src *Batch, i int) {
+// AppendRange appends rows [lo, hi) of src (same schema) to b, one
+// slice append per column; rowIDs come along when src carries them.
+func (b *Batch) AppendRange(src *Batch, lo, hi int) {
 	for c := range b.Cols {
-		b.Cols[c].Append(&src.Cols[c], i)
+		dst, from := &b.Cols[c], &src.Cols[c]
+		switch dst.Kind {
+		case storage.KindInt64:
+			dst.I64 = append(dst.I64, from.I64[lo:hi]...)
+		case storage.KindFloat64:
+			dst.F64 = append(dst.F64, from.F64[lo:hi]...)
+		default:
+			dst.Str = append(dst.Str, from.Str[lo:hi]...)
+		}
 	}
 	if src.RowIDs != nil {
-		b.RowIDs = append(b.RowIDs, src.RowIDs[i])
+		b.RowIDs = append(b.RowIDs, src.RowIDs[lo:hi]...)
 	}
 }
 
@@ -147,8 +156,11 @@ func (b *Batch) Row(i int) storage.Row {
 }
 
 // Operator is a pull-based executor node. Next returns the next batch or
-// nil at end of stream. Operators are single-use: after Next returns nil,
-// behaviour of further calls is undefined until Close.
+// nil at end of stream. A returned batch stays valid until the operator's
+// next Next or Close: operators reuse their output buffers, so a consumer
+// that keeps rows longer copies them (Merge relies on this and reads its
+// children's batches in place). Operators are single-use: after Next
+// returns nil, behaviour of further calls is undefined until Close.
 type Operator interface {
 	// Schema describes the tuples the operator produces.
 	Schema() storage.Schema
@@ -287,17 +299,21 @@ func CollectInt64(op Operator) ([]int64, error) {
 	return out, nil
 }
 
-// Count pulls child to completion and returns the tuple count.
+// Count pulls child to completion and returns the tuple count. It only
+// sums batch lengths: nothing is copied.
 func Count(op Operator) (int, error) {
-	batches, err := Drain(op)
-	if err != nil {
-		return 0, err
-	}
-	var n int
-	for _, b := range batches {
+	defer op.Close()
+	n := 0
+	for {
+		b, err := op.Next()
+		if err != nil {
+			return 0, err
+		}
+		if b == nil {
+			return n, nil
+		}
 		n += b.Len()
 	}
-	return n, nil
 }
 
 func schemaConcat(a, b storage.Schema) storage.Schema {

@@ -425,7 +425,7 @@ func TestMergeCombinesSortedStreams(t *testing.T) {
 	a := NewInt64Source("v", []int64{1, 4, 7}, nil)
 	b := NewInt64Source("v", []int64{2, 3, 8}, nil)
 	c := NewInt64Source("v", []int64{0, 9}, nil)
-	m := NewMerge([]SortKey{{Col: 0}}, a, b, c)
+	m := NewMerge(0, false, a, b, c)
 	got := collectInt64(t, m, 0)
 	want := []int64{0, 1, 2, 3, 4, 7, 8, 9}
 	if len(got) != len(want) {
@@ -605,7 +605,7 @@ func TestPaperSortPlanEquivalence(t *testing.T) {
 
 	exclude := NewPatchFilter(NewScan(v, []int{0}), patches, ExcludePatches)
 	use := NewSort(NewPatchFilter(NewScan(v, []int{0}), patches, UsePatches), SortKey{Col: 0})
-	pi := NewMerge([]SortKey{{Col: 0}}, exclude, use)
+	pi := NewMerge(0, false, exclude, use)
 	got := collectInt64(t, pi, 0)
 
 	if len(got) != len(want) {

@@ -63,7 +63,7 @@ func TestErrorPropagation(t *testing.T) {
 	build("Sort", func(c Operator) Operator { return NewSort(c, SortKey{Col: 0}) })
 	build("Limit", func(c Operator) Operator { return NewLimit(c, 1000) })
 	build("Union", func(c Operator) Operator { return NewUnion(c) })
-	build("Merge", func(c Operator) Operator { return NewMerge([]SortKey{{Col: 0}}, c) })
+	build("Merge", func(c Operator) Operator { return NewMerge(0, false, c) })
 	build("HashJoinProbe", func(c Operator) Operator {
 		return NewHashJoin(c, NewInt64Source("b", []int64{1}, nil), 0, 0)
 	})

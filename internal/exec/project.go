@@ -164,10 +164,7 @@ func (l *Limit) Next() (*Batch, error) {
 		l.out = NewBatch(l.child.Schema())
 	}
 	l.out.Reset()
-	take := l.n - l.seen
-	for i := 0; i < take; i++ {
-		l.out.AppendRowFrom(in, i)
-	}
+	l.out.AppendRange(in, 0, l.n-l.seen)
 	l.seen = l.n
 	return l.out, nil
 }

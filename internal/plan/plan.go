@@ -123,27 +123,29 @@ func SortReference(inputs []PartitionInput, col int, desc bool, opts Options) ex
 // exchanged for the sort operator): per partition, the exclude_patches
 // stream is known to be sorted and skips the sort operator entirely;
 // only the patches are sorted; a Merge preserves the order when
-// combining (Section 3.3). Partitions are merged, not unioned, to keep a
-// global order.
+// combining (Section 3.3). One Merge takes all 2P sorted streams, in the
+// order [exclude₀, sortedPatches₀, exclude₁, …]; its ties go to the
+// lower stream, so the result equals a merge per partition followed by
+// a merge across partitions. A partition whose patch subtree is pruned
+// contributes its scan alone.
 func Sort(inputs []PartitionInput, col int, desc bool, opts Options) exec.Operator {
 	key := exec.SortKey{Col: 0, Desc: desc}
-	parts := make([]exec.Operator, len(inputs))
-	for i, in := range inputs {
+	streams := make([]exec.Operator, 0, 2*len(inputs))
+	for _, in := range inputs {
 		scanEx := in.scan([]int{col})
-		exclude := exec.Operator(exec.NewPatchFilter(scanEx, in.Index, exec.ExcludePatches))
 		if opts.ZeroBranchPruning && in.Index.NumPatches() == 0 {
-			parts[i] = scanEx
+			streams = append(streams, scanEx)
 			continue
 		}
 		scanUse := in.scan([]int{col})
-		use := exec.NewSort(
-			exec.NewPatchFilter(scanUse, in.Index, exec.UsePatches), key)
-		parts[i] = exec.NewMerge([]exec.SortKey{key}, exclude, use)
+		streams = append(streams,
+			exec.NewPatchFilter(scanEx, in.Index, exec.ExcludePatches),
+			exec.NewSort(exec.NewPatchFilter(scanUse, in.Index, exec.UsePatches), key))
 	}
-	if len(parts) == 1 {
-		return parts[0]
+	if len(streams) == 1 {
+		return streams[0]
 	}
-	return exec.NewMerge([]exec.SortKey{key}, parts...)
+	return exec.NewMerge(0, desc, streams...)
 }
 
 // JoinInput describes one side of a fact ⋈ dimension join: the fact

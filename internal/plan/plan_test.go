@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -112,41 +113,86 @@ func TestDistinctZBPDropsAllOverheadWhenClean(t *testing.T) {
 	}
 }
 
+// TestSortPlanMatchesReference requires the PatchIndex sort plan to
+// return the reference plan's rows in order over partitions with pending
+// inserts, deletes and modifies, in both directions, with and without
+// zero-branch pruning. Partition 0 stays sorted and untouched, so
+// pruning removes its patch subtree.
 func TestSortPlanMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	vals := make([]int64, 3000)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	for i := 0; i < 300; i++ {
-		vals[rng.Intn(len(vals))] = rng.Int63n(3000)
-	}
-	for _, nparts := range []int{1, 4} {
+	for _, nparts := range []int{1, 3, 4} {
 		for _, desc := range []bool{false, true} {
-			work := vals
-			inputs := nscInputsDesc(t, work, nparts, desc)
-			want := drainInt64(t, SortReference(inputs, 0, desc, Options{}), 0)
-			inputs = nscInputsDesc(t, work, nparts, desc)
-			got := drainInt64(t, Sort(inputs, 0, desc, Options{}), 0)
-			if len(got) != len(want) {
-				t.Fatalf("parts=%d desc=%v: length %d vs %d", nparts, desc, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("parts=%d desc=%v: mismatch at %d: %d vs %d", nparts, desc, i, got[i], want[i])
+			for _, zbp := range []bool{false, true} {
+				inputs := nscDeltaInputs(t, 41+int64(nparts), nparts, desc)
+				want := drainInt64(t, SortReference(inputs, 0, desc, Options{}), 0)
+				inputs = nscDeltaInputs(t, 41+int64(nparts), nparts, desc)
+				if nparts > 1 && inputs[0].Index.NumPatches() != 0 {
+					t.Fatalf("parts=%d: partition 0 has %d patches", nparts, inputs[0].Index.NumPatches())
+				}
+				got := drainInt64(t, Sort(inputs, 0, desc, Options{ZeroBranchPruning: zbp}), 0)
+				if len(got) != len(want) {
+					t.Fatalf("parts=%d desc=%v zbp=%v: length %d vs %d", nparts, desc, zbp, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("parts=%d desc=%v zbp=%v: mismatch at %d: %d vs %d", nparts, desc, zbp, i, got[i], want[i])
+					}
 				}
 			}
 		}
 	}
 }
 
-func nscInputsDesc(t *testing.T, vals []int64, nparts int, desc bool) []PartitionInput {
-	views, partVals := buildParts(t, vals, nparts)
+// nscDeltaInputs loads 3000 ascending values with duplicates and noise
+// into nparts partitions, gives every partition but the first (all of
+// them when there is one) a pending delta of inserts, deletes and
+// modifies, and indexes each partition's merged view.
+func nscDeltaInputs(t *testing.T, seed int64, nparts int, desc bool) []PartitionInput {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]int64, 3000)
+	for i := range vals {
+		vals[i] = int64(i / 3)
+	}
+	if desc {
+		slices.Reverse(vals)
+	}
+	first := 0
+	if nparts > 1 {
+		first = (len(vals) + nparts - 1) / nparts
+	}
+	for i := 0; i < 300; i++ {
+		vals[first+rng.Intn(len(vals)-first)] = rng.Int63n(1000)
+	}
+	schema := storage.Schema{{Name: "v", Kind: storage.KindInt64}}
+	table := storage.NewTable("t", schema, nparts)
+	rows := make([]storage.Row, len(vals))
+	for i, v := range vals {
+		rows[i] = storage.Row{storage.I64(v)}
+	}
+	table.LoadRows(rows)
 	inputs := make([]PartitionInput, nparts)
 	for p := range inputs {
+		part := table.Partition(p)
+		d := pdt.NewDelta(schema, part.NumRows())
+		if p > 0 || nparts == 1 {
+			for i := 0; i < 20; i++ {
+				d.Insert(storage.Row{storage.I64(rng.Int63n(1000))})
+			}
+			for i := 0; i < 15; i++ {
+				d.Delete(rng.Intn(d.NumRows()))
+			}
+			for i := 0; i < 10; i++ {
+				d.Modify(rng.Intn(d.NumRows()), 0, storage.I64(rng.Int63n(1000)))
+			}
+		}
+		view := pdt.NewView(part, d)
+		logical := make([]int64, view.NumRows())
+		for i := range logical {
+			logical[i] = view.Get(i, 0).I
+		}
 		inputs[p] = PartitionInput{
-			View:  views[p],
-			Index: core.BuildNSC(partVals[p], core.Options{ShardBits: 64, Descending: desc}),
+			View:  view,
+			Index: core.BuildNSC(logical, core.Options{ShardBits: 64, Descending: desc}),
 		}
 	}
 	return inputs

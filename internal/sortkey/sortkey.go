@@ -227,7 +227,6 @@ func sortPartition(p *storage.Partition, col int, desc bool) {
 // scans (already sorted) combined by a Merge to preserve the global
 // order — the partitioned table still needs the merge step (Section 6.2).
 func (s *SortKey) SortedScan() exec.Operator {
-	key := exec.SortKey{Col: 0, Desc: s.desc}
 	parts := make([]exec.Operator, s.table.NumPartitions())
 	for p := 0; p < s.table.NumPartitions(); p++ {
 		view := pdt.NewView(s.table.Partition(p), nil)
@@ -236,7 +235,7 @@ func (s *SortKey) SortedScan() exec.Operator {
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	return exec.NewMerge([]exec.SortKey{key}, parts...)
+	return exec.NewMerge(0, s.desc, parts...)
 }
 
 // MemoryBytes is the extra storage of the SortKey: none — the data

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Mutation check for the NUC differentials, the minmax/scan tests, the
-# checkpoint/rewrite image tests and the join plans' compute-once test.
+# checkpoint/rewrite image tests, the join plans' compute-once test and
+# the Merge/Sort differentials.
 #
 # The insert and modify paths are pinned to the paper's algorithms by
 # twin-table differentials against test-only oracles, the block
 # summaries that outlive snapshots by a storage property test, and the
 # typed checkpoint loader and rewrite encoder by round-trip and
-# byte-format tests, and the join plans' shared dimension cache by a
-# counting test. This
+# byte-format tests, the join plans' shared dimension cache by a
+# counting test, and the executor's k-way merge and stable sort by
+# seeded differentials against stable-sort oracles. This
 # script re-verifies that those tests have teeth: it copies the tree to a
 # temp directory, breaks one rule of the production code at a time, and
 # requires the matching test to FAIL. A mutation that still compiles
@@ -32,6 +34,7 @@ minmax=internal/storage/minmax.go
 scan=internal/exec/scan.go
 dur=internal/engine/durability.go
 plan=internal/plan/plan.go
+sortgo=internal/exec/sort.go
 insdiff='^TestInsertRowsDifferentialVsInsert$'
 moddiff='^TestModifyNUCDifferentialVsJoin$'
 mmprop='^TestMinMaxSurvivesWritesProperty$'
@@ -39,6 +42,8 @@ scanids='^TestScanPrunedRowIDsAllocateOneBatch$'
 ckptrt='^TestCheckpointRoundTripTyped$'
 rwfmt='^TestRewriteImageFormat$'
 dimonce='^TestJoinComputesDimensionOnce$'
+mergediff='^TestMergeDifferential$'
+sortstable='^TestSortStableOrder$'
 
 # mutate FILE replaces the one occurrence of $FROM by $TO (exit 3 unless
 # it occurs exactly once).
@@ -79,7 +84,7 @@ check() {
 # The unmutated copy must pass, or "the test fails" proves nothing.
 if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt" ./internal/engine >/dev/null 2>&1 &&
 	go test -count=1 -run "$mmprop" ./internal/storage >/dev/null 2>&1 &&
-	go test -count=1 -run "$scanids" ./internal/exec >/dev/null 2>&1 &&
+	go test -count=1 -run "$scanids|$mergediff|$sortstable" ./internal/exec >/dev/null 2>&1 &&
 	go test -count=1 -run "$dimonce" ./internal/plan >/dev/null 2>&1); then
 	echo "mutcheck: the tests fail on the unmutated tree" >&2
 	exit 1
@@ -118,5 +123,11 @@ check "rewrite: the encoder skips the last row" $dur ./internal/engine "$rwfmt" 
 check "plan.Join: one dimension cache per partition" $plan ./internal/plan "$dimonce" \
 	$'\tcache := exec.NewReuseCache(in.Dim)\n\tparts := make([]exec.Operator, len(in.Fact))\n\tfor i, f := range in.Fact {\n' \
 	$'\tparts := make([]exec.Operator, len(in.Fact))\n\tfor i, f := range in.Fact {\n\t\tcache := exec.NewReuseCache(in.Dim)\n'
+check "Merge: ties go to the later child" $sortgo ./internal/exec "$mergediff" \
+	'(m.heads[i] == m.heads[j] && i < j)' '(m.heads[i] == m.heads[j] && i > j)'
+check "Merge: a run ignores the runner-up's head" $sortgo ./internal/exec "$mergediff" \
+	$'\t\tif r < 0 {\n\t\t\te = end\n' $'\t\tif true {\n\t\t\te = end\n'
+check "Sort: no position tiebreak" $sortgo ./internal/exec "$sortstable" \
+	'return cmp.Compare(a, b)' 'return 0 * cmp.Compare(a, b)'
 
 exit $failed
