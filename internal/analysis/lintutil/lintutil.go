@@ -121,7 +121,6 @@ func Funcs(files []*ast.File, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) 
 var AcqMethods = map[string]bool{
 	"Snapshot":         true,
 	"MustSnapshot":     true,
-	"SnapshotAll":      true,
 	"SnapshotTable":    true,
 	"ScanPartition":    true,
 	"Run":              true,

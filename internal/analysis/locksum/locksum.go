@@ -102,10 +102,6 @@ type Event struct {
 	Expr string // source text of the mutex expression, for messages
 }
 
-// Marked reports whether the event's mutex carries any lock-rank
-// marker (numeric or none).
-func (e *Event) Marked() bool { return e.Rank != RankUnmarked }
-
 // FuncSummary is one function's flattened event stream.
 type FuncSummary struct {
 	Events    []Event

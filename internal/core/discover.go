@@ -27,22 +27,6 @@ func DiscoverNUCInt64(vals []int64) []uint64 {
 	return out
 }
 
-// DiscoverNUCString returns the patch set for a nearly unique string
-// column.
-func DiscoverNUCString(vals []string) []uint64 {
-	counts := make(map[string]uint32, len(vals))
-	for _, v := range vals {
-		counts[v]++
-	}
-	var out []uint64
-	for i, v := range vals {
-		if counts[v] > 1 {
-			out = append(out, uint64(i))
-		}
-	}
-	return out
-}
-
 // Global NUC discovery is split into three partition-shardable pieces —
 // per-partition value counting, a merge of the counts into the set of
 // globally duplicated values, and per-partition patch extraction against
@@ -135,12 +119,6 @@ func BuildNUCInt64(vals []int64, opts Options) *Index {
 	return New(NearlyUnique, uint64(len(vals)), patches, opts)
 }
 
-// BuildNUCString discovers and constructs a NUC PatchIndex over vals.
-func BuildNUCString(vals []string, opts Options) *Index {
-	patches := DiscoverNUCString(vals)
-	return New(NearlyUnique, uint64(len(vals)), patches, opts)
-}
-
 // BuildNSC discovers and constructs a NSC PatchIndex over vals.
 func BuildNSC(vals []int64, opts Options) *Index {
 	patches, last, hasLast := DiscoverNSC(vals, opts.Descending)
@@ -161,14 +139,6 @@ func MatchRateNUC(vals []int64) float64 {
 	return 1 - float64(len(DiscoverNUCInt64(vals)))/float64(len(vals))
 }
 
-// MatchRateNUCString is MatchRateNUC for string columns.
-func MatchRateNUCString(vals []string) float64 {
-	if len(vals) == 0 {
-		return 1
-	}
-	return 1 - float64(len(DiscoverNUCString(vals)))/float64(len(vals))
-}
-
 // MatchRateNSC returns the fraction of tuples inside a longest sorted
 // subsequence.
 func MatchRateNSC(vals []int64) float64 {
@@ -176,18 +146,6 @@ func MatchRateNSC(vals []int64) float64 {
 		return 1
 	}
 	return float64(lis.LongestLen(vals, false)) / float64(len(vals))
-}
-
-// Recompute rebuilds the patch set from the current column values,
-// preserving design and options — the paper's global recomputation
-// fallback once monitoring trips. It returns the rebuilt index.
-func Recompute(x *Index, vals []int64) *Index {
-	switch x.constraint {
-	case NearlyUnique:
-		return BuildNUCInt64(vals, x.opts)
-	default:
-		return BuildNSC(vals, x.opts)
-	}
 }
 
 // sortedU64 is a small helper asserting/establishing sorted order for

@@ -27,11 +27,17 @@ func TestDiscoverNUCUniqueColumn(t *testing.T) {
 	}
 }
 
+// TestDiscoverNUCString: string columns go through the generic
+// discovery pieces; a duplicate split across partitions patches every
+// occurrence in each.
 func TestDiscoverNUCString(t *testing.T) {
-	vals := []string{"a", "b", "a", "c"}
-	got := DiscoverNUCString(vals)
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	got := GlobalNUCPatches([][]string{{"a", "b", "a", "c"}})
+	if len(got[0]) != 2 || got[0][0] != 0 || got[0][1] != 2 {
 		t.Fatalf("patches = %v", got)
+	}
+	got = GlobalNUCPatches([][]string{{"a", "b"}, {"c", "b"}})
+	if len(got[0]) != 1 || got[0][0] != 1 || len(got[1]) != 1 || got[1][0] != 1 {
+		t.Fatalf("cross-partition patches = %v", got)
 	}
 }
 
@@ -128,10 +134,6 @@ func TestBuildHelpers(t *testing.T) {
 	if x.NumPatches() != 2 || x.Rows() != 4 {
 		t.Fatalf("BuildNUCInt64: patches=%d rows=%d", x.NumPatches(), x.Rows())
 	}
-	s := BuildNUCString([]string{"x", "x", "y"}, Options{Design: DesignIdentifier})
-	if s.NumPatches() != 2 {
-		t.Fatalf("BuildNUCString: patches=%d", s.NumPatches())
-	}
 	n := BuildNSC([]int64{1, 9, 2, 3}, Options{Design: DesignBitmap, ShardBits: 64})
 	if n.NumPatches() != 1 {
 		t.Fatalf("BuildNSC: patches=%d", n.NumPatches())
@@ -154,11 +156,8 @@ func TestMatchRates(t *testing.T) {
 	if got := MatchRateNSC([]int64{1, 9, 2, 3}); got != 0.75 {
 		t.Fatalf("MatchRateNSC = %f, want 0.75", got)
 	}
-	if MatchRateNUC(nil) != 1 || MatchRateNSC(nil) != 1 || MatchRateNUCString(nil) != 1 {
+	if MatchRateNUC(nil) != 1 || MatchRateNSC(nil) != 1 {
 		t.Fatal("empty column match rates should be 1")
-	}
-	if got := MatchRateNUCString([]string{"a", "a", "b", "c"}); got != 0.5 {
-		t.Fatalf("MatchRateNUCString = %f, want 0.5", got)
 	}
 }
 
@@ -169,18 +168,5 @@ func TestRecompute(t *testing.T) {
 	x.AddPatches([]uint64{2, 3})
 	if !x.NeedsRecompute() {
 		t.Fatal("monitor should trip")
-	}
-	// The data was cleaned: rebuild finds a smaller patch set.
-	clean := []int64{1, 5, 2, 3}
-	y := Recompute(x, clean)
-	if y.NumPatches() != 0 {
-		t.Fatalf("recomputed patches = %d, want 0", y.NumPatches())
-	}
-	if y.DesignKind() != DesignIdentifier {
-		t.Fatal("recompute lost design")
-	}
-	z := Recompute(BuildNSC(vals, Options{}), []int64{4, 3, 2, 1})
-	if z.ConstraintKind() != NearlySorted {
-		t.Fatal("recompute lost constraint kind")
 	}
 }

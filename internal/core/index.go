@@ -62,7 +62,9 @@ func (c Constraint) String() string {
 	return "NSC"
 }
 
-// Options configure a PatchIndex.
+// Options configure a PatchIndex. Checkpoints persist Design, ShardBits
+// and Descending. A bitmap's automatic condense on delete is not an
+// option: it fires below condenseThreshold.
 type Options struct {
 	// Design selects the patch representation. Default DesignBitmap.
 	Design Design
@@ -75,19 +77,13 @@ type Options struct {
 	// NeedsRecompute reports true (monitoring hook of Sections 5.1/5.3).
 	// Zero disables monitoring.
 	RecomputeThreshold float64
-	// CondenseThreshold triggers an automatic sharded-bitmap condense
-	// when delete handling leaves utilization below it. Zero selects
-	// DefaultCondenseThreshold, so a bitmap stays bounded under a
-	// delete/insert stream with no maintenance daemon running; a negative
-	// value disables auto-condense.
-	CondenseThreshold float64
 }
 
-// DefaultCondenseThreshold is the utilization below which HandleDelete
-// condenses a bitmap whose Options leave CondenseThreshold zero: a
-// condense then reclaims at least half the physical slots, which pays
-// for its rebuild.
-const DefaultCondenseThreshold = 0.5
+// condenseThreshold is the bitmap utilization below which HandleDelete
+// condenses: a condense then reclaims at least half the physical slots,
+// which pays for its rebuild, and a bitmap stays bounded under a
+// delete/insert stream with no maintenance daemon running.
+const condenseThreshold = 0.5
 
 // Index is a PatchIndex over one column of one partition. It is not safe
 // for concurrent mutation; the engine serializes updates per partition.
@@ -322,11 +318,7 @@ func (x *Index) HandleDelete(rowIDs []uint64) {
 			}
 		}
 		x.bm.BulkDelete(rowIDs)
-		threshold := x.opts.CondenseThreshold
-		if threshold == 0 {
-			threshold = DefaultCondenseThreshold
-		}
-		if x.bm.Utilization() < threshold {
+		if x.bm.Utilization() < condenseThreshold {
 			x.bm.Condense()
 		}
 	} else {

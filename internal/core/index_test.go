@@ -204,20 +204,19 @@ func TestMemoryBytesTable3(t *testing.T) {
 	}
 }
 
+// TestCondenseThresholdAutoCondense: a delete that leaves a bitmap less
+// than half live condenses it; one that leaves it mostly live does not.
 func TestCondenseThresholdAutoCondense(t *testing.T) {
 	cases := []struct {
 		name      string
-		threshold float64
 		deleted   int // of 1000 rows
 		condensed bool
 	}{
-		{"explicit 0.9, 80% live", 0.9, 200, true},
-		{"default (zero), 80% live", 0, 200, false},
-		{"default (zero), 40% live", 0, 600, true},
-		{"negative disables, 40% live", -1, 600, false},
+		{"80% live", 200, false},
+		{"40% live", 600, true},
 	}
 	for _, c := range cases {
-		x := New(NearlyUnique, 1000, []uint64{999}, Options{Design: DesignBitmap, ShardBits: 64, CondenseThreshold: c.threshold})
+		x := New(NearlyUnique, 1000, []uint64{999}, Options{Design: DesignBitmap, ShardBits: 64})
 		del := make([]uint64, c.deleted)
 		for i := range del {
 			del[i] = uint64(i)

@@ -1,10 +1,6 @@
 package datagen
 
-import (
-	"math/rand"
-
-	"patchindex/internal/core"
-)
+import "patchindex/internal/core"
 
 // Synthetic PublicBI-like datasets behind the paper's Fig. 1: real user
 // workbooks whose columns match approximate constraints to varying
@@ -100,14 +96,4 @@ func Histogram(ds PublicBIDataset, nBuckets int) []int {
 		buckets[b]++
 	}
 	return buckets
-}
-
-// RandomishString is a tiny helper for tests needing string columns.
-func RandomishString(rng *rand.Rand, n int) string {
-	const letters = "abcdefghijklmnopqrstuvwxyz"
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = letters[rng.Intn(len(letters))]
-	}
-	return string(b)
 }

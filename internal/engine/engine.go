@@ -44,22 +44,19 @@
 // live snapshot references its current generation; once the snapshots
 // close, checkpoints go back to mutating in place. Physical storage
 // reorganization refuses while snapshot refs are live: whole-table
-// reorders (Table.ExclusiveStorage) while ANY ref is live, ephemeral
-// ones included; partition-granular reorders (Table.ExclusivePartition)
-// only while a ref holds the target partition's current generation — a
+// reorders (Table.ReorderStorage) while ANY ref is live, ephemeral ones
+// included; partition-granular reorders (Table.ReorderPartition) only
+// while a ref holds the target partition's current generation — a
 // SortKey rebuild of one partition proceeds while a query drains a
-// sibling. The Exclusive* guards hand out raw storage and leave engine
-// metadata alone; reorders of PatchIndex-carrying tables go through
-// Table.ReorderStorage / Table.ReorderPartition (reorg.go) instead,
-// which wrap the same refusal (both wrap ErrSnapshotCaptured, the
-// retryable-refusal sentinel) in the metadata re-anchoring protocol:
-// pending deltas are checkpointed FIRST (their positions refer to
-// pre-reorder rows), and after the permutation the minmax summaries are
-// invalidated and every index slot is recomputed from the new physical
-// order — in place via core.Index.AdoptState, never by swapping the
-// slot pointer, because readers in other lock domains consult a
-// representative slot's immutable constraint kind without holding that
-// slot's partition lock.
+// sibling. Both refusals wrap ErrSnapshotCaptured, the
+// retryable-refusal sentinel, and both run the metadata re-anchoring
+// protocol (reorg.go): pending deltas are checkpointed FIRST (their
+// positions refer to pre-reorder rows), and after the permutation the
+// minmax summaries are invalidated and every index slot is recomputed
+// from the new physical order — in place via core.Index.AdoptState,
+// never by swapping the slot pointer, because readers in other lock
+// domains consult a representative slot's immutable constraint kind
+// without holding that slot's partition lock.
 //
 // # Per-partition write locking
 //
@@ -67,7 +64,7 @@
 // per partition slot. Writers pick one of three modes:
 //
 //   - structure write lock alone: table-wide operations that mutate
-//     shared table state — DDL (CreatePatchIndex, DropPatchIndex, Load)
+//     shared table state — DDL (CreatePatchIndex, Load)
 //     — and the two updates that stay all-or-nothing: Insert and
 //     NUC-column Modify. Both look the changed values up in the exact
 //     collision directory, where every partition is theirs, and patch
@@ -122,11 +119,11 @@
 // per-partition index health (PartitionIndexStats,
 // PartitionSortedness) and repairs decayed slots — re-sorting via a
 // registered sort-key reorderer, recomputing or condensing index
-// slots, and optionally adopting PatchIndexes on discovered near-unique columns. Its lock
-// discipline is deliberately boring: the daemon is an ordinary engine
-// client. It calls only exported entry points, holds no lock of its
-// own across any engine call (its registry mutex is leaf-level and
-// never held across repairs), and never holds anything while sleeping.
+// slots. Its lock discipline is deliberately boring: the daemon is an
+// ordinary engine client. It calls only exported entry points, holds
+// no lock of its own across any engine call (its registry mutex is
+// leaf-level and never held across repairs), and never holds anything
+// while sleeping.
 // Repairs refused because a live snapshot captures the target
 // (errors.Is ErrSnapshotCaptured) are retried a bounded number of
 // times with doubling backoff and then abandoned until the next sweep
@@ -153,9 +150,7 @@
 // reorders drop it, so a query pays for the blocks it reads, not for
 // the partition. Keeping exception rates low is therefore not just an
 // index-quality concern — it is what keeps the optimizer choosing the
-// cheap patch plans, which is the payoff the maintainer's
-// MaxCostErosion threshold prices directly (plan.ErosionExceptionRate
-// inverts the cost model per partition size).
+// cheap patch plans.
 //
 // # Durability
 //
@@ -571,44 +566,18 @@ func (t *Table) snapshotViewLocked(p int) *pdt.View {
 // (including pending deltas) without retaining any generation.
 // Read-modify-write drivers (like the TPC-H refresh stream) use it to
 // pick rows they are about to update: a snapshot still open at the
-// delete would force that checkpoint to clone the whole partition.
+// delete would force that checkpoint to clone the whole partition. An
+// out-of-range partition panics before any lock is taken.
 func (t *Table) ReadInt64Column(partition int, column string) []int64 {
+	if partition < 0 || partition >= len(t.pmu) {
+		panic(fmt.Sprintf("engine: table %q has no partition %d", t.name, partition))
+	}
 	t.lockPartition(partition)
 	defer t.unlockPartition(partition)
 	col := t.store.Schema().MustColumnIndex(column)
 	// MaterializeInt64 may alias live base storage when the delta is
 	// empty; copy so the result stays valid outside the lock.
 	return append([]int64(nil), t.viewLocked(partition).MaterializeInt64(col)...)
-}
-
-// SampleInt64Column returns up to max evenly spaced values of one
-// partition's int64 column (including pending deltas) plus the logical
-// row count the sample was drawn from. max <= 0, or max >= the row
-// count, returns every value. Unlike ReadInt64Column the merged column
-// is never materialized: values are read positionally under the
-// partition lock, so work and allocation are bounded by the sample
-// size, not the partition size — the shape the maintenance daemon's
-// discovery probe needs when partitions are large.
-func (t *Table) SampleInt64Column(partition int, column string, max int) (vals []int64, rows int) {
-	t.lockPartition(partition)
-	defer t.unlockPartition(partition)
-	col := t.store.Schema().MustColumnIndex(column)
-	v := t.viewLocked(partition)
-	rows = v.NumRows()
-	if rows == 0 {
-		return nil, 0
-	}
-	n := rows
-	if max > 0 && max < n {
-		n = max
-	}
-	vals = make([]int64, n)
-	for i := 0; i < n; i++ {
-		// i*rows/n is strictly increasing for n <= rows, covering the
-		// partition at a uniform stride.
-		vals[i] = v.Get(i*rows/n, col).I
-	}
-	return vals, rows
 }
 
 // mutableDeltaLocked returns delta[p], copying it first when the current
@@ -628,50 +597,6 @@ func (t *Table) mutableDeltaLocked(p int) *pdt.Delta {
 // live indexes directly and pays only for the shards it touches.
 func (t *Table) mutableIndexesLocked(column string) []*core.Index {
 	return t.indexes[column]
-}
-
-// ExclusiveStorage runs fn with exclusive access to the table's
-// underlying storage, for whole-table physical reorganizations (the
-// SortKey evaluation comparator) that rewrite the shared column arrays
-// in place and therefore cannot coexist with snapshot readers. It
-// refuses while the snapshot registry holds any live ref on the table —
-// explicitly captured snapshots (Table.Snapshot, Database.Snapshot) and
-// query-internal ephemeral snapshots alike, so a reorder can no longer
-// win against a query that is still draining. Explicit snapshots
-// release their ref on Close; ephemeral ones when their root operator
-// is drained or closed. The check is atomic with fn: the exclusive
-// structure lock excludes every capture path, so no new ref can appear
-// until fn returns.
-func (t *Table) ExclusiveStorage(fn func(*storage.Table) error) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n := t.store.LiveSnapshotRefs(); n > 0 {
-		return fmt.Errorf("engine: table %q (%d live ref(s)) is %w; close/drain them before physically reordering storage", t.name, n, ErrSnapshotCaptured)
-	}
-	return fn(t.store)
-}
-
-// ExclusivePartition runs fn with exclusive access to partition p of
-// the table's underlying storage — the partition-granular form of
-// ExclusiveStorage, for physical reorganizations confined to one
-// partition (a SortKey rebuild of a single partition). It refuses only
-// while a snapshot ref holds partition p's *current* generation: a
-// whole-table snapshot gates every partition, but a partition-scoped
-// capture (ScanPartition) of a sibling — or a ref left on a retired
-// generation by a checkpoint's clone-and-swap — does not, so a rebuild
-// of partition 3 proceeds while a query drains partition 0. Holding
-// pmu[p] makes the check atomic with fn: every capture path needs
-// partition p's lock before it can retain p's generation.
-func (t *Table) ExclusivePartition(p int, fn func(*storage.Table) error) error {
-	if p < 0 || p >= len(t.pmu) {
-		return fmt.Errorf("engine: table %q has no partition %d", t.name, p)
-	}
-	t.lockPartition(p)
-	defer t.unlockPartition(p)
-	if t.store.PartitionRetained(p) {
-		return fmt.Errorf("engine: partition %d of table %q is %w; close/drain it before physically reordering the partition", p, t.name, ErrSnapshotCaptured)
-	}
-	return fn(t.store)
 }
 
 // Load bulk-loads rows into base storage in contiguous partition chunks
@@ -803,14 +728,6 @@ func (t *Table) RestorePatchIndexes(column string, indexes []*core.Index) {
 // the current table contents. The caller holds the table exclusively.
 func (t *Table) rebuildNUCStateLocked(column string) {
 	t.nuc[column] = t.newNUCColumnLocked(column)
-}
-
-// DropPatchIndex removes the PatchIndex on the named column.
-func (t *Table) DropPatchIndex(column string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.indexes, column)
-	delete(t.nuc, column)
 }
 
 // PatchIndexes returns frozen copies of the per-partition indexes on

@@ -83,10 +83,6 @@ func TestCreatePatchIndexValidation(t *testing.T) {
 	if err := tb.CreatePatchIndex("i", core.NearlySorted, tinyOpts(core.DesignBitmap)); err != nil {
 		t.Fatalf("NSC on int column rejected: %v", err)
 	}
-	tb.DropPatchIndex("i")
-	if tb.PatchIndexes("i") != nil {
-		t.Fatal("DropPatchIndex did not drop")
-	}
 }
 
 func TestDistinctPlansAgree(t *testing.T) {

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"patchindex/internal/core"
-	"patchindex/internal/plan"
-	"patchindex/internal/storage"
 )
 
 // The maintenance daemon. The paper leaves index upkeep to the host
@@ -30,23 +28,17 @@ import (
 //   - an eroded slot without a reorderer (or one that is merely
 //     over-patched, not disordered) is recomputed in place
 //     (RecomputePartitionIndex);
-//   - sparse patch bitmaps are condensed (CondensePartitionIndex);
-//   - optionally, unindexed BIGINT columns are probed for
-//     near-uniqueness on a bounded per-partition sample and adopted as
-//     NUC PatchIndexes when their exception rate is low enough
-//     (core.DiscoverNUCInt64's counting pass, surfaced as
-//     core.MatchRateNUC).
+//   - sparse patch bitmaps are condensed (CondensePartitionIndex).
 //
 // Lock discipline: the daemon is an ordinary engine client. It holds no
 // engine lock of its own across actions — every sample and every repair
 // acquires the standard locks of the entry point it calls (shared
-// structure lock + one partition lock for all per-partition work; the
-// exclusive lock only for index adoption, which is DDL) and releases
-// them before the next step. A repair refused because a live snapshot
-// still captures the partition (ErrSnapshotCaptured) is retried with
-// bounded exponential backoff, sleeping without any lock held — the
-// daemon never blocks writers waiting for a snapshot to drain; it
-// gives the partition up until the next sweep instead.
+// structure lock + one partition lock for all per-partition work) and
+// releases them before the next step. A repair refused because a live
+// snapshot still captures the partition (ErrSnapshotCaptured) is
+// retried with bounded exponential backoff, sleeping without any lock
+// held — the daemon never blocks writers waiting for a snapshot to
+// drain; it gives the partition up until the next sweep instead.
 //
 // Shutdown: Stop (or Database.Close) closes the stop channel and waits
 // for the sweep goroutine to exit; an in-flight sweep finishes its
@@ -71,17 +63,6 @@ type MaintainerConfig struct {
 	// MaxExceptionRate triggers repair of an index slot whose
 	// per-partition exception rate exceeds it.
 	MaxExceptionRate float64
-	// MaxCostErosion, when > 0, derives each partition's repair
-	// threshold from the optimizer's cost model instead of the static
-	// MaxExceptionRate: a slot is repaired once its exception rate
-	// exceeds plan.ErosionExceptionRate(rows, MaxCostErosion) — the
-	// rate at which the partition's patch plan prices MaxCostErosion
-	// (a fraction, e.g. 0.25) above a patch-free one, capped at the
-	// break-even past which the optimizer abandons the patch plan
-	// anyway. Small partitions whose patch plan never wins report a
-	// threshold of 1 and are left alone — repairing them has no
-	// plan-cost payoff.
-	MaxCostErosion float64
 	// MinSortedness picks the repair for an eroded NSC slot: below it
 	// (and with a reorderer registered) the partition is physically
 	// re-sorted; at or above it the slot is merely recomputed.
@@ -89,18 +70,6 @@ type MaintainerConfig struct {
 	// MinUtilization triggers condensing of patch storage whose live
 	// fraction fell below it (bitmap designs only).
 	MinUtilization float64
-	// DiscoverNearUnique probes unindexed BIGINT columns each sweep and
-	// adopts a NUC PatchIndex when the column's exception rate is at
-	// most NearUniqueMaxRate.
-	DiscoverNearUnique bool
-	NearUniqueMaxRate  float64
-	// DiscoverySampleRows bounds the rows the discovery probe reads per
-	// partition: larger partitions are stride-sampled down to this many
-	// values instead of having the whole column materialized and
-	// concatenated. <= 0 uses DefaultDiscoverySampleRows. Partitions at
-	// or below the bound are read in full, so small tables keep exact
-	// discovery.
-	DiscoverySampleRows int
 	// MaxRetries bounds re-attempts of a snapshot-refused repair within
 	// one sweep; RetryBackoff is the initial sleep between attempts,
 	// doubled per retry.
@@ -114,20 +83,15 @@ type MaintainerConfig struct {
 	CheckpointEvery int
 }
 
-// DefaultDiscoverySampleRows is the per-partition row budget of the
-// discovery probe when MaintainerConfig.DiscoverySampleRows is unset.
-const DefaultDiscoverySampleRows = 4096
-
 // DefaultMaintainerConfig returns the thresholds the daemon ships with.
 func DefaultMaintainerConfig() MaintainerConfig {
 	return MaintainerConfig{
-		Interval:          100 * time.Millisecond,
-		MaxExceptionRate:  0.05,
-		MinSortedness:     0.5,
-		MinUtilization:    0.25,
-		NearUniqueMaxRate: 0.01,
-		MaxRetries:        3,
-		RetryBackoff:      time.Millisecond,
+		Interval:         100 * time.Millisecond,
+		MaxExceptionRate: 0.05,
+		MinSortedness:    0.5,
+		MinUtilization:   0.25,
+		MaxRetries:       3,
+		RetryBackoff:     time.Millisecond,
 	}
 }
 
@@ -145,7 +109,6 @@ type MaintainerStats struct {
 	Reorders    uint64
 	Recomputes  uint64
 	Condenses   uint64
-	Discoveries uint64
 	Checkpoints uint64
 }
 
@@ -166,9 +129,9 @@ type Maintainer struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	sweeps, actions, refusals, retries, errs     atomic.Uint64
-	reorders, recomputes, condenses, discoveries atomic.Uint64
-	checkpoints                                  atomic.Uint64
+	sweeps, actions, refusals, retries, errs atomic.Uint64
+	reorders, recomputes, condenses          atomic.Uint64
+	checkpoints                              atomic.Uint64
 }
 
 // StartMaintainer creates the database's maintenance daemon and, when
@@ -259,7 +222,6 @@ func (m *Maintainer) Stats() MaintainerStats {
 		Reorders:    m.reorders.Load(),
 		Recomputes:  m.recomputes.Load(),
 		Condenses:   m.condenses.Load(),
-		Discoveries: m.discoveries.Load(),
 		Checkpoints: m.checkpoints.Load(),
 	}
 }
@@ -319,46 +281,20 @@ func (t *Table) indexedColumnsSnapshot() []indexedColumn {
 	return out
 }
 
+// sweepTable repairs every indexed column's eroded partitions and
+// condenses its sparse ones.
 func (m *Maintainer) sweepTable(t *Table) {
-	cols := m.sweepIndexes(t)
-	if m.cfg.DiscoverNearUnique {
-		m.sweepDiscovery(t, cols)
-	}
-}
-
-// sweepIndexes repairs every indexed column's eroded partitions and
-// returns the indexed column set (for the discovery pass).
-func (m *Maintainer) sweepIndexes(t *Table) []indexedColumn {
-	cols := t.indexedColumnsSnapshot()
-	for _, c := range cols {
+	for _, c := range t.indexedColumnsSnapshot() {
 		for _, ps := range t.PartitionIndexStats(c.name) {
-			if threshold, ok := m.repairThreshold(ps.Rows); ok && ps.ExceptionRate > threshold && ps.Rows > 0 {
+			if m.cfg.MaxExceptionRate > 0 && ps.ExceptionRate > m.cfg.MaxExceptionRate && ps.Rows > 0 {
 				m.repairSlot(t, c, ps.Partition)
 			}
 			if m.cfg.MinUtilization > 0 && ps.Utilization < m.cfg.MinUtilization {
 				column, p := c.name, ps.Partition
-				if m.attempt(&m.condenses, func() error { return t.CondensePartitionIndex(column, p) }) {
-					continue
-				}
+				m.attempt(&m.condenses, func() error { return t.CondensePartitionIndex(column, p) })
 			}
 		}
 	}
-	return cols
-}
-
-// repairThreshold returns the exception rate above which a partition of
-// the given size is repaired, and whether exception-rate repair is
-// enabled at all. MaxCostErosion > 0 selects the cost-derived
-// threshold; otherwise the static MaxExceptionRate applies (0 disables
-// the repair).
-func (m *Maintainer) repairThreshold(rows uint64) (float64, bool) {
-	if m.cfg.MaxCostErosion > 0 {
-		return plan.ErosionExceptionRate(rows, m.cfg.MaxCostErosion), true
-	}
-	if m.cfg.MaxExceptionRate > 0 {
-		return m.cfg.MaxExceptionRate, true
-	}
-	return 0, false
 }
 
 // repairSlot fixes one index slot whose exception rate crossed the
@@ -379,54 +315,12 @@ func (m *Maintainer) repairSlot(t *Table, c indexedColumn, p int) {
 	m.attempt(&m.recomputes, func() error { return t.RecomputePartitionIndex(column, p) })
 }
 
-// sweepDiscovery probes unindexed BIGINT columns for near-uniqueness
-// and adopts a NUC PatchIndex (bitmap design) on columns whose
-// exception rate is within the configured bound — the daemon noticing a
-// column drifting into near-uniqueness before anyone declares it.
-//
-// The probe reads at most DiscoverySampleRows evenly spaced values per
-// partition (SampleInt64Column) rather than materializing and
-// concatenating whole columns, so its footprint stays bounded on large
-// tables. Sampling can under-count duplicates, but a wrongly adopted
-// column is self-correcting: its index carries the true patch set, and
-// the next sweepIndexes pass sees the real exception rate.
-func (m *Maintainer) sweepDiscovery(t *Table, indexed []indexedColumn) {
-	have := make(map[string]bool, len(indexed))
-	for _, c := range indexed {
-		have[c.name] = true
-	}
-	budget := m.cfg.DiscoverySampleRows
-	if budget <= 0 {
-		budget = DefaultDiscoverySampleRows
-	}
-	for _, def := range t.Schema() {
-		if have[def.Name] || def.Kind != storage.KindInt64 {
-			continue
-		}
-		var vals []int64
-		for p := 0; p < t.NumPartitions(); p++ {
-			sample, _ := t.SampleInt64Column(p, def.Name, budget)
-			vals = append(vals, sample...)
-		}
-		if len(vals) == 0 {
-			continue
-		}
-		if rate := 1 - core.MatchRateNUC(vals); rate <= m.cfg.NearUniqueMaxRate {
-			if m.attempt(&m.discoveries, func() error {
-				return t.CreatePatchIndex(def.Name, core.NearlyUnique, core.Options{Design: core.DesignBitmap})
-			}) {
-				continue
-			}
-		}
-	}
-}
-
 // attempt runs one repair through the refusal/retry protocol: a
 // transient snapshot refusal (ErrSnapshotCaptured) is retried up to
 // MaxRetries times with doubling backoff — sleeping with no lock held,
 // and cut short by Stop — after which the partition is given up until
-// the next sweep. Returns whether the repair ran.
-func (m *Maintainer) attempt(kind *atomic.Uint64, repair func() error) bool {
+// the next sweep.
+func (m *Maintainer) attempt(kind *atomic.Uint64, repair func() error) {
 	backoff := m.cfg.RetryBackoff
 	if backoff <= 0 {
 		backoff = time.Millisecond
@@ -437,22 +331,22 @@ func (m *Maintainer) attempt(kind *atomic.Uint64, repair func() error) bool {
 		case err == nil:
 			kind.Add(1)
 			m.actions.Add(1)
-			return true
+			return
 		case errors.Is(err, ErrSnapshotCaptured):
 			m.refusals.Add(1)
 			if try >= m.cfg.MaxRetries {
-				return false
+				return
 			}
 			select {
 			case <-m.stop:
-				return false
+				return
 			case <-time.After(backoff):
 			}
 			m.retries.Add(1)
 			backoff *= 2
 		default:
 			m.errs.Add(1)
-			return false
+			return
 		}
 	}
 }

@@ -259,41 +259,6 @@ func TestMaintainerRebuildsSaturatedBlooms(t *testing.T) {
 	assertPatchAt(t, tb, "v", 1, 4, false)
 }
 
-// TestMaintainerDiscoversNearUniqueColumn: an unindexed BIGINT column
-// within the near-uniqueness bound gets a NUC PatchIndex adopted; a
-// heavily duplicated sibling does not, and the adoption happens once.
-func TestMaintainerDiscoversNearUniqueColumn(t *testing.T) {
-	db := newDB(t)
-	tb, err := db.CreateTable("t", storage.Schema{
-		{Name: "id", Kind: storage.KindInt64},
-		{Name: "cat", Kind: storage.KindInt64},
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]storage.Row, 200)
-	for i := range rows {
-		rows[i] = storage.Row{storage.I64(int64(i)), storage.I64(int64(i % 7))}
-	}
-	tb.Load(rows)
-	m := manualMaintainer(t, db, MaintainerConfig{DiscoverNearUnique: true, NearUniqueMaxRate: 0.01})
-	m.Sweep()
-	if tb.PatchIndexes("id") == nil {
-		t.Fatal("near-unique column not adopted")
-	}
-	if tb.PatchIndexes("cat") != nil {
-		t.Fatal("heavily duplicated column adopted as NUC")
-	}
-	st := m.Stats()
-	if st.Discoveries != 1 {
-		t.Fatalf("discoveries = %d, want 1", st.Discoveries)
-	}
-	m.Sweep()
-	if again := m.Stats().Discoveries; again != 1 {
-		t.Fatalf("column adopted twice: %d", again)
-	}
-}
-
 // TestReorderPartitionReanchorsMetadata exercises the reorder protocol
 // directly: pending deltas are checkpointed before the permutation, and
 // both constraint kinds' index slots are recomputed against the new
@@ -336,108 +301,5 @@ func TestReorderPartitionReanchorsMetadata(t *testing.T) {
 	}
 	if err := idx[0].Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSampleInt64Column pins the sampling contract the discovery probe
-// relies on: an unbounded read returns the whole partition, a bounded
-// one returns exactly max evenly spaced values covering the partition
-// end to end, and pending delta rows are part of the sampled space.
-func TestSampleInt64Column(t *testing.T) {
-	db := newDB(t)
-	tb := singleColTable(t, db, "t", seq(1000), 1)
-	full, rows := tb.SampleInt64Column(0, "v", 0)
-	if rows != 1000 || len(full) != 1000 {
-		t.Fatalf("unbounded sample = %d values of %d rows, want 1000 of 1000", len(full), rows)
-	}
-	sample, rows := tb.SampleInt64Column(0, "v", 100)
-	if rows != 1000 || len(sample) != 100 {
-		t.Fatalf("bounded sample = %d values of %d rows, want 100 of 1000", len(sample), rows)
-	}
-	for i := 1; i < len(sample); i++ {
-		if sample[i] <= sample[i-1] {
-			t.Fatalf("stride over a sorted column not strictly increasing at %d: %d after %d", i, sample[i], sample[i-1])
-		}
-	}
-	if sample[0] != 0 || sample[len(sample)-1] < 900 {
-		t.Fatalf("sample does not cover the partition: first %d, last %d", sample[0], sample[len(sample)-1])
-	}
-	// Pending inserts are visible to the probe.
-	if err := db.InsertRowsPartition("t", 0, []storage.Row{{storage.I64(5000)}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, rows := tb.SampleInt64Column(0, "v", 10); rows != 1001 {
-		t.Fatalf("sample space after insert = %d rows, want 1001", rows)
-	}
-}
-
-// TestMaintainerDiscoverySampled: discovery still adopts a near-unique
-// column and still rejects a heavily duplicated one when the probe is
-// limited to a small per-partition sample of a much larger table.
-func TestMaintainerDiscoverySampled(t *testing.T) {
-	db := newDB(t)
-	tb, err := db.CreateTable("t", storage.Schema{
-		{Name: "id", Kind: storage.KindInt64},
-		{Name: "cat", Kind: storage.KindInt64},
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]storage.Row, 10_000)
-	for i := range rows {
-		rows[i] = storage.Row{storage.I64(int64(i)), storage.I64(int64(i % 7))}
-	}
-	tb.Load(rows)
-	m := manualMaintainer(t, db, MaintainerConfig{
-		DiscoverNearUnique:  true,
-		NearUniqueMaxRate:   0.01,
-		DiscoverySampleRows: 64,
-	})
-	m.Sweep()
-	if tb.PatchIndexes("id") == nil {
-		t.Fatal("near-unique column not adopted from a sampled probe")
-	}
-	if tb.PatchIndexes("cat") != nil {
-		t.Fatal("heavily duplicated column adopted from a sampled probe")
-	}
-	if st := m.Stats(); st.Discoveries != 1 {
-		t.Fatalf("discoveries = %d, want 1", st.Discoveries)
-	}
-}
-
-// TestMaintainerCostErosionThreshold: with MaxCostErosion set, the
-// repair threshold comes from inverting the optimizer's cost model per
-// partition size. A partition too small for the patch plan to ever win
-// reports threshold 1 and is left alone no matter how eroded; a large
-// partition is repaired once erosion prices above the configured
-// fraction.
-func TestMaintainerCostErosionThreshold(t *testing.T) {
-	db := newDB(t)
-	small := singleColTable(t, db, "small", seq(200), 1)
-	big := singleColTable(t, db, "big", seq(10_000), 1)
-	for _, tb := range []*Table{small, big} {
-		if err := tb.CreatePatchIndex("v", core.NearlySorted, tinyOpts(core.DesignBitmap)); err != nil {
-			t.Fatal(err)
-		}
-		erodePartition(t, db, tb, 0)
-	}
-	m := manualMaintainer(t, db, MaintainerConfig{MaxCostErosion: 0.25})
-	if th, ok := m.repairThreshold(200); !ok || th != 1 {
-		t.Fatalf("200-row threshold = %v, %v; want 1 (patch plan never wins)", th, ok)
-	}
-	if th, ok := m.repairThreshold(10_000); !ok || th <= 0 || th >= 0.05 {
-		t.Fatalf("10000-row threshold = %v; want a cost-derived rate in (0, 0.05)", th)
-	}
-	m.Sweep()
-	if st := m.Stats(); st.Recomputes != 1 {
-		t.Fatalf("recomputes = %d, want exactly 1 (the big partition)", st.Recomputes)
-	}
-	// Static mode is untouched: with only MaxExceptionRate, both eroded
-	// partitions are over threshold.
-	if th, ok := (&Maintainer{cfg: MaintainerConfig{MaxExceptionRate: 0.05}}).repairThreshold(200); !ok || th != 0.05 {
-		t.Fatalf("static threshold = %v, %v; want 0.05", th, ok)
-	}
-	if _, ok := (&Maintainer{}).repairThreshold(200); ok {
-		t.Fatal("zero config should disable exception-rate repair")
 	}
 }

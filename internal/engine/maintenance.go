@@ -205,9 +205,8 @@ func (db *Database) Modify(table string, partition int, rowIDs []uint64, column 
 
 	// NUC maintenance reads the count maps of every partition and patches
 	// whichever of them hold a colliding value: exclusive structure lock.
-	// modifyLocked re-reads the index map under it, so a DropPatchIndex
-	// racing the dispatch gap simply downgrades this to the (correct,
-	// coarser-locked) NSC path.
+	// An index is never dropped, so the NUC index the dispatch saw is
+	// still there; modifyLocked re-reads the index map under the lock.
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	//pilint:ignore lockblock write-ahead: the WAL append inside must be ordered by the same lock that orders the mutation it logs (Durability, package docs)

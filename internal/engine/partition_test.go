@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"patchindex/internal/core"
 	"patchindex/internal/exec"
@@ -12,9 +13,10 @@ import (
 )
 
 // partitionReorderable reports whether partition p currently admits a
-// partition-granular physical reorganization.
+// partition-granular physical reorganization: ReorderPartition refuses
+// while a snapshot ref holds p's current generation.
 func partitionReorderable(tb *Table, p int) bool {
-	return tb.ExclusivePartition(p, func(*storage.Table) error { return nil }) == nil
+	return !tb.Store().PartitionRetained(p)
 }
 
 // TestScanPartitionGatesOnlyItsPartition: a partition-scoped query
@@ -117,8 +119,8 @@ func TestExclusivePartitionUnderWholeTableSnapshot(t *testing.T) {
 		t.Fatal("closed snapshot still gates")
 	}
 
-	if err := tb.ExclusivePartition(7, func(*storage.Table) error { return nil }); err == nil {
-		t.Fatal("ExclusivePartition accepted an out-of-range partition")
+	if err := tb.ReorderPartition(7, func(*storage.Table) error { return nil }); err == nil {
+		t.Fatal("ReorderPartition accepted an out-of-range partition")
 	}
 }
 
@@ -168,6 +170,43 @@ func TestUnknownTableErrors(t *testing.T) {
 	// panicked, so the bounds check must come first).
 	if err := db.DeleteRowIDs("t", 0, []uint64{1, 999999}); err == nil {
 		t.Fatal("out-of-range delete rowID did not error")
+	}
+}
+
+// TestBadPartitionLeaksNoLock: a read of a partition the table does not
+// have fails before it takes any lock — PartitionSortedness with an
+// error, ReadInt64Column with a panic — so DDL, which needs the
+// exclusive structure lock, still runs afterwards.
+func TestBadPartitionLeaksNoLock(t *testing.T) {
+	db := newDB(t)
+	tb := singleColTable(t, db, "t", seq(100), 2)
+	if err := tb.CreatePatchIndex("v", core.NearlySorted, tinyOpts(core.DesignBitmap)); err != nil {
+		t.Fatal(err)
+	}
+	panics := func(f func()) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		f()
+		return false
+	}
+	if panics(func() {
+		if _, err := tb.PartitionSortedness("v", 5); err == nil {
+			t.Error("PartitionSortedness accepted partition 5 of 2")
+		}
+	}) {
+		t.Error("PartitionSortedness panicked on partition 5 of 2")
+	}
+	if !panics(func() { tb.ReadInt64Column(5, "v") }) {
+		t.Error("ReadInt64Column returned for partition 5 of 2")
+	}
+	done := make(chan error, 1)
+	go func() { done <- tb.Load([]storage.Row{{storage.I64(1000)}}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Load still blocked 5 s after the out-of-range reads: they leaked the structure lock")
 	}
 }
 

@@ -4,13 +4,13 @@ import (
 	"testing"
 
 	"patchindex/internal/exec"
-	"patchindex/internal/storage"
 )
 
-// reorderable reports whether the table currently admits a physical
-// storage reorganization.
+// reorderable reports whether the table currently admits a whole-table
+// physical reorganization: ReorderStorage refuses while any snapshot
+// ref on the table is live.
 func reorderable(tb *Table) bool {
-	return tb.ExclusiveStorage(func(*storage.Table) error { return nil }) == nil
+	return tb.Store().LiveSnapshotRefs() == 0
 }
 
 // TestCheckpointClonesOnlyWhileSnapshotLive is the registry's core

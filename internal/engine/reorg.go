@@ -9,21 +9,17 @@ import (
 )
 
 // ErrSnapshotCaptured is wrapped by every physical-reorganization
-// refusal (ReorderPartition, ReorderStorage, ExclusivePartition,
-// ExclusiveStorage): the target storage is still referenced by a live
-// snapshot — explicitly captured or query-internal — and reordering it
+// refusal (ReorderPartition, ReorderStorage): the target storage is
+// still referenced by a live snapshot — explicitly captured or query-internal — and reordering it
 // would corrupt the snapshot's frozen views. The condition is
 // transient; errors.Is against this sentinel is how the maintenance
 // daemon tells a refusal worth retrying with backoff apart from a real
 // failure.
 var ErrSnapshotCaptured = errors.New("captured by a live snapshot (explicit or in-flight query)")
 
-// Physical reorganization with metadata re-anchoring. ExclusiveStorage
-// and ExclusivePartition (engine.go) hand out raw storage access and
-// leave every piece of engine metadata alone — correct for the
-// comparator experiments that own index-less tables, but a reorder of a
-// PatchIndex-carrying table invalidates three things the raw guards
-// cannot see:
+// Physical reorganization with metadata re-anchoring. A reorder hands
+// fn raw storage, and permuting rows invalidates three pieces of engine
+// metadata that fn cannot see:
 //
 //   - pending deltas: delete/modify positions refer to pre-reorder rows,
 //     and buffered inserts would dodge the permutation entirely;
@@ -33,9 +29,9 @@ var ErrSnapshotCaptured = errors.New("captured by a live snapshot (explicit or i
 //   - the per-partition index slots: patch rowIDs and the NSC sorted-run
 //     bookkeeping describe physical positions that just moved.
 //
-// ReorderStorage and ReorderPartition wrap the same guards with the
-// checkpoint-first / invalidate / recompute protocol, and are what the
-// SortKey comparator and the maintenance daemon go through.
+// ReorderStorage and ReorderPartition wrap fn in the checkpoint-first /
+// invalidate / recompute protocol, and are what the SortKey comparator
+// and the maintenance daemon go through.
 
 // ReorderPartition runs fn with exclusive write access to partition p of
 // the table's underlying storage — for physical reorganizations confined
@@ -44,9 +40,10 @@ var ErrSnapshotCaptured = errors.New("captured by a live snapshot (explicit or i
 // checkpointed FIRST (its positions refer to pre-reorder rows, and a
 // non-insert-only checkpoint of a snapshot-shared generation publishes a
 // fresh clone, which also clears refusals a stale ref would otherwise
-// cause); the snapshot-retained check follows, refusing like
-// ExclusivePartition while a live capture still holds p's current
-// generation. After fn returns, p's minmax summaries are invalidated —
+// cause); the snapshot-retained check follows, refusing while a live
+// capture still holds p's current generation — a whole-table snapshot
+// gates every partition, a partition-scoped capture (ScanPartition) of
+// a sibling does not. After fn returns, p's minmax summaries are invalidated —
 // which also stops views frozen before the reorder from publishing theirs
 // back — and every PatchIndex slot p is recomputed from the new physical
 // order. fn must either complete its permutation or leave the partition
@@ -86,13 +83,12 @@ func (t *Table) ReorderPartition(p int, fn func(*storage.Table) error) error {
 }
 
 // ReorderStorage is ReorderPartition for whole-table physical
-// reorganizations (the SortKey create/rebuild path): every delta is
-// checkpointed first, the reorder refuses while any snapshot ref is live
-// (like ExclusiveStorage — table-level refs cannot be cleared by a
-// checkpoint, so the check precedes it only in spirit; checkpointing a
-// doomed reorder is harmless always-legal maintenance), and afterwards
-// every partition's minmax summaries are invalidated and its index
-// slots recomputed.
+// reorganizations (the SortKey create/rebuild path): the reorder refuses
+// while the snapshot registry holds any live ref on the table, explicit
+// snapshots and in-flight queries alike (the exclusive structure lock
+// keeps new refs out until fn returns), every delta is checkpointed,
+// and afterwards every partition's minmax summaries are invalidated
+// and its index slots recomputed.
 func (t *Table) ReorderStorage(fn func(*storage.Table) error) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -34,9 +34,9 @@ import (
 // delete/modify checkpoint of a referenced partition generation clones
 // it and publishes the clone as a new generation instead of compacting
 // the shared arrays, and physical reorganization refuses — whole-table
-// (Table.ExclusiveStorage, the SortKey comparator) while any ref is
-// live, partition-granular (Table.ExclusivePartition) while the ref
-// still holds the target partition's current generation.
+// (Table.ReorderStorage, the SortKey comparator) while any ref is live,
+// partition-granular (Table.ReorderPartition) while the ref still holds
+// the target partition's current generation.
 // Close is a promise to stop reading: afterwards the update path owes
 // the snapshot nothing — the next checkpoint of each partition may
 // compact the shared arrays in place, so the snapshot's views must not
@@ -109,7 +109,7 @@ func (t *Table) snapshotLocked() *TableSnapshot {
 // Close releases the snapshot's generation refcounts, letting
 // subsequent checkpoints of the captured partitions mutate in place
 // again and — once every snapshot of the table is closed — re-enabling
-// physical storage reorganization (ExclusiveStorage). Close is
+// whole-table reorganization (ReorderStorage). Close is
 // idempotent: the refcounts are released exactly once no matter how
 // often it is called. Closing ends the snapshot's read validity: a
 // later in-place checkpoint or reorder may rewrite the arrays its
@@ -168,18 +168,6 @@ func (db *Database) MustSnapshot(names ...string) *DatabaseSnapshot {
 		panic(err)
 	}
 	return s
-}
-
-// SnapshotAll atomically captures every table of the database.
-func (db *Database) SnapshotAll() *DatabaseSnapshot {
-	db.tablesMu.RLock()
-	tabs := make([]*Table, 0, len(db.tables))
-	for _, t := range db.tables {
-		tabs = append(tabs, t)
-	}
-	db.tablesMu.RUnlock()
-	sort.Slice(tabs, func(i, j int) bool { return tabs[i].name < tabs[j].name })
-	return snapshotTables(tabs)
 }
 
 // snapshotTables locks the tables (already sorted by name — the global
@@ -299,7 +287,7 @@ func (s *TableSnapshot) ScanAll(columns ...string) exec.Operator {
 // drains, checkpoints of partition p clone-and-swap and a
 // partition-granular reorder of p refuses — but sibling partitions owe
 // the scan nothing: their checkpoints mutate in place and their
-// rebuilds (ExclusivePartition) proceed. The ref is released when the
+// reorders (ReorderPartition) proceed. The ref is released when the
 // operator is drained or closed, as query.Run's snapshot is. Unknown
 // columns and out-of-range partitions return an error — before the
 // capture, so the aborted call retains no generation refs.

@@ -61,18 +61,6 @@ func (v *Vec) Append(src *Vec, i int) {
 	}
 }
 
-// AppendValue adds a boxed value to v.
-func (v *Vec) AppendValue(val storage.Value) {
-	switch v.Kind {
-	case storage.KindInt64:
-		v.I64 = append(v.I64, val.I)
-	case storage.KindFloat64:
-		v.F64 = append(v.F64, val.F)
-	default:
-		v.Str = append(v.Str, val.S)
-	}
-}
-
 // Value returns the boxed value at position i.
 func (v *Vec) Value(i int) storage.Value {
 	switch v.Kind {

@@ -56,7 +56,7 @@ func TestErrorPropagation(t *testing.T) {
 			}
 		})
 	}
-	build("Filter", func(c Operator) Operator { return NewFilter(c, Int64Greater(0, -1)) })
+	build("Filter", func(c Operator) Operator { return NewFilter(c, int64Greater(0, -1)) })
 	build("PatchFilter", func(c Operator) Operator { return NewPatchFilter(c, patchSet{}, ExcludePatches) })
 	build("Project", func(c Operator) Operator { return NewProject(c, []int{0}) })
 	build("Distinct", func(c Operator) Operator { return NewDistinct(c, []int{0}) })

@@ -106,41 +106,6 @@ func (f *PatchFilter) Close() {
 // Pred is a row predicate evaluated against a batch.
 type Pred func(b *Batch, i int) bool
 
-// Int64Range returns a predicate selecting lo <= col <= hi.
-func Int64Range(col int, lo, hi int64) Pred {
-	return func(b *Batch, i int) bool {
-		v := b.Cols[col].I64[i]
-		return v >= lo && v <= hi
-	}
-}
-
-// Int64Less returns a predicate selecting col < v.
-func Int64Less(col int, v int64) Pred {
-	return func(b *Batch, i int) bool { return b.Cols[col].I64[i] < v }
-}
-
-// Int64Greater returns a predicate selecting col > v.
-func Int64Greater(col int, v int64) Pred {
-	return func(b *Batch, i int) bool { return b.Cols[col].I64[i] > v }
-}
-
-// StrEq returns a predicate selecting col == s.
-func StrEq(col int, s string) Pred {
-	return func(b *Batch, i int) bool { return b.Cols[col].Str[i] == s }
-}
-
-// StrIn returns a predicate selecting col ∈ set.
-func StrIn(col int, set ...string) Pred {
-	m := make(map[string]struct{}, len(set))
-	for _, s := range set {
-		m[s] = struct{}{}
-	}
-	return func(b *Batch, i int) bool {
-		_, ok := m[b.Cols[col].Str[i]]
-		return ok
-	}
-}
-
 // And combines predicates conjunctively.
 func And(preds ...Pred) Pred {
 	return func(b *Batch, i int) bool {

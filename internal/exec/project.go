@@ -46,50 +46,6 @@ func (p *Project) Close() {
 	p.out = nil
 }
 
-// RowIDProject reduces the child to a single int64 column holding its
-// rowIDs — the "project rowIDs of both join sides" step of the insert
-// handling query (Fig. 5).
-type RowIDProject struct {
-	child Operator
-	name  string
-	out   *Batch
-}
-
-// NewRowIDProject converts rowIDs into a BIGINT column named name.
-func NewRowIDProject(child Operator, name string) *RowIDProject {
-	return &RowIDProject{child: child, name: name}
-}
-
-// Schema implements Operator.
-func (p *RowIDProject) Schema() storage.Schema {
-	return storage.Schema{{Name: p.name, Kind: storage.KindInt64}}
-}
-
-// Next implements Operator.
-func (p *RowIDProject) Next() (*Batch, error) {
-	in, err := p.child.Next()
-	if err != nil || in == nil {
-		return nil, err
-	}
-	if in.RowIDs == nil {
-		panic("exec: RowIDProject requires rowIDs from its child")
-	}
-	if p.out == nil {
-		p.out = NewBatch(p.Schema())
-	}
-	p.out.Reset()
-	for _, rid := range in.RowIDs {
-		p.out.Cols[0].I64 = append(p.out.Cols[0].I64, int64(rid))
-	}
-	return p.out, nil
-}
-
-// Close implements Operator.
-func (p *RowIDProject) Close() {
-	p.child.Close()
-	p.out = nil
-}
-
 // Union concatenates the output of its children (UNION ALL). Children
 // must share a schema. It is the combining operator of the PatchIndex
 // distinct and join optimizations (Fig. 2).

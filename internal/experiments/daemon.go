@@ -70,7 +70,6 @@ func runDaemonChurn(w io.Writer, s Scale, steps int, withDaemon bool) {
 		cfg.Interval = time.Millisecond
 		cfg.MaxExceptionRate = 0.1
 		cfg.MinSortedness = 0.9
-		cfg.DiscoverNearUnique = false
 		if m, err = db.StartMaintainer(cfg); err != nil {
 			panic(err)
 		}

@@ -141,12 +141,6 @@ func (d *Delta) deletedAtOrBelow(p int) int {
 	return sort.SearchInts(d.deletes, p+1)
 }
 
-// isDeleted reports whether base position p is marked deleted.
-func (d *Delta) isDeleted(p int) bool {
-	i := sort.SearchInts(d.deletes, p)
-	return i < len(d.deletes) && d.deletes[i] == p
-}
-
 // Delete removes the tuple at the given logical position from the view.
 func (d *Delta) Delete(logical int) {
 	pos, isInsert := d.Resolve(logical)
@@ -185,11 +179,6 @@ func (d *Delta) Modify(logical, col int, v storage.Value) {
 	}
 	d.modifies[col][pos] = v
 }
-
-// InsertColumn exposes the insert buffer for column col; PatchIndex
-// insert handling scans it ("scanning the inserted values is realized by
-// scanning the PDTs of the current query", Section 5.1).
-func (d *Delta) InsertColumn(col int) *storage.Column { return d.inserts[col] }
 
 // Clone returns a deep copy of the delta. The engine's snapshot layer
 // uses it for copy-on-write: a delta captured by a live snapshot is

@@ -103,34 +103,6 @@ func ChooseSort(rows, patches uint64, havePatch bool) Access {
 	return AccessReference
 }
 
-// ErosionExceptionRate inverts the cost model for the maintenance
-// daemon: it returns the exception rate at which a partition's
-// PatchIndex plan costs `erosion` (a fraction, e.g. 0.25) more than the
-// same plan with zero patches — the point where index quality has
-// measurably eroded and a repair pays for itself. The rate is capped at
-// the break-even point beyond which the optimizer would abandon the
-// patch plan for the reference plan entirely; repairing later than that
-// is strictly wasted index maintenance. Derived from the distinct-plan
-// formulas (the patch term patches*costHashTuple is identical in the
-// sort and join plans, so one inversion serves all).
-func ErosionExceptionRate(rows uint64, erosion float64) float64 {
-	if rows == 0 || erosion <= 0 {
-		return 1 // nothing to erode; never triggers
-	}
-	r := float64(rows)
-	base := r*(costScanTuple+2*costSelectTuple) + costCloneFixed
-	erode := erosion * base / (costHashTuple * r)
-	breakEven := (r*(costScanTuple+costHashTuple) - base) / (costHashTuple * r)
-	rate := math.Min(erode, breakEven)
-	if rate < 0 {
-		// Partition too small for the patch plan to ever win: any
-		// exceptions at all mean the reference plan is used, so repair
-		// has no plan-cost payoff. Report 1 (never trigger on cost).
-		return 1
-	}
-	return math.Min(rate, 1)
-}
-
 // Chooser carries runtime cardinality feedback across queries: the
 // compiler estimates an operator's output rows, execution meters the
 // actual count, and Observe folds the ratio into an EWMA correction

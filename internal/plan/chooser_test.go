@@ -74,38 +74,6 @@ func TestChooseSortAndDistinct(t *testing.T) {
 	}
 }
 
-// TestErosionExceptionRate pins the cost-model inversion the maintenance
-// daemon uses for repair thresholds.
-func TestErosionExceptionRate(t *testing.T) {
-	// 10000 rows, 25% erosion: base = 10000*1.6 + 2000 = 18000;
-	// erode = 0.25*18000/100000 = 0.045, well under break-even 0.92.
-	if got, want := ErosionExceptionRate(10_000, 0.25), 0.045; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("ErosionExceptionRate(10000, 0.25) = %v, want %v", got, want)
-	}
-	// The rate is capped at break-even: with a huge erosion budget the
-	// repair must still fire before the optimizer abandons the patch
-	// plan entirely.
-	rate := ErosionExceptionRate(10_000, 100)
-	breakEven := (10_000*(costScanTuple+costHashTuple) - 18_000.0) / (costHashTuple * 10_000)
-	if math.Abs(rate-breakEven) > 1e-9 {
-		t.Fatalf("uncapped rate = %v, want break-even %v", rate, breakEven)
-	}
-	// Monotonic in erosion below the cap.
-	if ErosionExceptionRate(10_000, 0.1) >= ErosionExceptionRate(10_000, 0.5) {
-		t.Fatal("rate not monotonic in the erosion budget")
-	}
-	// Partitions too small for the patch plan to ever win, empty
-	// partitions, and a zero budget all report 1 (never trigger).
-	for _, tc := range []struct {
-		rows    uint64
-		erosion float64
-	}{{200, 0.25}, {0, 0.25}, {10_000, 0}} {
-		if got := ErosionExceptionRate(tc.rows, tc.erosion); got != 1 {
-			t.Fatalf("ErosionExceptionRate(%d, %v) = %v, want 1", tc.rows, tc.erosion, got)
-		}
-	}
-}
-
 // TestChooserFeedback pins the EWMA store: first observation sets the
 // factor, later ones blend at alpha=0.5, Adjust rescales estimates, and
 // unknown keys (or a nil receiver) pass through untouched.

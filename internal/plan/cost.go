@@ -82,10 +82,3 @@ func UsePatchIndexForDistinct(rows, patches uint64) bool {
 func UsePatchIndexForSort(rows, patches uint64) bool {
 	return CostSortPatch(rows, patches) < CostSortReference(rows)
 }
-
-// UsePatchIndexForJoin is the join-query decision; small joins (Q12-like)
-// fall back to the reference plan because the cloning overhead outweighs
-// the MergeJoin benefit (Section 6.3).
-func UsePatchIndexForJoin(factRows, patches, dimRows uint64) bool {
-	return CostJoinPatch(factRows, patches, dimRows) < CostJoinReference(factRows, dimRows)
-}

@@ -282,11 +282,11 @@ func TestCostModelShapes(t *testing.T) {
 		t.Fatal("PI should lose distinct at e=1 on small tables")
 	}
 	// Large join: PI wins at low e.
-	if !UsePatchIndexForJoin(1_000_000, 50_000, 10_000) {
+	if a, _ := ChooseJoin(1_000_000, 50_000, 10_000, true, false); a != AccessPatchIndex {
 		t.Fatal("PI should win large join at e=0.05")
 	}
 	// Tiny join (Q12-like): cloning overhead dominates.
-	if UsePatchIndexForJoin(100, 5, 50) {
+	if a, _ := ChooseJoin(100, 5, 50, true, false); a != AccessReference {
 		t.Fatal("PI should lose tiny joins (Section 6.3 Q12)")
 	}
 	// Costs are monotone in patches.

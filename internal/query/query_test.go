@@ -512,13 +512,12 @@ func TestCompileErrors(t *testing.T) {
 // entry point: a Run result holds its snapshot's generation refs from
 // Run returning until the root is drained or the result is closed —
 // exactly once, however often Close is called — and a rejected plan
-// retains nothing. ExclusiveStorage refuses while any ref on the table
-// is live, so it is the probe.
+// retains nothing. The table's live snapshot ref count is the probe.
 func TestRunReleasesSnapshot(t *testing.T) {
 	db := factDim(t, 50, 10, 0, 2, func(i int) int64 { return int64(i) })
 	free := func() bool {
 		for _, name := range []string{"fact", "dim"} {
-			if db.MustTable(name).ExclusiveStorage(func(*storage.Table) error { return nil }) != nil {
+			if db.MustTable(name).Store().LiveSnapshotRefs() != 0 {
 				return false
 			}
 		}

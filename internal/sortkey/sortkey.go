@@ -56,9 +56,9 @@ type SortKey struct {
 	Rebuilds int
 	countMu  sync.Mutex // lock-rank: none leaf guard for the Rebuilds counter only
 	// guard wraps the whole-table physical reorder for engine-owned
-	// tables (Table.ExclusiveStorage); nil for raw storage-level
+	// tables (engine.Table.ReorderStorage); nil for raw storage-level
 	// SortKeys. pguard is its partition-granular sibling
-	// (Table.ExclusivePartition).
+	// (engine.Table.ReorderPartition).
 	guard  func(func(*storage.Table) error) error
 	pguard func(int, func(*storage.Table) error) error
 }
@@ -84,9 +84,9 @@ func Create(table *storage.Table, col int, desc bool) *SortKey {
 // storage-level path: the liveness check and the reorder run atomically
 // under the registry lock, so a query capturing concurrently either
 // blocks until the reorder finishes or makes the reorder refuse.
-// (Guarded SortKeys go through engine.Table.ExclusiveStorage or
-// ExclusivePartition instead, which perform the check under the
-// engine's locks — the locks every engine capture takes.)
+// (Guarded SortKeys go through engine.Table.ReorderStorage or
+// ReorderPartition instead, which perform the check under the engine's
+// locks — the locks every engine capture takes.)
 func (s *SortKey) rebuildExclusive() error {
 	return s.table.Exclusive(func() error {
 		s.rebuild()

@@ -97,10 +97,6 @@ func (c *Column) Get(i int) Value {
 // KindInt64.
 func (c *Column) Int64At(i int) int64 { return c.ints[i] }
 
-// Float64At returns the float64 value at position i; the column must be
-// KindFloat64.
-func (c *Column) Float64At(i int) float64 { return c.floats[i] }
-
 // StringAt returns the string value at position i; the column must be
 // KindString.
 func (c *Column) StringAt(i int) string { return c.strings[i] }

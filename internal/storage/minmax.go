@@ -88,11 +88,6 @@ type Range struct {
 	Min, Max int64
 }
 
-// FullRange covers all int64 values.
-func FullRange() Range {
-	return Range{Min: -1 << 63, Max: 1<<63 - 1}
-}
-
 // Contains reports whether v lies in the range.
 func (r Range) Contains(v int64) bool { return v >= r.Min && v <= r.Max }
 

@@ -408,8 +408,10 @@ func (t *Table) LiveSnapshotRefs() int {
 // PartitionRetained reports whether any live snapshot ref holds
 // partition i's *current* generation. While it does, an in-place
 // delete/modify of the partition's backing arrays must clone-and-swap
-// instead, and partition-granular reorganization must refuse (use
-// ExclusivePartition to make that check atomic with the work). Refs on
+// instead, and partition-granular reorganization must refuse (the
+// engine makes that check atomic with the work by holding the
+// partition's lock; ExclusivePartition does by holding the registry
+// lock). Refs on
 // retired generations of i read from the old partition object and are
 // unaffected by either, so they do not count.
 func (t *Table) PartitionRetained(i int) bool {
@@ -420,7 +422,7 @@ func (t *Table) PartitionRetained(i int) bool {
 
 // Exclusive runs fn only if no snapshot ref is live, holding the
 // registry lock throughout so no new ref can be retained mid-fn — the
-// storage-level equivalent of the engine's ExclusiveStorage guard, for
+// storage-level counterpart of the engine's ReorderStorage refusal, for
 // raw whole-table in-place reorganization (sortkey.Create on a table
 // the caller owns). A concurrent Retain blocks until fn returns and
 // then captures the reorganized state; fn must not touch the registry

@@ -15,6 +15,38 @@ import (
 	"patchindex/internal/plan"
 )
 
+// The per-row filter predicates of the hand-built trees.
+
+func int64Range(col int, lo, hi int64) exec.Pred {
+	return func(b *exec.Batch, i int) bool {
+		v := b.Cols[col].I64[i]
+		return v >= lo && v <= hi
+	}
+}
+
+func int64Less(col int, v int64) exec.Pred {
+	return func(b *exec.Batch, i int) bool { return b.Cols[col].I64[i] < v }
+}
+
+func int64Greater(col int, v int64) exec.Pred {
+	return func(b *exec.Batch, i int) bool { return b.Cols[col].I64[i] > v }
+}
+
+func strEq(col int, s string) exec.Pred {
+	return func(b *exec.Batch, i int) bool { return b.Cols[col].Str[i] == s }
+}
+
+func strIn(col int, set ...string) exec.Pred {
+	m := make(map[string]struct{}, len(set))
+	for _, s := range set {
+		m[s] = struct{}{}
+	}
+	return func(b *exec.Batch, i int) bool {
+		_, ok := m[b.Cols[col].Str[i]]
+		return ok
+	}
+}
+
 func (q *Queries) handJoinInput(factCols []int, transform func(exec.Operator) exec.Operator, dim func() exec.Operator) plan.JoinInput {
 	return plan.JoinInput{
 		Fact:          q.snap.MustTable("lineitem").Inputs("l_orderkey"),
@@ -52,12 +84,12 @@ func (q *Queries) handJoined(mode Mode, in plan.JoinInput, ji *joinindex.Index, 
 func (q *Queries) handQ3(mode Mode, ji *joinindex.Index) (exec.Operator, error) {
 	customerBuild := func() exec.Operator {
 		c := q.snap.MustTable("customer")
-		return exec.NewFilter(c.ScanAll("c_custkey", "c_mktsegment"), exec.StrEq(1, q3Segment))
+		return exec.NewFilter(c.ScanAll("c_custkey", "c_mktsegment"), strEq(1, q3Segment))
 	}
 	dim := func() exec.Operator {
 		o := q.snap.MustTable("orders")
 		scan := o.ScanAll("o_orderkey", "o_custkey", "o_orderdate", "o_shippriority")
-		filtered := exec.NewFilter(scan, exec.Int64Less(2, q3Date))
+		filtered := exec.NewFilter(scan, int64Less(2, q3Date))
 		// Probe side = orders: preserves o_orderkey order for MergeJoin.
 		return exec.NewHashJoin(filtered, customerBuild(), 1, 0)
 	}
@@ -65,7 +97,7 @@ func (q *Queries) handQ3(mode Mode, ji *joinindex.Index) (exec.Operator, error) 
 	// l_extendedprice, l_discount].
 	factCols := []int{0, 2, 5, 6}
 	shipFilter := func(op exec.Operator) exec.Operator {
-		return exec.NewFilter(op, exec.Int64Greater(1, q3Date))
+		return exec.NewFilter(op, int64Greater(1, q3Date))
 	}
 
 	var joined exec.Operator
@@ -75,8 +107,8 @@ func (q *Queries) handQ3(mode Mode, ji *joinindex.Index) (exec.Operator, error) 
 		// then apply the date filters and the customer join.
 		jiTransform := func(op exec.Operator) exec.Operator {
 			f := exec.NewFilter(op, exec.And(
-				exec.Int64Greater(1, q3Date), // l_shipdate
-				exec.Int64Less(5, q3Date),    // o_orderdate
+				int64Greater(1, q3Date), // l_shipdate
+				int64Less(5, q3Date),    // o_orderdate
 			))
 			return exec.NewHashJoin(f, customerBuild(), 4, 0) // o_custkey
 		}
@@ -141,7 +173,7 @@ func (q *Queries) handQ7(mode Mode, ji *joinindex.Index) (exec.Operator, error) 
 	// l_extendedprice, l_discount].
 	factCols := []int{0, 1, 2, 5, 6}
 	transform := func(op exec.Operator) exec.Operator {
-		f := exec.NewFilter(op, exec.Int64Range(2, q7From, q7To))
+		f := exec.NewFilter(op, int64Range(2, q7From, q7To))
 		return exec.NewHashJoin(f, supplierBuild(), 1, 0)
 	}
 
@@ -151,7 +183,7 @@ func (q *Queries) handQ7(mode Mode, ji *joinindex.Index) (exec.Operator, error) 
 	if mode == ModeJoinIndex {
 		jiTransform := func(op exec.Operator) exec.Operator {
 			// op: [l_ok, l_sk, l_ship, l_ext, l_disc, o_custkey]
-			f := exec.NewFilter(op, exec.Int64Range(2, q7From, q7To))
+			f := exec.NewFilter(op, int64Range(2, q7From, q7To))
 			sj := exec.NewHashJoin(f, supplierBuild(), 1, 0)   // + s_sk, s_nat
 			return exec.NewHashJoin(sj, customerBuild(), 5, 0) // + c_ck, c_nat
 		}
@@ -187,10 +219,10 @@ func (q *Queries) handQ12(mode Mode, ji *joinindex.Index) (exec.Operator, error)
 	// l_receiptdate, l_shipmode].
 	factCols := []int{0, 2, 3, 4, 7}
 	liPred := exec.And(
-		exec.StrIn(4, q12Modes...),
+		strIn(4, q12Modes...),
 		func(b *exec.Batch, i int) bool { return b.Cols[2].I64[i] < b.Cols[3].I64[i] },
 		func(b *exec.Batch, i int) bool { return b.Cols[1].I64[i] < b.Cols[2].I64[i] },
-		exec.Int64Range(3, q12From, q12To-1),
+		int64Range(3, q12From, q12To-1),
 	)
 	transform := func(op exec.Operator) exec.Operator { return exec.NewFilter(op, liPred) }
 	dim := func() exec.Operator {

@@ -412,21 +412,21 @@ func TestConvenienceQueriesDontWedgeReorderGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.DB.MustTable("orders").ExclusiveStorage(noop); err == nil {
+	if err := ds.DB.MustTable("orders").ReorderStorage(noop); err == nil {
 		t.Fatal("reorder guard open while a convenience query is in flight")
 	}
 	if _, err := ResultRows(op); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.DB.MustTable("orders").ExclusiveStorage(noop); err != nil {
+	if err := ds.DB.MustTable("orders").ReorderStorage(noop); err != nil {
 		t.Fatalf("reorder guard wedged after drained convenience query: %v", err)
 	}
 	q := ds.Queries()
-	if err := ds.DB.MustTable("orders").ExclusiveStorage(noop); err == nil {
+	if err := ds.DB.MustTable("orders").ReorderStorage(noop); err == nil {
 		t.Fatal("open Queries snapshot did not hold the reorder guard")
 	}
 	q.Close()
-	if err := ds.DB.MustTable("orders").ExclusiveStorage(noop); err != nil {
+	if err := ds.DB.MustTable("orders").ReorderStorage(noop); err != nil {
 		t.Fatal(err)
 	}
 }

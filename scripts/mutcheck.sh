@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Mutation check for the NUC differentials, the minmax/scan tests, the
-# checkpoint/rewrite image tests, the join plans' compute-once test and
-# the Merge/Sort differentials.
+# checkpoint/rewrite image tests, the join plans' compute-once test, the
+# Merge/Sort differentials and the partition-bounds lock-leak test.
 #
 # The insert and modify paths are pinned to the paper's algorithms by
 # twin-table differentials against test-only oracles, the block
 # summaries that outlive snapshots by a storage property test, and the
 # typed checkpoint loader and rewrite encoder by round-trip and
 # byte-format tests, the join plans' shared dimension cache by a
-# counting test, and the executor's k-way merge and stable sort by
-# seeded differentials against stable-sort oracles. This
+# counting test, the executor's k-way merge and stable sort by seeded
+# differentials against stable-sort oracles, and the partition bounds
+# checks that run before a lock is taken by a lock-leak test. This
 # script re-verifies that those tests have teeth: it copies the tree to a
 # temp directory, breaks one rule of the production code at a time, and
 # requires the matching test to FAIL. A mutation that still compiles
@@ -35,6 +36,7 @@ scan=internal/exec/scan.go
 dur=internal/engine/durability.go
 plan=internal/plan/plan.go
 sortgo=internal/exec/sort.go
+approx=internal/engine/approx.go
 insdiff='^TestInsertRowsDifferentialVsInsert$'
 moddiff='^TestModifyNUCDifferentialVsJoin$'
 mmprop='^TestMinMaxSurvivesWritesProperty$'
@@ -44,6 +46,7 @@ rwfmt='^TestRewriteImageFormat$'
 dimonce='^TestJoinComputesDimensionOnce$'
 mergediff='^TestMergeDifferential$'
 sortstable='^TestSortStableOrder$'
+leak='^TestBadPartitionLeaksNoLock$'
 
 # mutate FILE replaces the one occurrence of $FROM by $TO (exit 3 unless
 # it occurs exactly once).
@@ -82,7 +85,7 @@ check() {
 }
 
 # The unmutated copy must pass, or "the test fails" proves nothing.
-if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt" ./internal/engine >/dev/null 2>&1 &&
+if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt|$leak" ./internal/engine >/dev/null 2>&1 &&
 	go test -count=1 -run "$mmprop" ./internal/storage >/dev/null 2>&1 &&
 	go test -count=1 -run "$scanids|$mergediff|$sortstable" ./internal/exec >/dev/null 2>&1 &&
 	go test -count=1 -run "$dimonce" ./internal/plan >/dev/null 2>&1); then
@@ -129,5 +132,7 @@ check "Merge: a run ignores the runner-up's head" $sortgo ./internal/exec "$merg
 	$'\t\tif r < 0 {\n\t\t\te = end\n' $'\t\tif true {\n\t\t\te = end\n'
 check "Sort: no position tiebreak" $sortgo ./internal/exec "$sortstable" \
 	'return cmp.Compare(a, b)' 'return 0 * cmp.Compare(a, b)'
+check "PartitionSortedness: no partition bounds check" $approx ./internal/engine "$leak" \
+	$'\tif p < 0 || p >= len(t.pmu) {\n\t\treturn 0, fmt.Errorf("engine: table %q has no partition %d", t.name, p)\n\t}\n' ''
 
 exit $failed
