@@ -31,6 +31,7 @@ var keptWithoutCaller = map[string]string{
 	"internal/engine:TableSnapshot.ScanAll": "test helper in many packages",
 	"internal/engine:LoadColumnInt64":       "test helper in many packages",
 	"internal/exec:NewInt64Source":          "test helper in many packages",
+	"internal/storage:Table.LoadRows":       "raw-table loader of five packages' tests",
 	// The date encoding the hand-built TPC-H reference trees use.
 	"internal/tpch:Year": "date encoding of the hand-built TPC-H trees",
 	// Left to the ROADMAP items that retire them.
@@ -48,7 +49,7 @@ var keptWithoutCaller = map[string]string{
 	"internal/storage:Table.Generation":       "test accessor",
 	"internal/pdt:Delta.NumDeletes":           "test accessor",
 	"internal/pdt:Delta.Checkpoint":           "test accessor",
-	"internal/storage:Value.Less":             "test accessor",
+	"internal/storage:Table.LiveSnapshotRefs": "test accessor",
 	"internal/engine:Table.Checkpoint":        "test accessor",
 	"internal/engine:Database.SnapshotTable":  "test accessor",
 	"internal/bitmap:shiftTailLeftOneScalar":  "reference of the word-shift differential test",

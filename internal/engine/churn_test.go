@@ -183,8 +183,6 @@ func runChurn(t *testing.T, withDaemon bool) (*engine.Table, *engine.Maintainer)
 			MaxExceptionRate: churnMaxRate,
 			MinSortedness:    churnMinSortedness,
 			MinUtilization:   0.2,
-			MaxRetries:       3,
-			RetryBackoff:     200 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -139,7 +139,7 @@ func TestCheckpointRoundTripTyped(t *testing.T) {
 
 		// Rewrite images above the checkpoint: one partition reordered,
 		// then a bulk load that reaches the empty partition.
-		if err := tb.ReorderPartition(1, reversePartition(1)); err != nil {
+		if err := tb.ReorderPartition(1, reversePartition); err != nil {
 			t.Fatal(err)
 		}
 		// Load re-derives both indexes itself.
@@ -149,7 +149,7 @@ func TestCheckpointRoundTripTyped(t *testing.T) {
 		if err := db.CheckpointToDisk(dir); err != nil {
 			t.Fatal(err)
 		}
-		if err := tb.ReorderPartition(3, reversePartition(3)); err != nil {
+		if err := tb.ReorderPartition(3, reversePartition); err != nil {
 			t.Fatal(err)
 		}
 		label = fmt.Sprintf("seed %d, checkpoint plus rewrite", seed)

@@ -979,15 +979,14 @@ func readTableWAL(dir, name string, nparts int) ([]wal.Record, int, error) {
 }
 
 // loadPartitionsExact publishes the checkpoint's decoded partitions
-// exactly as persisted (no redistribution) and resets the deltas — the
-// recovery loader. The partitions' columns become the table's own.
+// exactly as persisted (no redistribution) — the recovery loader, run
+// before any index is restored. The partitions' columns become the
+// table's own.
 func (t *Table) loadPartitionsExact(parts []*storage.Partition) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for p, part := range parts {
-		t.store.SetPartition(p, part)
-		t.delta[p] = pdt.NewDelta(t.store.Schema(), part.NumRows())
-		t.deltaShared[p] = false
+		t.publishPartitionLocked(p, part)
 	}
 }
 
@@ -1078,34 +1077,19 @@ func (t *Table) replayInsertExclusive(db *Database, perPart [][]storage.Row) err
 	return t.insertExclusiveLocked(db, perPart)
 }
 
-// replayRewrite replaces partition p wholesale with its logged image
-// and re-anchors the metadata the way the original rewrite did. It
-// takes the exclusive structure lock (replay is single-threaded, so
-// coarse is fine): a rewrite image from Load changes the value multiset,
-// which invalidates every NUC column's collision directory, and
-// rebuilding that directory reads all partitions.
+// replayRewrite publishes a logged rewrite image as partition p, the
+// way the original rewrite did, and re-derives the NUC columns
+// (rederiveNUCLocked). It takes the exclusive structure lock (replay is
+// single-threaded, so coarse is fine): rebuilding a collision directory
+// reads all partitions.
 func (t *Table) replayRewrite(p int, fresh *storage.Partition) error {
 	if p < 0 || p >= t.store.NumPartitions() {
 		return fmt.Errorf("engine: rewrite record for unknown partition %d", p)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.store.SetPartition(p, fresh)
-	t.delta[p] = pdt.NewDelta(t.store.Schema(), fresh.NumRows())
-	t.deltaShared[p] = false
-	for column := range t.nuc {
-		t.rebuildNUCStateLocked(column)
-	}
-	// The rebuilt directories may seal values other partitions hold (a
-	// Load image adds their duplicates), so every NUC slot is re-derived;
-	// the other slots depend on p's rows alone.
-	for column, idx := range t.indexes {
-		for q := range idx {
-			if q == p || t.nuc[column] != nil {
-				t.recomputeIndexSlotLocked(column, idx, q)
-			}
-		}
-	}
+	t.publishPartitionLocked(p, fresh)
+	t.rederiveNUCLocked()
 	return nil
 }
 

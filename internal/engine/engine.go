@@ -42,21 +42,19 @@
 // snapshots close themselves when their root operator is drained or
 // closed). A delete/modify checkpoint clones a partition only while a
 // live snapshot references its current generation; once the snapshots
-// close, checkpoints go back to mutating in place. Physical storage
-// reorganization refuses while snapshot refs are live: whole-table
-// reorders (Table.ReorderStorage) while ANY ref is live, ephemeral ones
-// included; partition-granular reorders (Table.ReorderPartition) only
-// while a ref holds the target partition's current generation — a
-// SortKey rebuild of one partition proceeds while a query drains a
-// sibling. Both refusals wrap ErrSnapshotCaptured, the
-// retryable-refusal sentinel, and both run the metadata re-anchoring
-// protocol (reorg.go): pending deltas are checkpointed FIRST (their
-// positions refer to pre-reorder rows), and after the permutation the
-// minmax summaries are invalidated and every index slot is recomputed
-// from the new physical order — in place via core.Index.AdoptState,
-// never by swapping the slot pointer, because readers in other lock
-// domains consult a representative slot's immutable constraint kind
-// without holding that slot's partition lock.
+// close, checkpoints go back to mutating in place. Physical rewrites —
+// whole-table and partition-granular reorders (Table.ReorderStorage,
+// Table.ReorderPartition) and bulk loads (Table.Load) — never mutate a
+// partition in place: they build the new partition aside, log it, and
+// publish it as a new generation (reorg.go), so a snapshot holding the
+// old generation keeps reading the old object and no rewrite refuses
+// or waits. Publication re-anchors the metadata: pending deltas are
+// checkpointed FIRST (their positions refer to the old rows), the new
+// partition starts without minmax summaries, and every index slot is
+// recomputed from the new physical order — in place via
+// core.Index.AdoptState, never by swapping the slot pointer, because
+// readers in other lock domains consult a representative slot's
+// immutable constraint kind without holding that slot's partition lock.
 //
 // # Per-partition write locking
 //
@@ -123,17 +121,14 @@
 // ordinary engine client. It calls only exported entry points, holds
 // no lock of its own across any engine call (its registry mutex is
 // leaf-level and never held across repairs), and never holds anything
-// while sleeping.
-// Repairs refused because a live snapshot captures the target
-// (errors.Is ErrSnapshotCaptured) are retried a bounded number of
-// times with doubling backoff and then abandoned until the next sweep
-// — the daemon never blocks writers or queries, and nothing ever
-// waits for the daemon. Shutdown contract: Database.Close (or
-// Maintainer.Stop, both idempotent) signals the goroutine and joins
-// it, cutting any in-progress backoff sleep short; after Close
-// returns, no daemon-initiated repair is running or will start, so
-// quiescent checks can read table state without further
-// synchronization.
+// while sleeping. No repair waits for a snapshot — a reorder publishes
+// a new partition generation — so each runs once per sweep, and a
+// failed one is counted and left to the next sweep; the daemon never
+// blocks writers or queries, and nothing ever waits for the daemon.
+// Shutdown contract: Database.Close (or Maintainer.Stop, both
+// idempotent) signals the goroutine and joins it; after Close returns,
+// no daemon-initiated repair is running or will start, so quiescent
+// checks can read table state without further synchronization.
 //
 // # Statistics feeding the optimizer
 //
@@ -146,11 +141,11 @@
 // enable scan pruning under pushed-down predicates. A summary outlives
 // the snapshot: capture hands the partition's summaries to the frozen
 // view, a view that builds or extends one publishes it back, appends
-// keep it (the next read extends it) and only deletes, modifies and
-// reorders drop it, so a query pays for the blocks it reads, not for
-// the partition. Keeping exception rates low is therefore not just an
-// index-quality concern — it is what keeps the optimizer choosing the
-// cheap patch plans.
+// keep it (the next read extends it), only deletes and modifies drop
+// it, and a rewrite's new partition starts without one, so a query pays
+// for the blocks it reads, not for the partition. Keeping exception
+// rates low is therefore not just an index-quality concern — it is what
+// keeps the optimizer choosing the cheap patch plans.
 //
 // # Durability
 //
@@ -162,11 +157,13 @@
 // Modify, and the partition rewrites of ReorderPartition /
 // ReorderStorage / Load — appends one logical record to a write-ahead
 // segment BEFORE mutating anything, under the same lock that orders the
-// mutation. Each table owns one segment per partition (appended to by
-// holders of that partition's lock) plus one table-level segment for
-// exclusive-lock operations, so the WAL introduces no cross-partition
-// ordering; the segment mutexes rank 60, above every engine lock,
-// because they only order appends against checkpoint truncation. LSNs
+// mutation; a rewrite logs the image of the partition it built aside,
+// then publishes it. Each table owns one segment per partition
+// (appended to by holders of that partition's lock) plus one
+// table-level segment for exclusive-lock operations, so the WAL
+// introduces no cross-partition ordering; the segment mutexes rank 60,
+// above every engine lock, because they only order appends against
+// checkpoint truncation. LSNs
 // come from a per-table counter read inside the critical section, so
 // replaying the union of a table's segments in LSN order reproduces a
 // legal serialization of the original updates.
@@ -602,41 +599,22 @@ func (t *Table) mutableIndexesLocked(column string) []*core.Index {
 // Load bulk-loads rows into base storage in contiguous partition chunks
 // (initial load path, not an update query). Pending inserts, deletes and
 // modifies are checkpointed into base storage first, as Checkpoint does
-// (cloning partitions live snapshots hold), so no update is lost; the
-// appended rows then leave live snapshots valid without cloning. Every
-// existing PatchIndex slot is re-derived from the loaded rows with its
-// own constraint and options. With WAL enabled the loaded state is
-// logged as per-partition rewrite images, so a crash after Load returns
-// replays it; the error return is that logging (always nil with WAL
-// off).
+// (cloning partitions live snapshots hold), so no update is lost. Each
+// partition's post-load image — its rows plus its chunk — is then built
+// aside, logged and published (rewritePartitionLocked), which re-derives
+// its index slots; the NUC columns are re-derived at the end. Load stops
+// at the first failed append, leaving the later partitions as they
+// were, and returns that error (always nil with WAL off).
 func (t *Table) Load(rows []storage.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.checkpointLocked()
-	t.store.LoadRows(rows)
-	for p := range t.delta {
-		t.delta[p] = pdt.NewDelta(t.store.Schema(), t.store.Partition(p).NumRows())
-		t.deltaShared[p] = false
-	}
-	// Collision directories and PatchIndex slots track column contents,
-	// which just changed wholesale: re-derive both from the loaded rows,
-	// as the replay of the rewrite images below does (replayRewrite).
-	for column := range t.nuc {
-		t.rebuildNUCStateLocked(column)
-	}
-	for p := range t.delta {
-		t.recomputePartitionIndexesLocked(p)
-	}
-	// Post-state rewrite images, like ReorderStorage: positional records
-	// logged before the load refer to pre-load rows, so replay needs the
-	// re-baselining image. A lost suffix is safe — Load holds the
-	// structure lock exclusively, so no later record exists.
-	if t.wal != nil {
-		for p := 0; p < t.store.NumPartitions(); p++ {
-			//pilint:ignore lockblock the re-baselining images must be logged under the same structure lock that ordered the load (Durability, package docs)
-			if err := t.logWAL(t.wal.excl, walOpRewrite, encodeRewrite(t.store.Schema(), p, t.viewLocked(p))); err != nil {
-				return err
-			}
+	defer t.rederiveNUCLocked()
+	for p := 0; p < t.store.NumPartitions(); p++ {
+		next := t.store.Partition(p).Extend(t.store.LoadChunk(rows, p))
+		//pilint:ignore lockblock the images must be logged under the structure lock that orders the load, before they are published (Durability, package docs)
+		if err := t.rewritePartitionLocked(p, next, true); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -839,7 +839,4 @@ func TestSnapshotCloseIdempotentAfterDrain(t *testing.T) {
 	if n := tb.Store().LiveSnapshotRefs(); n != 0 {
 		t.Fatalf("live refs after double close = %d, want 0", n)
 	}
-	if !reorderable(tb) {
-		t.Fatal("table not reorderable after all snapshots closed")
-	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -23,8 +22,8 @@ import (
 //
 //   - a NSC partition whose physical order decayed is handed to its
 //     registered PartitionReorderer (the SortKey rebuild), which goes
-//     through ReorderPartition: checkpoint, permute, re-anchor — the
-//     slot comes out patch-free;
+//     through ReorderPartition: checkpoint, permute aside, log, publish
+//     — the slot comes out patch-free;
 //   - an eroded slot without a reorderer (or one that is merely
 //     over-patched, not disordered) is recomputed in place
 //     (RecomputePartitionIndex);
@@ -34,16 +33,14 @@ import (
 // engine lock of its own across actions — every sample and every repair
 // acquires the standard locks of the entry point it calls (shared
 // structure lock + one partition lock for all per-partition work) and
-// releases them before the next step. A repair refused because a live
-// snapshot still captures the partition (ErrSnapshotCaptured) is
-// retried with bounded exponential backoff, sleeping without any lock
-// held — the daemon never blocks writers waiting for a snapshot to
-// drain; it gives the partition up until the next sweep instead.
+// releases them before the next step. No repair waits for a snapshot: a
+// reorder publishes a new partition and leaves the old one to the
+// snapshots that hold it, so each repair runs once per sweep, and a
+// failed one is counted and left to the next sweep.
 //
 // Shutdown: Stop (or Database.Close) closes the stop channel and waits
-// for the sweep goroutine to exit; an in-flight sweep finishes its
-// current action, skips its remaining backoff sleeps, and returns. Stop
-// is idempotent and safe to call concurrently.
+// for the sweep goroutine to exit; an in-flight sweep finishes, and
+// returns. Stop is idempotent and safe to call concurrently.
 
 // PartitionReorderer physically re-sorts one partition through the
 // engine's reorder guard. *sortkey.SortKey satisfies it with
@@ -70,11 +67,6 @@ type MaintainerConfig struct {
 	// MinUtilization triggers condensing of patch storage whose live
 	// fraction fell below it (bitmap designs only).
 	MinUtilization float64
-	// MaxRetries bounds re-attempts of a snapshot-refused repair within
-	// one sweep; RetryBackoff is the initial sleep between attempts,
-	// doubled per retry.
-	MaxRetries   int
-	RetryBackoff time.Duration
 	// CheckpointEvery, when > 0 and WAL logging is enabled
 	// (Database.EnableWAL), runs Database.CheckpointToDisk every
 	// CheckpointEvery-th sweep — the self-managing truncation that keeps
@@ -90,20 +82,17 @@ func DefaultMaintainerConfig() MaintainerConfig {
 		MaxExceptionRate: 0.05,
 		MinSortedness:    0.5,
 		MinUtilization:   0.25,
-		MaxRetries:       3,
-		RetryBackoff:     time.Millisecond,
 	}
 }
 
 // MaintainerStats is a point-in-time snapshot of the daemon's counters:
-// Sweeps completed, successful repair Actions (broken out by kind),
-// snapshot-refused attempts (Refusals), re-attempts after a refusal
-// (Retries), and hard Errors.
+// Sweeps completed, successful repair Actions (broken out by kind) and
+// failed repairs (Errors). Refusals reads 0, for no repair refuses; it
+// stays because the benchmark harness reads it.
 type MaintainerStats struct {
 	Sweeps   uint64
 	Actions  uint64
 	Refusals uint64
-	Retries  uint64
 	Errors   uint64
 
 	Reorders    uint64
@@ -129,9 +118,9 @@ type Maintainer struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	sweeps, actions, refusals, retries, errs atomic.Uint64
-	reorders, recomputes, condenses          atomic.Uint64
-	checkpoints                              atomic.Uint64
+	sweeps, actions, errs           atomic.Uint64
+	reorders, recomputes, condenses atomic.Uint64
+	checkpoints                     atomic.Uint64
 }
 
 // StartMaintainer creates the database's maintenance daemon and, when
@@ -169,8 +158,7 @@ func (db *Database) Close() {
 }
 
 // Stop terminates the sweep goroutine and waits for it to exit. An
-// in-flight sweep finishes its current repair (skipping remaining
-// backoff sleeps) before the join returns. Idempotent.
+// in-flight sweep finishes before the join returns. Idempotent.
 func (m *Maintainer) Stop() {
 	m.stopOnce.Do(func() { close(m.stop) })
 	<-m.done
@@ -216,8 +204,6 @@ func (m *Maintainer) Stats() MaintainerStats {
 	return MaintainerStats{
 		Sweeps:      m.sweeps.Load(),
 		Actions:     m.actions.Load(),
-		Refusals:    m.refusals.Load(),
-		Retries:     m.retries.Load(),
 		Errors:      m.errs.Load(),
 		Reorders:    m.reorders.Load(),
 		Recomputes:  m.recomputes.Load(),
@@ -315,38 +301,12 @@ func (m *Maintainer) repairSlot(t *Table, c indexedColumn, p int) {
 	m.attempt(&m.recomputes, func() error { return t.RecomputePartitionIndex(column, p) })
 }
 
-// attempt runs one repair through the refusal/retry protocol: a
-// transient snapshot refusal (ErrSnapshotCaptured) is retried up to
-// MaxRetries times with doubling backoff — sleeping with no lock held,
-// and cut short by Stop — after which the partition is given up until
-// the next sweep.
+// attempt runs one repair and counts its outcome.
 func (m *Maintainer) attempt(kind *atomic.Uint64, repair func() error) {
-	backoff := m.cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = time.Millisecond
+	if err := repair(); err != nil {
+		m.errs.Add(1)
+		return
 	}
-	for try := 0; ; try++ {
-		err := repair()
-		switch {
-		case err == nil:
-			kind.Add(1)
-			m.actions.Add(1)
-			return
-		case errors.Is(err, ErrSnapshotCaptured):
-			m.refusals.Add(1)
-			if try >= m.cfg.MaxRetries {
-				return
-			}
-			select {
-			case <-m.stop:
-				return
-			case <-time.After(backoff):
-			}
-			m.retries.Add(1)
-			backoff *= 2
-		default:
-			m.errs.Add(1)
-			return
-		}
-	}
+	kind.Add(1)
+	m.actions.Add(1)
 }

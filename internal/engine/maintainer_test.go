@@ -47,11 +47,21 @@ type testReorderer struct {
 }
 
 func (r *testReorderer) RebuildPartitionChecked(p int) error {
-	return r.tb.ReorderPartition(p, func(st *storage.Table) error {
-		vals := st.Partition(p).Column(r.col).Int64s()
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		return nil
-	})
+	return r.tb.ReorderPartition(p, ascending(r.col))
+}
+
+// ascending returns the reorder order that sorts a partition by its
+// BIGINT column col.
+func ascending(col int) func(*storage.Partition) []int {
+	return func(part *storage.Partition) []int {
+		keys := part.Column(col).Int64s()
+		perm := make([]int, len(keys))
+		for i := range perm {
+			perm[i] = i
+		}
+		sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
+		return perm
+	}
 }
 
 func TestMaintainerLifecycle(t *testing.T) {
@@ -143,10 +153,9 @@ func TestMaintainerReordersDisorderedNSC(t *testing.T) {
 	}
 }
 
-// TestMaintainerRetriesSnapshotRefusals: a live snapshot makes the
-// reorder refuse; the daemon retries with backoff, gives up without
-// blocking anything, and succeeds on the next sweep once the snapshot
-// closed.
+// TestMaintainerRetriesSnapshotRefusals: under a live snapshot the
+// daemon re-sorts the partition in the same sweep and counts no
+// refusal, and the snapshot keeps reading the rows it captured.
 func TestMaintainerRetriesSnapshotRefusals(t *testing.T) {
 	db := newDB(t)
 	tb := singleColTable(t, db, "t", seq(256), 4)
@@ -154,31 +163,32 @@ func TestMaintainerRetriesSnapshotRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	erodePartition(t, db, tb, 0)
-	m := manualMaintainer(t, db, MaintainerConfig{
-		MaxExceptionRate: 0.05,
-		MinSortedness:    0.95,
-		MaxRetries:       2,
-		RetryBackoff:     100 * time.Microsecond,
-	})
+	m := manualMaintainer(t, db, MaintainerConfig{MaxExceptionRate: 0.05, MinSortedness: 0.95})
 	m.RegisterReorderer("t", "v", &testReorderer{tb: tb, col: 0})
 
 	snap, err := db.SnapshotTable("t")
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := snap.View(0).MaterializeInt64(0)
+	want = append([]int64(nil), want...)
 	m.Sweep()
 	st := m.Stats()
-	if st.Reorders != 0 {
-		t.Fatalf("reorder ran under a live snapshot: %+v", st)
+	if st.Reorders == 0 || st.Refusals != 0 || st.Errors != 0 {
+		t.Fatalf("want a reorder under the live snapshot, no refusal and no error: %+v", st)
 	}
-	if st.Refusals == 0 || st.Retries == 0 {
-		t.Fatalf("refusal/retry counters did not move: %+v", st)
+	if sorted, err := tb.PartitionSortedness("v", 0); err != nil || sorted != 1 {
+		t.Fatalf("partition 0 sortedness after the sweep = %f (%v), want 1", sorted, err)
 	}
-
+	got := snap.View(0).MaterializeInt64(0)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("snapshot row %d = %d after the reorder, want %d", i, got[i], want[i])
+		}
+	}
 	snap.Close()
-	m.Sweep()
-	if st := m.Stats(); st.Reorders == 0 {
-		t.Fatalf("no reorder after the snapshot closed: %+v", st)
+	if n := tb.Store().LiveSnapshotRefs(); n != 0 {
+		t.Fatalf("%d live snapshot ref(s) after Close", n)
 	}
 }
 
@@ -278,13 +288,11 @@ func TestReorderPartitionReanchorsMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sortedCopy(tb.ReadInt64Column(0, "v"))
-	err := tb.ReorderPartition(0, func(st *storage.Table) error {
-		vals := st.Partition(0).Column(0).Int64s()
-		if len(vals) != len(want) {
-			t.Errorf("reorder saw %d base rows, want %d (delta not checkpointed first)", len(vals), len(want))
+	err := tb.ReorderPartition(0, func(part *storage.Partition) []int {
+		if part.NumRows() != len(want) {
+			t.Errorf("reorder saw %d base rows, want %d (delta not checkpointed first)", part.NumRows(), len(want))
 		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		return nil
+		return ascending(0)(part)
 	})
 	if err != nil {
 		t.Fatal(err)

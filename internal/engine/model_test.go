@@ -363,8 +363,6 @@ func TestModelRandomSchedules(t *testing.T) {
 		Interval:         500 * time.Microsecond,
 		MaxExceptionRate: 0.02,
 		MinUtilization:   0.5,
-		MaxRetries:       2,
-		RetryBackoff:     100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

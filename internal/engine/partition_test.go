@@ -12,17 +12,16 @@ import (
 	"patchindex/internal/wal"
 )
 
-// partitionReorderable reports whether partition p currently admits a
-// partition-granular physical reorganization: ReorderPartition refuses
-// while a snapshot ref holds p's current generation.
-func partitionReorderable(tb *Table, p int) bool {
-	return !tb.Store().PartitionRetained(p)
+// partitionHeld reports whether a live snapshot ref holds partition p's
+// current generation.
+func partitionHeld(tb *Table, p int) bool {
+	return tb.Store().PartitionRetained(p)
 }
 
 // TestScanPartitionGatesOnlyItsPartition: a partition-scoped query
-// capture retains exactly its partition's generation — the gated
-// partition refuses reorganization while every sibling permits it, and
-// the drain releases the gate.
+// capture retains exactly its partition's generation, a reorder of that
+// partition proceeds under it without disturbing the scan, and the
+// drain releases the ref.
 func TestScanPartitionGatesOnlyItsPartition(t *testing.T) {
 	db := newDB(t)
 	tb := singleColTable(t, db, "t", seq(400), 4)
@@ -31,21 +30,24 @@ func TestScanPartitionGatesOnlyItsPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if partitionReorderable(tb, 0) {
-		t.Fatal("gated partition reorderable while its scan is in flight")
+	if !partitionHeld(tb, 0) {
+		t.Fatal("the scan holds no ref on its partition")
 	}
 	for p := 1; p < 4; p++ {
-		if !partitionReorderable(tb, p) {
-			t.Fatalf("sibling partition %d refused while only partition 0 is captured", p)
+		if partitionHeld(tb, p) {
+			t.Fatalf("sibling partition %d held while only partition 0 is captured", p)
 		}
-	}
-	// The whole-table gate stays conservative: any live ref refuses.
-	if reorderable(tb) {
-		t.Fatal("whole-table reorder allowed with a live partition-scoped ref")
 	}
 
 	// The scan sees exactly partition 0's contiguous chunk (Load fills
-	// partitions contiguously), isolated from a concurrent delete.
+	// partitions contiguously), isolated from a concurrent reorder and
+	// delete of that partition.
+	if err := tb.ReorderPartition(0, reversePartition); err != nil {
+		t.Fatalf("reorder under a partition scan: %v", err)
+	}
+	if partitionHeld(tb, 0) {
+		t.Fatal("the reorder's new generation is held by the older scan")
+	}
 	if err := db.DeleteRowIDs("t", 0, []uint64{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +63,8 @@ func TestScanPartitionGatesOnlyItsPartition(t *testing.T) {
 			t.Fatalf("partition scan value[%d] = %d, want %d", i, v, i)
 		}
 	}
-	if !partitionReorderable(tb, 0) {
-		t.Fatal("drained partition scan still holds the gate")
+	if !refsReleased(tb) {
+		t.Fatal("drained partition scan still holds its ref")
 	}
 
 	// Unknown columns and out-of-range partitions (both signs) error
@@ -80,46 +82,53 @@ func TestScanPartitionGatesOnlyItsPartition(t *testing.T) {
 			t.Errorf("ScanPartition(%d, %v) = (%v, %v), want nil op and error", bad.p, bad.cols, op, err)
 		}
 	}
-	if !partitionReorderable(tb, 0) || !reorderable(tb) {
-		t.Fatal("aborted ScanPartition leaked a ref")
-	}
 	if n := tb.Store().LiveSnapshotRefs(); n != 0 {
 		t.Fatalf("aborted ScanPartition left %d live snapshot ref(s)", n)
 	}
 }
 
 // TestExclusivePartitionUnderWholeTableSnapshot: a whole-table snapshot
-// gates every partition, but only on the generations it captured — a
-// checkpoint's clone-and-swap retires one and frees exactly that
-// partition while the snapshot stays open.
+// holds every partition, but only on the generations it captured — a
+// checkpoint's clone-and-swap or a reorder retires one and frees
+// exactly that partition while the snapshot stays open and reads its
+// captured rows.
 func TestExclusivePartitionUnderWholeTableSnapshot(t *testing.T) {
 	db := newDB(t)
 	tb := singleColTable(t, db, "t", seq(200), 2)
 
 	snap := tb.Snapshot()
-	if partitionReorderable(tb, 0) || partitionReorderable(tb, 1) {
-		t.Fatal("partition reorderable under a whole-table snapshot")
+	if !partitionHeld(tb, 0) || !partitionHeld(tb, 1) {
+		t.Fatal("a partition is not held under a whole-table snapshot")
 	}
 	// The delete checkpoint of partition 1 clones it (the snapshot
 	// holds its generation) and publishes a fresh, unreferenced one.
 	if err := db.DeleteRowIDs("t", 1, []uint64{0}); err != nil {
 		t.Fatal(err)
 	}
-	if !partitionReorderable(tb, 1) {
-		t.Fatal("swapped partition still gated: the snapshot's ref is on the retired generation")
+	if partitionHeld(tb, 1) {
+		t.Fatal("swapped partition still held: the snapshot's ref is on the retired generation")
 	}
-	if partitionReorderable(tb, 0) {
-		t.Fatal("unswapped partition lost its gate")
+	if !partitionHeld(tb, 0) {
+		t.Fatal("unswapped partition lost its ref")
+	}
+	if err := tb.ReorderPartition(0, reversePartition); err != nil {
+		t.Fatalf("reorder under a whole-table snapshot: %v", err)
+	}
+	if partitionHeld(tb, 0) {
+		t.Fatal("reordered partition still held: the snapshot's ref is on the retired generation")
 	}
 	if got := snap.NumRows(); got != 200 {
 		t.Fatalf("snapshot rows = %d, want 200", got)
 	}
+	if v := snap.View(0).Get(0, 0); v.I != 0 {
+		t.Fatalf("snapshot row 0 = %d after the reorder, want 0", v.I)
+	}
 	snap.Close()
-	if !partitionReorderable(tb, 0) {
-		t.Fatal("closed snapshot still gates")
+	if !refsReleased(tb) {
+		t.Fatal("closed snapshot still holds refs")
 	}
 
-	if err := tb.ReorderPartition(7, func(*storage.Table) error { return nil }); err == nil {
+	if err := tb.ReorderPartition(7, reversePartition); err == nil {
 		t.Fatal("ReorderPartition accepted an out-of-range partition")
 	}
 }

@@ -6,10 +6,8 @@ import (
 	"patchindex/internal/exec"
 )
 
-// reorderable reports whether the table currently admits a whole-table
-// physical reorganization: ReorderStorage refuses while any snapshot
-// ref on the table is live.
-func reorderable(tb *Table) bool {
+// refsReleased reports whether no snapshot ref on the table is live.
+func refsReleased(tb *Table) bool {
 	return tb.Store().LiveSnapshotRefs() == 0
 }
 
@@ -78,11 +76,12 @@ func TestDeleteCheckpointInPlaceAfterQueryStream(t *testing.T) {
 }
 
 // TestEphemeralQuerySnapshotGatesReorder: a query-internal snapshot
-// must hold the physical-reorder guard for exactly the query's
-// lifetime — from the entry point returning an operator until that
-// operator is drained or closed. (The entry point itself, query.Run, is
-// pinned the same way — rejected plans included — by
-// TestRunReleasesSnapshot in internal/query.)
+// holds its generation refs for exactly the query's lifetime — from the
+// entry point returning an operator until that operator is drained or
+// closed — and a reorder in that window proceeds without disturbing
+// the query. (The entry point itself, query.Run, is pinned the same way
+// — rejected plans included — by TestRunReleasesSnapshot in
+// internal/query.)
 func TestEphemeralQuerySnapshotGatesReorder(t *testing.T) {
 	db := newDB(t)
 	tb := singleColTable(t, db, "t", seq(50), 2)
@@ -91,14 +90,23 @@ func TestEphemeralQuerySnapshotGatesReorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reorderable(tb) {
-		t.Fatal("reorder allowed while a query is in flight")
+	if refsReleased(tb) {
+		t.Fatal("no ref held while a query is in flight")
 	}
-	if _, err := exec.CollectInt64(op); err != nil {
+	if err := tb.ReorderStorage(reversePartition); err != nil {
+		t.Fatalf("reorder under an in-flight query: %v", err)
+	}
+	got, err := exec.CollectInt64(op)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reorderable(tb) {
-		t.Fatal("drained query still holds the reorder guard")
+	for i, v := range got {
+		if v != int64(i) {
+			t.Fatalf("in-flight sort query row %d = %d after a reorder, want %d", i, v, i)
+		}
+	}
+	if !refsReleased(tb) {
+		t.Fatal("drained query still holds its refs")
 	}
 
 	// Close without draining releases too.
@@ -106,12 +114,12 @@ func TestEphemeralQuerySnapshotGatesReorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reorderable(tb) {
-		t.Fatal("reorder allowed while an undrained query is live")
+	if refsReleased(tb) {
+		t.Fatal("no ref held while an undrained query is live")
 	}
 	op.Close()
-	if !reorderable(tb) {
-		t.Fatal("closed query still holds the reorder guard")
+	if !refsReleased(tb) {
+		t.Fatal("closed query still holds its refs")
 	}
 }
 
@@ -126,7 +134,7 @@ func TestSnapshotCloseReleasesExactlyOnce(t *testing.T) {
 	s2 := tb.Snapshot()
 	s1.Close()
 	s1.Close() //pilint:ignore closeowner deliberate double close: the test asserts it cannot release another snapshot's ref
-	if reorderable(tb) {
+	if refsReleased(tb) {
 		t.Fatal("double Close released another snapshot's ref")
 	}
 	st := tb.Store()
@@ -138,8 +146,8 @@ func TestSnapshotCloseReleasesExactlyOnce(t *testing.T) {
 		t.Fatal("checkpoint ignored the still-open snapshot after a double Close")
 	}
 	s2.Close()
-	if !reorderable(tb) {
-		t.Fatal("table wedged after all snapshots closed")
+	if !refsReleased(tb) {
+		t.Fatal("refs left after all snapshots closed")
 	}
 }
 

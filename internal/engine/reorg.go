@@ -1,122 +1,116 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 
 	"patchindex/internal/core"
+	"patchindex/internal/pdt"
 	"patchindex/internal/storage"
 )
 
-// ErrSnapshotCaptured is wrapped by every physical-reorganization
-// refusal (ReorderPartition, ReorderStorage): the target storage is
-// still referenced by a live snapshot — explicitly captured or query-internal — and reordering it
-// would corrupt the snapshot's frozen views. The condition is
-// transient; errors.Is against this sentinel is how the maintenance
-// daemon tells a refusal worth retrying with backoff apart from a real
-// failure.
-var ErrSnapshotCaptured = errors.New("captured by a live snapshot (explicit or in-flight query)")
+// Physical rewrites. A reorder (ReorderPartition, ReorderStorage) and a
+// bulk load (Load) replace a partition's rows wholesale, and all three
+// follow one protocol: build the new partition aside, log its rewrite
+// image, and only then publish it (publishPartitionLocked), which
+// replay's replayRewrite does too. The old partition object is never
+// written again, so a snapshot that captured it keeps reading it: no
+// rewrite refuses or waits for a snapshot. A failed append publishes
+// nothing, so the live state is always what replay reproduces.
+// Publication re-anchors the metadata a rewrite invalidates:
+//
+//   - the pending delta: its positions refer to the old rows, so the
+//     rewrite checkpoints it first and publication starts an empty one;
+//   - minmax summaries: the new partition starts without any;
+//   - the index slots: patch rowIDs and the NSC sorted-run bookkeeping
+//     describe physical positions, so every slot of the partition is
+//     re-derived from the new rows.
 
-// Physical reorganization with metadata re-anchoring. A reorder hands
-// fn raw storage, and permuting rows invalidates three pieces of engine
-// metadata that fn cannot see:
-//
-//   - pending deltas: delete/modify positions refer to pre-reorder rows,
-//     and buffered inserts would dodge the permutation entirely;
-//   - minmax summaries: snapshots share them and appends keep them, so
-//     a permutation — which changes no row count — leaves a cached
-//     summary describing the old row order until it is invalidated;
-//   - the per-partition index slots: patch rowIDs and the NSC sorted-run
-//     bookkeeping describe physical positions that just moved.
-//
-// ReorderStorage and ReorderPartition wrap fn in the checkpoint-first /
-// invalidate / recompute protocol, and are what the SortKey comparator
-// and the maintenance daemon go through.
-
-// ReorderPartition runs fn with exclusive write access to partition p of
-// the table's underlying storage — for physical reorganizations confined
-// to that partition — and re-anchors the engine's metadata to the new
-// physical order afterwards. The partition's pending delta is
-// checkpointed FIRST (its positions refer to pre-reorder rows, and a
-// non-insert-only checkpoint of a snapshot-shared generation publishes a
-// fresh clone, which also clears refusals a stale ref would otherwise
-// cause); the snapshot-retained check follows, refusing while a live
-// capture still holds p's current generation — a whole-table snapshot
-// gates every partition, a partition-scoped capture (ScanPartition) of
-// a sibling does not. After fn returns, p's minmax summaries are invalidated —
-// which also stops views frozen before the reorder from publishing theirs
-// back — and every PatchIndex slot p is recomputed from the new physical
-// order. fn must either complete its permutation or leave the partition
-// unchanged; a permutation must not change the row count or the value
-// multiset.
-//
-// Holding one partition lock (shared structure lock + pmu[p]) for the
-// whole protocol means writers of every other partition proceed
-// untouched — the property the maintenance daemon relies on.
-func (t *Table) ReorderPartition(p int, fn func(*storage.Table) error) error {
+// ReorderPartition permutes partition p. order receives the partition,
+// its pending delta checkpointed, and returns the new row order: entry
+// i is the old position of new row i, and anything that is not a
+// permutation of [0, NumRows()) is rejected before it is logged. It
+// holds one partition lock (shared structure lock + pmu[p]), so writers
+// of every other partition proceed untouched — the property the
+// maintenance daemon relies on.
+func (t *Table) ReorderPartition(p int, order func(*storage.Partition) []int) error {
 	if p < 0 || p >= len(t.pmu) {
 		return fmt.Errorf("engine: table %q has no partition %d", t.name, p)
 	}
 	t.lockPartition(p)
 	defer t.unlockPartition(p)
-	t.checkpointPartitionLocked(p)
-	if t.store.PartitionRetained(p) {
-		return fmt.Errorf("engine: partition %d of table %q is %w; close/drain it before physically reordering the partition", p, t.name, ErrSnapshotCaptured)
-	}
-	if err := fn(t.store); err != nil {
-		return err
-	}
-	t.store.Partition(p).InvalidateMinMax()
-	t.recomputePartitionIndexesLocked(p)
-	// A rewrite record carries the partition's POST-state image, so it is
-	// logged after the permutation (the one logged op that cannot be
-	// write-ahead). Losing it to a crash is still safe: this op held the
-	// partition lock, so no later record of this partition exists, and
-	// replay without it reproduces the legal pre-reorder state.
-	if t.wal != nil {
-		//pilint:ignore lockblock the rewrite image must be logged under the same partition lock that ordered the permutation (Durability, package docs)
-		if err := t.logWAL(t.wal.segs[p], walOpRewrite, encodeRewrite(t.store.Schema(), p, t.viewLocked(p))); err != nil {
+	//pilint:ignore lockblock the image must be logged under the partition lock that orders the reorder, before it is published (Durability, package docs)
+	return t.reorderLocked(p, order, false)
+}
+
+// ReorderStorage is ReorderPartition for every partition in turn (the
+// SortKey create/rebuild path), under the exclusive structure lock and
+// logged on the table-level segment. It stops at the first error; the
+// partitions before it stay reordered, as replay reproduces them.
+func (t *Table) ReorderStorage(order func(*storage.Partition) []int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for p := 0; p < t.store.NumPartitions(); p++ {
+		//pilint:ignore lockblock the images must be logged under the structure lock that orders the reorder, before they are published (Durability, package docs)
+		if err := t.reorderLocked(p, order, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReorderStorage is ReorderPartition for whole-table physical
-// reorganizations (the SortKey create/rebuild path): the reorder refuses
-// while the snapshot registry holds any live ref on the table, explicit
-// snapshots and in-flight queries alike (the exclusive structure lock
-// keeps new refs out until fn returns), every delta is checkpointed,
-// and afterwards every partition's minmax summaries are invalidated
-// and its index slots recomputed.
-func (t *Table) ReorderStorage(fn func(*storage.Table) error) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n := t.store.LiveSnapshotRefs(); n > 0 {
-		return fmt.Errorf("engine: table %q (%d live ref(s)) is %w; close/drain them before physically reordering storage", t.name, n, ErrSnapshotCaptured)
+// reorderLocked checkpoints partition p, permutes it by order and
+// rewrites it (rewritePartitionLocked). The caller owns partition p.
+func (t *Table) reorderLocked(p int, order func(*storage.Partition) []int, excl bool) error {
+	t.checkpointPartitionLocked(p)
+	cur := t.store.Partition(p)
+	next, err := cur.Permute(order(cur))
+	if err != nil {
+		return fmt.Errorf("engine: reordering partition %d of table %q: %w", p, t.name, err)
 	}
-	t.checkpointLocked()
-	if err := fn(t.store); err != nil {
-		return err
-	}
-	for p := 0; p < t.store.NumPartitions(); p++ {
-		t.store.Partition(p).InvalidateMinMax()
-		t.recomputePartitionIndexesLocked(p)
-	}
-	// Post-state rewrite images, one per partition, on the exclusive-op
-	// segment (this op holds the structure lock exclusively). As in
-	// ReorderPartition, a crash losing a suffix of these records is safe:
-	// no later record of this table can exist, and the lost partitions
-	// replay to their legal pre-reorder state.
+	return t.rewritePartitionLocked(p, next, excl)
+}
+
+// rewritePartitionLocked logs part as partition p's rewrite image — on
+// the table-level segment when excl, else on p's own — and then
+// publishes it. The caller owns partition p (the exclusive structure
+// lock when excl) and has checkpointed its delta.
+func (t *Table) rewritePartitionLocked(p int, part *storage.Partition, excl bool) error {
 	if t.wal != nil {
-		for p := 0; p < t.store.NumPartitions(); p++ {
-			//pilint:ignore lockblock the rewrite images must be logged under the same structure lock that ordered the reorganization (Durability, package docs)
-			if err := t.logWAL(t.wal.excl, walOpRewrite, encodeRewrite(t.store.Schema(), p, t.viewLocked(p))); err != nil {
-				return err
-			}
+		seg := t.wal.segs[p]
+		if excl {
+			seg = t.wal.excl
+		}
+		if err := t.logWAL(seg, walOpRewrite, encodeRewrite(t.store.Schema(), p, pdt.NewView(part, nil))); err != nil {
+			return err
 		}
 	}
+	t.publishPartitionLocked(p, part)
 	return nil
+}
+
+// publishPartitionLocked makes part partition p's new generation, starts
+// an empty delta over it and re-derives every index slot p from its
+// rows. The caller owns partition p and has checkpointed its delta.
+func (t *Table) publishPartitionLocked(p int, part *storage.Partition) {
+	t.store.SetPartition(p, part)
+	t.delta[p] = pdt.NewDelta(t.store.Schema(), part.NumRows())
+	t.deltaShared[p] = false
+	t.recomputePartitionIndexesLocked(p)
+}
+
+// rederiveNUCLocked rebuilds every NUC column's collision directory from
+// the table's rows and re-derives all of its slots: a rewrite that
+// changed the value multiset (a load, or the replay of any rewrite image,
+// which cannot tell) may seal values other partitions hold. The caller
+// holds the table exclusively.
+func (t *Table) rederiveNUCLocked() {
+	for column := range t.nuc {
+		t.rebuildNUCStateLocked(column)
+		idx := t.indexes[column]
+		for q := range idx {
+			t.recomputeIndexSlotLocked(column, idx, q)
+		}
+	}
 }
 
 // recomputePartitionIndexesLocked rebuilds every PatchIndex's slot p

@@ -33,10 +33,8 @@ import (
 // operator is drained or closed). While the ref is live, a
 // delete/modify checkpoint of a referenced partition generation clones
 // it and publishes the clone as a new generation instead of compacting
-// the shared arrays, and physical reorganization refuses — whole-table
-// (Table.ReorderStorage, the SortKey comparator) while any ref is live,
-// partition-granular (Table.ReorderPartition) while the ref still holds
-// the target partition's current generation.
+// the shared arrays. Physical reorganization (ReorderStorage,
+// ReorderPartition) never writes in place, so it owes the ref nothing.
 // Close is a promise to stop reading: afterwards the update path owes
 // the snapshot nothing — the next checkpoint of each partition may
 // compact the shared arrays in place, so the snapshot's views must not
@@ -59,7 +57,7 @@ type TableSnapshot struct {
 // copying — so the capture is atomic with respect to partition-scoped
 // updates on every partition at once. Close the snapshot when done:
 // until then the update path clones any partition it would mutate in
-// place, and physical reorganization (SortKey) refuses.
+// place.
 func (t *Table) Snapshot() *TableSnapshot {
 	t.lockAllPartitions()
 	defer t.unlockAllPartitions()
@@ -108,11 +106,9 @@ func (t *Table) snapshotLocked() *TableSnapshot {
 
 // Close releases the snapshot's generation refcounts, letting
 // subsequent checkpoints of the captured partitions mutate in place
-// again and — once every snapshot of the table is closed — re-enabling
-// whole-table reorganization (ReorderStorage). Close is
-// idempotent: the refcounts are released exactly once no matter how
-// often it is called. Closing ends the snapshot's read validity: a
-// later in-place checkpoint or reorder may rewrite the arrays its
+// again. Close is idempotent: the refcounts are released exactly once
+// no matter how often it is called. Closing ends the snapshot's read
+// validity: a later in-place checkpoint may rewrite the arrays its
 // frozen views share, so finish reading before Close.
 func (s *TableSnapshot) Close() { s.ref.Release() }
 
@@ -284,10 +280,9 @@ func (s *TableSnapshot) ScanAll(columns ...string) exec.Operator {
 // partition p, against an ephemeral partition-scoped snapshot: only
 // partition p's lock is taken for the capture, and only p's current
 // generation is retained in the snapshot registry. While the scan
-// drains, checkpoints of partition p clone-and-swap and a
-// partition-granular reorder of p refuses — but sibling partitions owe
-// the scan nothing: their checkpoints mutate in place and their
-// reorders (ReorderPartition) proceed. The ref is released when the
+// drains, delete/modify checkpoints of partition p clone-and-swap, but
+// sibling partitions owe the scan nothing: their checkpoints mutate in
+// place. The ref is released when the
 // operator is drained or closed, as query.Run's snapshot is. Unknown
 // columns and out-of-range partitions return an error — before the
 // capture, so the aborted call retains no generation refs.

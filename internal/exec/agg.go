@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"patchindex/internal/storage"
 )
@@ -207,7 +208,15 @@ func (h *HashAggregate) encodeKey(buf []byte, b *Batch, i int) []byte {
 		case storage.KindInt64:
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
 		case storage.KindFloat64:
-			panic("exec: float64 group keys are not supported")
+			// −0 groups with 0 and every NaN with every other: key on
+			// the bits of one canonical value per group.
+			f := v.F64[i]
+			if f == 0 {
+				f = 0
+			} else if f != f {
+				f = math.NaN()
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 		default:
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Str[i])))
 			buf = append(buf, v.Str[i]...)

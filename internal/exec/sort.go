@@ -14,7 +14,9 @@ type SortKey struct {
 }
 
 // compareRows compares tuple i of batch a with tuple j of batch b under
-// the sort keys. Both batches must share a schema.
+// the sort keys. Both batches must share a schema. DOUBLE values compare
+// as cmp.Compare does, NaN before every other value, so the order is
+// total.
 func compareRows(keys []SortKey, a *Batch, i int, b *Batch, j int) int {
 	for _, k := range keys {
 		va := &a.Cols[k.Col]
@@ -30,13 +32,7 @@ func compareRows(keys []SortKey, a *Batch, i int, b *Batch, j int) int {
 				c = 1
 			}
 		case storage.KindFloat64:
-			x, y := va.F64[i], vb.F64[j]
-			switch {
-			case x < y:
-				c = -1
-			case x > y:
-				c = 1
-			}
+			c = cmp.Compare(va.F64[i], vb.F64[j]) // NaN first: a total order
 		default:
 			x, y := va.Str[i], vb.Str[j]
 			switch {

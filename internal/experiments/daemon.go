@@ -151,9 +151,8 @@ func runDaemonChurn(w io.Writer, s Scale, steps int, withDaemon bool) {
 		label, len(lats), ms(mean), ms(p95))
 	if m != nil {
 		st := m.Stats()
-		fmt.Fprintf(w, "%s  sweeps %d  actions %d (reorders %d, recomputes %d, condenses %d)  refusals/retries/errors %d/%d/%d\n",
-			label, st.Sweeps, st.Actions, st.Reorders, st.Recomputes, st.Condenses,
-			st.Refusals, st.Retries, st.Errors)
+		fmt.Fprintf(w, "%s  sweeps %d  actions %d (reorders %d, recomputes %d, condenses %d)  errors %d\n",
+			label, st.Sweeps, st.Actions, st.Reorders, st.Recomputes, st.Condenses, st.Errors)
 	}
 }
 

@@ -7,6 +7,16 @@ package lis
 
 import "sort"
 
+// orderKey maps v to a key whose ascending order is the sort order:
+// v's own, or its reverse when desc. ^v reverses it for every int64;
+// -v would overflow at MinInt64 and rank it first.
+func orderKey(v int64, desc bool) int64 {
+	if desc {
+		return ^v
+	}
+	return v
+}
+
 // Longest returns the indexes of one longest non-decreasing subsequence
 // of vals (non-increasing when desc is true), in ascending index order.
 // It runs in O(n log n) using patience sorting with parent pointers.
@@ -14,22 +24,16 @@ func Longest(vals []int64, desc bool) []int {
 	if len(vals) == 0 {
 		return nil
 	}
-	key := func(v int64) int64 {
-		if desc {
-			return -v
-		}
-		return v
-	}
 	// tails[k] = index of the smallest possible tail value of a
 	// non-decreasing subsequence of length k+1.
 	tails := make([]int, 0, len(vals))
 	parent := make([]int, len(vals))
 	for i := range vals {
-		v := key(vals[i])
+		v := orderKey(vals[i], desc)
 		// Find the first tail whose value is strictly greater than v
 		// (upper bound, keeping the subsequence non-decreasing).
 		pos := sort.Search(len(tails), func(j int) bool {
-			return key(vals[tails[j]]) > v
+			return orderKey(vals[tails[j]], desc) > v
 		})
 		if pos > 0 {
 			parent[i] = tails[pos-1]
@@ -57,15 +61,9 @@ func LongestLen(vals []int64, desc bool) int {
 	if len(vals) == 0 {
 		return 0
 	}
-	key := func(v int64) int64 {
-		if desc {
-			return -v
-		}
-		return v
-	}
 	tails := make([]int64, 0, len(vals))
 	for _, raw := range vals {
-		v := key(raw)
+		v := orderKey(raw, desc)
 		pos := sort.Search(len(tails), func(j int) bool { return tails[j] > v })
 		if pos == len(tails) {
 			tails = append(tails, v)

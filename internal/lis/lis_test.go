@@ -1,6 +1,7 @@
 package lis
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -141,5 +142,22 @@ func TestLongestPlusComplementPartition(t *testing.T) {
 		if x != i {
 			t.Fatal("subsequence and complement do not partition the indexes")
 		}
+	}
+}
+
+// TestDescendingAtMinInt64: a descending order must not negate values,
+// which overflows at MinInt64 and ranks it above every other value.
+func TestDescendingAtMinInt64(t *testing.T) {
+	vals := []int64{math.MinInt64, 5, 4}
+	if got := LongestLen(vals, true); got != 2 {
+		t.Fatalf("LongestLen = %d, want 2", got)
+	}
+	got := Longest(vals, true)
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("Longest = %v, want [1 2]", got)
+	}
+	vals = []int64{math.MaxInt64, 0, math.MinInt64, math.MinInt64}
+	if got := LongestLen(vals, true); got != 4 {
+		t.Fatalf("LongestLen(%v) = %d, want 4", vals, got)
 	}
 }

@@ -79,6 +79,13 @@
 // the style of adaptive reoptimization. Decisions are recorded on the
 // Compiled result for tests and EXPLAIN-style inspection.
 //
+// # Value order
+//
+// ORDER BY orders BIGINT and VARCHAR values as Go's < does and DOUBLE
+// values as cmp.Compare does: NaN before every other value (−Inf
+// included), and −0 equal to 0. DISTINCT and GROUP BY over a DOUBLE
+// column put −0 with 0 and every NaN in one group.
+//
 // Predicates pushed against a scan additionally enable minmax block
 // pruning (storage.MinMax): the ranges a predicate implies for an int64
 // scan column skip non-intersecting storage blocks, while the predicate

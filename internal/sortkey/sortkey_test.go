@@ -40,9 +40,9 @@ func TestCreateSortsAllColumns(t *testing.T) {
 }
 
 // TestRawCreateInvalidatesMinMax: a summary cached before a raw Create
-// describes the old row order; after the permutation the partition's
-// summary must be the one the sorted column yields, or pruning skips
-// blocks that now hold matching rows.
+// describes the old row order; after the permutation the table's
+// partition must summarize the sorted column, or pruning skips blocks
+// that now hold matching rows.
 func TestRawCreateInvalidatesMinMax(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	vals := make([]int64, 4*storage.BlockRows+100)
@@ -53,6 +53,7 @@ func TestRawCreateInvalidatesMinMax(t *testing.T) {
 	p := tb.Partition(0)
 	stale := p.MinMax(0)
 	Create(tb, 0, false)
+	p = tb.Partition(0)
 	got, want := p.MinMax(0), storage.BuildMinMax(p.Column(0).Int64s())
 	if got == stale || got.Blocks() != want.Blocks() || got.Rows() != want.Rows() {
 		t.Fatalf("summary after Create: %d blocks over %d rows (stale: %v), want %d over %d",
@@ -124,7 +125,7 @@ func TestMemoryBytesZero(t *testing.T) {
 	}
 }
 
-// --- the snapshot guard (the SortKey gap from the ROADMAP) ---
+// --- re-sorts under snapshots ---
 
 func engineTable(t *testing.T, vals []int64) (*engine.Database, *engine.Table) {
 	t.Helper()
@@ -137,59 +138,45 @@ func engineTable(t *testing.T, vals []int64) (*engine.Database, *engine.Table) {
 	return db, tb
 }
 
-// TestCreateEngineRefusesWithOpenSnapshot: physically reordering storage
-// while a live snapshot references the table would corrupt the
-// snapshot's frozen views in place; the guarded entry point must refuse
-// until the snapshot is closed.
+// TestCreateEngineRefusesWithOpenSnapshot: CreateEngine and a later
+// rebuild run under an open snapshot of the table, which keeps reading
+// the rows it captured.
 func TestCreateEngineRefusesWithOpenSnapshot(t *testing.T) {
 	_, tb := engineTable(t, []int64{3, 1, 2, 5, 4, 0})
 	snap := tb.Snapshot()
 
-	if _, err := CreateEngine(tb, "v", false); err == nil {
-		t.Fatal("CreateEngine ran while a snapshot was open")
-	}
-	// The refused create must not have reordered anything.
-	if got := tb.Store().Partition(0).Column(0).Int64s(); got[0] != 3 {
-		t.Fatalf("refused create still reordered storage: %v", got)
-	}
-	before := snap.NumRows()
-
-	snap.Close()
 	sk, err := CreateEngine(tb, "v", false)
 	if err != nil {
-		t.Fatalf("CreateEngine after Close: %v", err)
-	}
-	if sk == nil || snap.NumRows() != before {
-		t.Fatal("guarded create broke the closed snapshot's bookkeeping")
+		t.Fatalf("CreateEngine under an open snapshot: %v", err)
 	}
 	p0 := tb.Store().Partition(0).Column(0).Int64s()
 	if !sort.SliceIsSorted(p0, func(i, j int) bool { return p0[i] < p0[j] }) {
 		t.Fatalf("partition 0 not sorted after guarded create: %v", p0)
 	}
-
-	// Rebuild goes through the same guard.
-	snap2 := tb.Snapshot()
-	if err := sk.RebuildChecked(); err == nil {
-		t.Fatal("RebuildChecked ran while a snapshot was open")
+	if got := snap.View(0).Get(0, 0).I; got != 3 {
+		t.Fatalf("snapshot row 0 = %d after the create, want 3", got)
 	}
-	snap2.Close()
 	if err := sk.RebuildChecked(); err != nil {
-		t.Fatalf("RebuildChecked after Close: %v", err)
+		t.Fatalf("RebuildChecked under an open snapshot: %v", err)
+	}
+	snap.Close()
+	if n := tb.Store().LiveSnapshotRefs(); n != 0 {
+		t.Fatalf("%d live ref(s) after Close", n)
 	}
 }
 
-// TestCreateEngineDatabaseSnapshotGuard: snapshots captured through the
-// multi-table DatabaseSnapshot hold the guard too.
+// TestCreateEngineDatabaseSnapshotGuard: the same holds for snapshots
+// captured through the multi-table DatabaseSnapshot.
 func TestCreateEngineDatabaseSnapshotGuard(t *testing.T) {
 	db, tb := engineTable(t, []int64{2, 1, 0})
 	snap := db.MustSnapshot("t")
-	if _, err := CreateEngine(tb, "v", false); err == nil {
-		t.Fatal("CreateEngine ran under an open DatabaseSnapshot")
+	if _, err := CreateEngine(tb, "v", false); err != nil {
+		t.Fatalf("CreateEngine under an open DatabaseSnapshot: %v", err)
+	}
+	if got := snap.Table("t").View(0).Get(0, 0).I; got != 2 {
+		t.Fatalf("snapshot row 0 = %d after the create, want 2", got)
 	}
 	snap.Close()
-	if _, err := CreateEngine(tb, "v", false); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCreateEngineUnknownColumn(t *testing.T) {
@@ -199,70 +186,52 @@ func TestCreateEngineUnknownColumn(t *testing.T) {
 	}
 }
 
-// TestRawCreateRefusesLiveSnapshotRefs: the storage-level Create used
-// to bypass the engine guard entirely; it now consults the snapshot
-// registry and panics rather than physically reorder arrays a live
-// snapshot still references.
+// TestRawCreateRefusesLiveSnapshotRefs: the storage-level Create and a
+// raw SortKey's rebuild run under a live snapshot ref, and the snapshot
+// keeps reading its pre-sort rows.
 func TestRawCreateRefusesLiveSnapshotRefs(t *testing.T) {
 	_, tb := engineTable(t, []int64{3, 1, 2})
 	snap := tb.Snapshot()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("raw Create ran with a live snapshot ref")
-			}
-		}()
-		Create(tb.Store(), 0, false)
-	}()
-	// The refused create must not have reordered anything.
-	if got := tb.Store().Partition(0).Column(0).Int64s(); got[0] != 3 {
-		t.Fatalf("refused raw create still reordered storage: %v", got)
-	}
-
-	// A raw SortKey's unguarded rebuild path refuses too (with an error
-	// via RebuildChecked, with a panic via Rebuild).
-	snap.Close()
 	sk := Create(tb.Store(), 0, false)
-	snap2 := tb.Snapshot()
-	if err := sk.RebuildChecked(); err == nil {
-		t.Fatal("raw RebuildChecked ran with a live snapshot ref")
+	if got := tb.Store().Partition(0).Column(0).Int64s(); got[0] != 1 {
+		t.Fatalf("raw create did not sort partition 0: %v", got)
 	}
-	snap2.Close()
+	if got := snap.View(0).Get(0, 0).I; got != 3 {
+		t.Fatalf("snapshot row 0 = %d after the raw create, want 3", got)
+	}
 	if err := sk.RebuildChecked(); err != nil {
-		t.Fatalf("raw RebuildChecked after Close: %v", err)
+		t.Fatalf("raw RebuildChecked under a live ref: %v", err)
+	}
+	snap.Close()
+	if n := tb.Store().LiveSnapshotRefs(); n != 0 {
+		t.Fatalf("%d live ref(s) after Close", n)
 	}
 }
 
-// TestEphemeralQueryGatesRawCreate: query-internal snapshots count as
-// live refs for the raw path as well — an in-flight engine query must
-// block a storage-level Create until it drains.
+// TestEphemeralQueryGatesRawCreate: a storage-level Create while an
+// engine query is in flight leaves the query's result as it was.
 func TestEphemeralQueryGatesRawCreate(t *testing.T) {
 	db, tb := engineTable(t, []int64{5, 4, 3, 2, 1, 0})
-	c, err := query.Run(db, query.From("t", "v").OrderBy(query.Asc("v")), query.Options{})
+	c, err := query.Run(db, query.From("t", "v").Where(query.Lt(query.Col("v"), query.Int(9))), query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("raw Create ran while a query was in flight")
-			}
-		}()
-		Create(tb.Store(), 0, false)
-	}()
-	if _, err := exec.CollectInt64(c.Root); err != nil {
+	Create(tb.Store(), 0, false)
+	got, err := exec.CollectInt64(c.Root)
+	if err != nil {
 		t.Fatal(err)
 	}
-	Create(tb.Store(), 0, false) // drained: allowed again
+	for i, v := range got {
+		if v != int64(5-i) {
+			t.Fatalf("in-flight scan row %d = %d after a raw create, want %d", i, v, 5-i)
+		}
+	}
 }
 
-// TestSortQueryVsRebuildRace is the regression test for the unguarded
-// reorder hole: a sort query's internal ephemeral snapshot was
-// invisible to the reorder guard, so RebuildChecked could physically
-// permute a partition out from under a running query — a data race on
-// the shared column arrays and garbage results. With the snapshot
-// registry, the rebuild refuses while any query is draining; run with
-// -race to pin the absence of the race.
+// TestSortQueryVsRebuildRace: rebuilds run concurrently with sort
+// queries, and a draining query keeps reading the partitions it
+// captured, never arrays a rebuild writes — run with -race to pin the
+// absence of a data race on the column arrays.
 func TestSortQueryVsRebuildRace(t *testing.T) {
 	// Two real threads: on a single-P runtime the reorganizer would only
 	// interleave with a draining query at coarse preemption points,
@@ -283,10 +252,13 @@ func TestSortQueryVsRebuildRace(t *testing.T) {
 	}
 
 	done := make(chan struct{})
-	go func() { // physical reorganizer: retries, accepting refusals
+	go func() { // physical reorganizer
 		defer close(done)
 		for i := 0; i < 20; i++ {
-			_ = sk.RebuildChecked()
+			if err := sk.RebuildChecked(); err != nil {
+				t.Errorf("rebuild: %v", err)
+				return
+			}
 		}
 	}()
 	for { // query stream
@@ -317,11 +289,10 @@ func TestSortQueryVsRebuildRace(t *testing.T) {
 	}
 }
 
-// TestRebuildPartitionGating: the partition-scoped rebuild refuses
-// exactly while a snapshot ref holds the target partition's current
-// generation — a capture of partition 0 blocks partition 0's rebuild
-// and nobody else's, for the engine-guarded and the raw storage path
-// alike.
+// TestRebuildPartitionGating: a partition-scoped rebuild runs under a
+// live capture of the same partition, which keeps reading its rows, for
+// the engine-guarded and the raw storage path alike; an out-of-range
+// partition errors on both.
 func TestRebuildPartitionGating(t *testing.T) {
 	db := engine.NewDatabase()
 	tb, err := db.CreateTable("t", storage.Schema{{Name: "v", Kind: storage.KindInt64}}, 4)
@@ -333,48 +304,43 @@ func TestRebuildPartitionGating(t *testing.T) {
 		vals[i] = int64(len(vals) - i)
 	}
 	engine.LoadColumnInt64(tb, vals)
-	sk, err := CreateEngine(tb, "v", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	op, err := tb.ScanPartition(0, "v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sk.RebuildPartitionChecked(0); err == nil {
-		t.Fatal("partition rebuild ran under a live capture of the same partition")
-	}
-	if err := sk.RebuildPartitionChecked(3); err != nil {
-		t.Fatalf("sibling partition rebuild refused: %v", err)
-	}
-	if err := sk.RebuildChecked(); err == nil {
-		t.Fatal("whole-table rebuild ran with a live partition-scoped ref")
-	}
-	if _, err := exec.CollectInt64(op); err != nil {
+	sk, err := CreateEngine(tb, "v", false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sk.RebuildPartitionChecked(0); err != nil {
-		t.Fatalf("drained capture still gates the partition rebuild: %v", err)
+		t.Fatalf("partition rebuild under a live capture: %v", err)
+	}
+	got, err := exec.CollectInt64(op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 100 || got[0] != 400 || got[99] != 301 {
+		t.Fatalf("captured partition 0 read %d rows from %d to %d, want 100 from 400 to 301", len(got), got[0], got[len(got)-1])
 	}
 	if err := sk.RebuildPartitionChecked(9); err == nil {
 		t.Fatal("out-of-range partition rebuild did not error")
 	}
 
-	// Raw storage-level SortKeys go through the registry directly.
+	// Raw storage-level SortKeys publish through SetPartition.
 	st := table([]int64{5, 3, 8, 1, 9, 2, 7, 4}, 2)
 	raw := Create(st, 0, false)
 	ref := st.RetainPartitions(1)
-	if err := raw.RebuildPartitionChecked(1); err == nil {
-		t.Fatal("raw partition rebuild ran on a retained partition")
+	st.Partition(1).AppendRow(storage.Row{storage.I64(0), storage.Str("a")})
+	if err := raw.RebuildPartitionChecked(1); err != nil {
+		t.Fatalf("raw partition rebuild on a retained partition: %v", err)
 	}
-	if err := raw.RebuildPartitionChecked(0); err != nil {
-		t.Fatalf("raw sibling rebuild refused: %v", err)
+	if got := st.Partition(1).Column(0).Int64At(0); got != 0 {
+		t.Fatalf("raw rebuild left %d first, want 0", got)
+	}
+	if st.PartitionRetained(1) {
+		t.Fatal("the rebuilt partition's new generation is held by the older ref")
 	}
 	ref.Release()
-	if err := raw.RebuildPartitionChecked(1); err != nil {
-		t.Fatalf("released ref still gates the raw rebuild: %v", err)
-	}
 	if err := raw.RebuildPartitionChecked(-1); err == nil {
 		t.Fatal("raw out-of-range rebuild did not error")
 	}
@@ -409,7 +375,7 @@ func TestPartitionRebuildVsSiblingDrainRace(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 60; i++ {
 			if err := sk.RebuildPartitionChecked(1 + i%3); err != nil {
-				t.Errorf("sibling rebuild refused: %v", err)
+				t.Errorf("sibling rebuild: %v", err)
 				return
 			}
 		}

@@ -182,6 +182,43 @@ func (c *Column) Clone() *Column {
 	return n
 }
 
+// gather returns a new column whose value i is c's value perm[i].
+func (c *Column) gather(perm []int) *Column {
+	n := &Column{Name: c.Name, Kind: c.Kind}
+	switch c.Kind {
+	case KindInt64:
+		n.ints = gatherSlice(c.ints, perm)
+	case KindFloat64:
+		n.floats = gatherSlice(c.floats, perm)
+	default:
+		n.strings = gatherSlice(c.strings, perm)
+	}
+	return n
+}
+
+func gatherSlice[T any](src []T, perm []int) []T {
+	dst := make([]T, len(perm))
+	for i, r := range perm {
+		dst[i] = src[r]
+	}
+	return dst
+}
+
+// withCapacity returns a copy of c whose backing array holds capacity
+// values, so appends up to that length do not reallocate.
+func (c *Column) withCapacity(capacity int) *Column {
+	n := &Column{Name: c.Name, Kind: c.Kind}
+	switch c.Kind {
+	case KindInt64:
+		n.ints = append(make([]int64, 0, capacity), c.ints...)
+	case KindFloat64:
+		n.floats = append(make([]float64, 0, capacity), c.floats...)
+	default:
+		n.strings = append(make([]string, 0, capacity), c.strings...)
+	}
+	return n
+}
+
 // SizeBytes estimates the memory consumed by the column data.
 func (c *Column) SizeBytes() uint64 {
 	switch c.Kind {

@@ -128,40 +128,3 @@ func TestRegistryRetainPartitions(t *testing.T) {
 		t.Fatal("release did not drop the partition-scoped ref")
 	}
 }
-
-// TestExclusivePartitionGating: the partition-granular gate refuses
-// only the partition whose *current* generation a snapshot ref holds —
-// siblings reorder freely, refs on retired generations don't gate, pins
-// never gate, and the whole-table gate stays conservative.
-func TestExclusivePartitionGating(t *testing.T) {
-	tb := registryTable(3)
-	ran := func(err error) bool { return err == nil }
-	noop := func() error { return nil }
-
-	ref := tb.RetainPartitions(0)
-	if ran(tb.ExclusivePartition(0, noop)) {
-		t.Fatal("ExclusivePartition ran on a retained partition")
-	}
-	if !ran(tb.ExclusivePartition(1, noop)) || !ran(tb.ExclusivePartition(2, noop)) {
-		t.Fatal("ExclusivePartition refused an unretained sibling")
-	}
-	if ran(tb.Exclusive(noop)) {
-		t.Fatal("whole-table Exclusive ran with a live partition-scoped ref")
-	}
-
-	// A whole-table ref gates every partition...
-	all := tb.Retain()
-	if ran(tb.ExclusivePartition(1, noop)) {
-		t.Fatal("ExclusivePartition ran under a whole-table ref")
-	}
-	// ...until a generation swap retires the captured generation.
-	tb.SetPartition(1, tb.Partition(1).Clone())
-	if !ran(tb.ExclusivePartition(1, noop)) {
-		t.Fatal("ExclusivePartition refused a retired-generation ref")
-	}
-	if ran(tb.ExclusivePartition(0, noop)) {
-		t.Fatal("unswapped partition no longer gated")
-	}
-	all.Release()
-	ref.Release()
-}

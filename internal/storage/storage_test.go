@@ -149,6 +149,44 @@ func TestTableLoadRowsPartitioning(t *testing.T) {
 	}
 }
 
+// TestPermuteAndExtendBuildNewPartitions: both rewrites return a new
+// partition and leave the source, and views frozen from it, as they
+// were; Permute accepts only a permutation of the source's rows.
+func TestPermuteAndExtendBuildNewPartitions(t *testing.T) {
+	p := NewPartition(testSchema())
+	for i := int64(0); i < 4; i++ {
+		p.AppendRow(Row{I64(i), I64(10 * i), Str(string(rune('a' + i)))})
+	}
+	frozen := p.Freeze()
+	q, err := p.Permute([]int{3, 1, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q.Column(0).Int64s(); got[0] != 3 || got[1] != 1 || got[2] != 0 || got[3] != 2 {
+		t.Fatalf("permuted keys = %v", got)
+	}
+	if q.Column(1).Int64At(0) != 30 || q.Column(2).StringAt(0) != "d" {
+		t.Fatal("payload columns not permuted with the key")
+	}
+	for _, bad := range [][]int{{0, 1, 2}, {0, 1, 2, 2}, {0, 1, 2, 4}, {-1, 1, 2, 3}} {
+		if _, err := p.Permute(bad); err == nil {
+			t.Fatalf("Permute accepted %v", bad)
+		}
+	}
+	e := p.Extend([]Row{{I64(9), I64(90), Str("z")}})
+	if e.NumRows() != 5 || e.Column(2).StringAt(4) != "z" {
+		t.Fatalf("extended partition has %d rows", e.NumRows())
+	}
+	for i := 0; i < 4; i++ {
+		if p.Column(0).Int64At(i) != int64(i) || frozen.Column(0).Int64At(i) != int64(i) {
+			t.Fatalf("row %d of the source changed", i)
+		}
+	}
+	if p.NumRows() != 4 {
+		t.Fatalf("source has %d rows, want 4", p.NumRows())
+	}
+}
+
 func TestMinMaxBuildAndPrune(t *testing.T) {
 	data := make([]int64, 3*BlockRows)
 	for i := range data {

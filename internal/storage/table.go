@@ -15,8 +15,9 @@ import (
 // pointer, and a summary a frozen view builds is published back to the
 // partition it was frozen from — unless that partition has mutated
 // since, which the mutation counter tells. Appends keep a summary: it
-// stays a valid prefix, and the next MinMax extends it. Deletes,
-// overwrites and reorders drop it and count a mutation.
+// stays a valid prefix, and the next MinMax extends it. Deletes and
+// overwrites drop it and count a mutation. A reorder (Permute) builds a
+// new partition, which starts without summaries.
 type Partition struct {
 	schema Schema
 	cols   []*Column
@@ -194,13 +195,6 @@ func (p *Partition) dropMinMax(col int) {
 	p.mutations.Add(1)
 }
 
-// InvalidateMinMax drops the cached minmax summaries. Physical reorders
-// permute rows in place without changing the row count, so nothing else
-// tells a cached summary that it describes the old row order — the
-// reorderer must invalidate explicitly or block pruning would consult
-// stale bounds.
-func (p *Partition) InvalidateMinMax() { p.dropMinMax(-1) }
-
 // SizeBytes estimates the memory consumed by the partition's columns.
 func (p *Partition) SizeBytes() uint64 {
 	var sz uint64
@@ -210,14 +204,50 @@ func (p *Partition) SizeBytes() uint64 {
 	return sz
 }
 
-// Clone returns a deep copy of the partition with no summaries (used by
-// SortKey, which physically reorders data, and by the engine's
-// copy-on-write checkpoint path when a live snapshot references the
-// current generation).
+// Clone returns a deep copy of the partition with no summaries (the
+// engine's copy-on-write checkpoint path, when a live snapshot
+// references the current generation).
 func (p *Partition) Clone() *Partition {
 	n := &Partition{schema: p.schema, cols: make([]*Column, len(p.cols)), minmax: make([]atomic.Pointer[MinMax], len(p.cols))}
 	for i, c := range p.cols {
 		n.cols[i] = c.Clone()
+	}
+	return n
+}
+
+// Permute returns a new partition whose row i is p's row perm[i], with
+// no summaries; p is left untouched, so views frozen from it stay
+// valid. perm must be a permutation of [0, NumRows()).
+func (p *Partition) Permute(perm []int) (*Partition, error) {
+	n := p.NumRows()
+	if len(perm) != n {
+		return nil, fmt.Errorf("storage: permutation of %d rows for a partition of %d", len(perm), n)
+	}
+	seen := make([]bool, n)
+	for _, r := range perm {
+		if r < 0 || r >= n || seen[r] {
+			return nil, fmt.Errorf("storage: row %d is out of range or repeated in a permutation of %d rows", r, n)
+		}
+		seen[r] = true
+	}
+	cols := make([]*Column, len(p.cols))
+	for i, c := range p.cols {
+		cols[i] = c.gather(perm)
+	}
+	return NewPartitionFromColumns(p.schema, cols), nil
+}
+
+// Extend returns a new partition holding p's rows followed by rows, with
+// no summaries; p is left untouched. Each column is allocated once, at
+// its final length.
+func (p *Partition) Extend(rows []Row) *Partition {
+	cols := make([]*Column, len(p.cols))
+	for i, c := range p.cols {
+		cols[i] = c.withCapacity(c.Len() + len(rows))
+	}
+	n := NewPartitionFromColumns(p.schema, cols)
+	for _, row := range rows {
+		n.AppendRow(row)
 	}
 	return n
 }
@@ -248,10 +278,9 @@ func (p *Partition) Freeze() *Partition {
 // holder — so writers can ask two cheap questions: "does any live
 // snapshot reference partition p's current backing arrays?"
 // (PartitionRetained — decides clone-and-swap vs in-place mutation at a
-// checkpoint and gates partition-granular reorganization, so a reorder
-// of one partition can proceed while a query drains a sibling) and "is
-// any snapshot of this table still live?" (LiveSnapshotRefs — gates
-// whole-table in-place physical reorganization).
+// checkpoint) and "is any snapshot of this table still live?"
+// (LiveSnapshotRefs). Physical reorganizations never ask: they publish
+// a new partition object, which leaves the old one to its readers.
 type Table struct {
 	Name   string
 	schema Schema
@@ -349,9 +378,8 @@ func (t *Table) Retain() *TableRef {
 
 // RetainPartitions registers a snapshot of just the given partition
 // slots: only their current generations get a refcount, so a
-// checkpoint or partition-granular reorganization of any *other*
-// partition owes the ref nothing. The ref still counts as one live
-// snapshot of the table (whole-table reorganization stays refused).
+// checkpoint of any *other* partition owes the ref nothing. The ref
+// still counts as one live snapshot of the table.
 func (t *Table) RetainPartitions(parts ...int) *TableRef {
 	if len(parts) == 0 {
 		panic("storage: RetainPartitions needs at least one partition")
@@ -396,9 +424,7 @@ func (r *TableRef) Release() {
 }
 
 // LiveSnapshotRefs returns the number of retained, not-yet-released
-// snapshot refs (partition-scoped refs included). Whole-table in-place
-// reorganization must refuse while it is non-zero; use Exclusive to
-// make the check atomic with the work.
+// snapshot refs (partition-scoped refs included).
 func (t *Table) LiveSnapshotRefs() int {
 	t.regMu.Lock()
 	defer t.regMu.Unlock()
@@ -408,48 +434,13 @@ func (t *Table) LiveSnapshotRefs() int {
 // PartitionRetained reports whether any live snapshot ref holds
 // partition i's *current* generation. While it does, an in-place
 // delete/modify of the partition's backing arrays must clone-and-swap
-// instead, and partition-granular reorganization must refuse (the
-// engine makes that check atomic with the work by holding the
-// partition's lock; ExclusivePartition does by holding the registry
-// lock). Refs on
-// retired generations of i read from the old partition object and are
-// unaffected by either, so they do not count.
+// instead (the engine makes that check atomic with the write by holding
+// the partition's lock). Refs on retired generations of i read from the
+// old partition object and are unaffected, so they do not count.
 func (t *Table) PartitionRetained(i int) bool {
 	t.regMu.Lock()
 	defer t.regMu.Unlock()
 	return t.snaps[i][t.gens[i]] > 0
-}
-
-// Exclusive runs fn only if no snapshot ref is live, holding the
-// registry lock throughout so no new ref can be retained mid-fn — the
-// storage-level counterpart of the engine's ReorderStorage refusal, for
-// raw whole-table in-place reorganization (sortkey.Create on a table
-// the caller owns). A concurrent Retain blocks until fn returns and
-// then captures the reorganized state; fn must not touch the registry
-// itself.
-func (t *Table) Exclusive(fn func() error) error {
-	t.regMu.Lock()
-	defer t.regMu.Unlock()
-	if t.liveRefs > 0 {
-		return fmt.Errorf("storage: table %q has %d live snapshot ref(s); close/drain them before in-place reorganization", t.Name, t.liveRefs)
-	}
-	return fn()
-}
-
-// ExclusivePartition runs fn only if no snapshot ref holds
-// partition i's current generation, holding the registry lock
-// throughout so no new ref can be retained mid-fn — the
-// partition-granular form of Exclusive, for in-place reorganization of
-// one partition (sortkey rebuilds of a single partition) while sibling
-// partitions keep serving snapshot readers. fn must not touch the
-// registry itself.
-func (t *Table) ExclusivePartition(i int, fn func() error) error {
-	t.regMu.Lock()
-	defer t.regMu.Unlock()
-	if n := t.snaps[i][t.gens[i]]; n > 0 {
-		return fmt.Errorf("storage: partition %d of table %q has %d live snapshot ref(s) on its current generation; close/drain them before in-place reorganization", i, t.Name, n)
-	}
-	return fn()
 }
 
 // NumRows returns the total row count across partitions.
@@ -461,17 +452,22 @@ func (t *Table) NumRows() int {
 	return n
 }
 
-// LoadRows distributes rows over partitions in contiguous, nearly equal
-// chunks — matching the paper's generator, which partitions on a dense
-// unique key so partitions have nearly equal size.
-func (t *Table) LoadRows(rows []Row) {
+// LoadChunk returns the rows partition i receives when rows are bulk
+// loaded: partitions take contiguous, nearly equal chunks in order —
+// matching the paper's generator, which partitions on a dense unique
+// key so partitions have nearly equal size.
+func (t *Table) LoadChunk(rows []Row, i int) []Row {
 	per := (len(rows) + len(t.parts) - 1) / len(t.parts)
-	for i, row := range rows {
-		p := i / per
-		if p >= len(t.parts) {
-			p = len(t.parts) - 1
+	lo, hi := min(i*per, len(rows)), min((i+1)*per, len(rows))
+	return rows[lo:hi]
+}
+
+// LoadRows appends every partition's LoadChunk of rows to it.
+func (t *Table) LoadRows(rows []Row) {
+	for i, p := range t.parts {
+		for _, row := range t.LoadChunk(rows, i) {
+			p.AppendRow(row)
 		}
-		t.parts[p].AppendRow(row)
 	}
 }
 

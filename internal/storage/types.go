@@ -4,7 +4,10 @@
 // 1998) that enable scan pruning and range propagation.
 package storage
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Kind identifies the physical type of a column.
 type Kind uint8
@@ -52,12 +55,13 @@ func F64(v float64) Value { return Value{Kind: KindFloat64, F: v} }
 func Str(v string) Value { return Value{Kind: KindString, S: v} }
 
 // Less reports whether v sorts before o. Values must share the same Kind.
+// DOUBLE values order as cmp.Less does, NaN before every other value.
 func (v Value) Less(o Value) bool {
 	switch v.Kind {
 	case KindInt64:
 		return v.I < o.I
 	case KindFloat64:
-		return v.F < o.F
+		return cmp.Less(v.F, o.F)
 	default:
 		return v.S < o.S
 	}

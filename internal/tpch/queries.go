@@ -101,8 +101,8 @@ type Queries struct {
 }
 
 // Queries captures a fresh snapshot and returns the query set bound to
-// it. Call Close when done if the tables may later be physically
-// reorganized (sortkey.CreateEngine).
+// it. Call Close when done: until then, delete and modify checkpoints
+// of the captured partitions clone them.
 func (ds *Dataset) Queries() *Queries { return ds.QueriesAt(ds.Snapshot()) }
 
 // QueriesAt binds the query set to an existing snapshot (e.g. to run
@@ -130,9 +130,9 @@ func (q *Queries) Close() { q.snap.Close() }
 // ephemeral snapshot closes itself at query end (end of stream, first
 // error, or operator Close), exactly like the engine's own query entry
 // points: until the returned operator is drained, the snapshot's
-// generation refcounts keep gating checkpoint copy-on-write and make
-// physical reorders (sortkey.CreateEngine) refuse, and afterwards the
-// guard releases on its own, so repeated queries never wedge it.
+// generation refcounts keep gating checkpoint copy-on-write, and
+// afterwards they release on their own, so repeated queries leave no
+// refs behind.
 func (ds *Dataset) Q3(mode Mode, ji *joinindex.Index) (exec.Operator, error) {
 	return ds.ephemeral(func(q *Queries) (exec.Operator, error) { return q.Q3(mode, ji) })
 }

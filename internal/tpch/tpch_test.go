@@ -400,34 +400,56 @@ func TestSnapshotQueriesUnderRefreshStream(t *testing.T) {
 
 // TestConvenienceQueriesDontWedgeReorderGuard: the Dataset.Q3/Q7/Q12
 // wrappers hold their ephemeral snapshot only until the returned
-// operator is drained — an in-flight convenience query blocks the
-// engine's physical-reorder guard (a reorder mid-drain would corrupt
-// it), but a drained one releases on its own, so repeated convenience
-// queries must not permanently block the guard. An explicitly held
-// Queries snapshot blocks it until Close.
+// operator is drained — a drained one releases its refs on its own, so
+// repeated convenience queries leave none behind — and a physical
+// reorder of a table an in-flight query reads proceeds without changing
+// its result. An explicitly held Queries snapshot holds its refs until
+// Close.
 func TestConvenienceQueriesDontWedgeReorderGuard(t *testing.T) {
 	ds := smallDataset(t, 0)
-	noop := func(*storage.Table) error { return nil }
+	orders := ds.DB.MustTable("orders")
+	want, err := ds.Q12(ModePatchIndex, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows, err := ResultRows(want)
+	if err != nil {
+		t.Fatal(err)
+	}
 	op, err := ds.Q12(ModePatchIndex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.DB.MustTable("orders").ReorderStorage(noop); err == nil {
-		t.Fatal("reorder guard open while a convenience query is in flight")
+	if orders.Store().LiveSnapshotRefs() == 0 {
+		t.Fatal("an in-flight convenience query holds no ref")
 	}
-	if _, err := ResultRows(op); err != nil {
+	reverse := func(part *storage.Partition) []int {
+		perm := make([]int, part.NumRows())
+		for i := range perm {
+			perm[i] = len(perm) - 1 - i
+		}
+		return perm
+	}
+	if err := orders.ReorderStorage(reverse); err != nil {
+		t.Fatalf("reorder under an in-flight convenience query: %v", err)
+	}
+	gotRows, err := ResultRows(op)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.DB.MustTable("orders").ReorderStorage(noop); err != nil {
-		t.Fatalf("reorder guard wedged after drained convenience query: %v", err)
+	if fmt.Sprint(gotRows) != fmt.Sprint(wantRows) {
+		t.Fatal("a reorder changed the result of a query in flight")
+	}
+	if n := orders.Store().LiveSnapshotRefs(); n != 0 {
+		t.Fatalf("%d ref(s) left after a drained convenience query", n)
 	}
 	q := ds.Queries()
-	if err := ds.DB.MustTable("orders").ReorderStorage(noop); err == nil {
-		t.Fatal("open Queries snapshot did not hold the reorder guard")
+	if orders.Store().LiveSnapshotRefs() == 0 {
+		t.Fatal("an open Queries snapshot holds no ref")
 	}
 	q.Close()
-	if err := ds.DB.MustTable("orders").ReorderStorage(noop); err != nil {
-		t.Fatal(err)
+	if n := orders.Store().LiveSnapshotRefs(); n != 0 {
+		t.Fatalf("%d ref(s) left after Queries.Close", n)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Mutation check for the NUC differentials, the minmax/scan tests, the
-# checkpoint/rewrite image tests, the join plans' compute-once test, the
-# Merge/Sort differentials and the partition-bounds lock-leak test.
+# checkpoint/rewrite image tests, the rewrite protocol tests, the join
+# plans' compute-once test, the Merge/Sort differentials, the
+# partition-bounds lock-leak test and the descending LIS test.
 #
 # The insert and modify paths are pinned to the paper's algorithms by
 # twin-table differentials against test-only oracles, the block
@@ -10,7 +11,10 @@
 # byte-format tests, the join plans' shared dimension cache by a
 # counting test, the executor's k-way merge and stable sort by seeded
 # differentials against stable-sort oracles, and the partition bounds
-# checks that run before a lock is taken by a lock-leak test. This
+# checks that run before a lock is taken by a lock-leak test, the
+# log-then-publish order of partition rewrites by a failed-append
+# recovery test and their permutation check by a rejection test, and
+# the descending LIS order by a MinInt64 test. This
 # script re-verifies that those tests have teeth: it copies the tree to a
 # temp directory, breaks one rule of the production code at a time, and
 # requires the matching test to FAIL. A mutation that still compiles
@@ -37,6 +41,8 @@ dur=internal/engine/durability.go
 plan=internal/plan/plan.go
 sortgo=internal/exec/sort.go
 approx=internal/engine/approx.go
+reorg=internal/engine/reorg.go
+lisgo=internal/lis/lis.go
 insdiff='^TestInsertRowsDifferentialVsInsert$'
 moddiff='^TestModifyNUCDifferentialVsJoin$'
 mmprop='^TestMinMaxSurvivesWritesProperty$'
@@ -47,6 +53,9 @@ dimonce='^TestJoinComputesDimensionOnce$'
 mergediff='^TestMergeDifferential$'
 sortstable='^TestSortStableOrder$'
 leak='^TestBadPartitionLeaksNoLock$'
+rwfail='^TestRewriteFailedAppendPublishesNothing$'
+rwperm='^TestReorderRejectsNonPermutation$'
+lisdesc='^TestDescendingAtMinInt64$'
 
 # mutate FILE replaces the one occurrence of $FROM by $TO (exit 3 unless
 # it occurs exactly once).
@@ -85,7 +94,8 @@ check() {
 }
 
 # The unmutated copy must pass, or "the test fails" proves nothing.
-if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt|$leak" ./internal/engine >/dev/null 2>&1 &&
+if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt|$leak|$rwfail|$rwperm" ./internal/engine >/dev/null 2>&1 &&
+	go test -count=1 -run "$lisdesc" ./internal/lis >/dev/null 2>&1 &&
 	go test -count=1 -run "$mmprop" ./internal/storage >/dev/null 2>&1 &&
 	go test -count=1 -run "$scanids|$mergediff|$sortstable" ./internal/exec >/dev/null 2>&1 &&
 	go test -count=1 -run "$dimonce" ./internal/plan >/dev/null 2>&1); then
@@ -134,5 +144,11 @@ check "Sort: no position tiebreak" $sortgo ./internal/exec "$sortstable" \
 	'return cmp.Compare(a, b)' 'return 0 * cmp.Compare(a, b)'
 check "PartitionSortedness: no partition bounds check" $approx ./internal/engine "$leak" \
 	$'\tif p < 0 || p >= len(t.pmu) {\n\t\treturn 0, fmt.Errorf("engine: table %q has no partition %d", t.name, p)\n\t}\n' ''
+check "rewrite: publish before logging the image" $reorg ./internal/engine "$rwfail" \
+	$'\tif t.wal != nil {\n\t\tseg := t.wal.segs[p]\n' $'\tt.publishPartitionLocked(p, part)\n\tif t.wal != nil {\n\t\tseg := t.wal.segs[p]\n'
+check "reorder: no permutation check" $storage ./internal/engine "$rwperm" \
+	'if r < 0 || r >= n || seen[r] {' 'if r < 0 || r >= n {'
+check "lis: negate instead of complement" $lisgo ./internal/lis "$lisdesc" \
+	$'\t\treturn ^v\n' $'\t\treturn -v\n'
 
 exit $failed
