@@ -7,6 +7,8 @@ package patchindex
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"patchindex/internal/bitmap"
@@ -152,4 +154,19 @@ func BenchmarkAblationRLE(b *testing.B) {
 		}
 		_ = sink
 	})
+}
+
+// benchPositions returns k distinct sorted positions below n.
+func benchPositions(n uint64, k int, seed int64) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[uint64]bool, k)
+	out := make([]uint64, 0, k)
+	for len(out) < k {
+		if p := uint64(rng.Int63n(int64(n))); !seen[p] {
+			seen[p] = true
+			out = append(out, p)
+		}
+	}
+	slices.Sort(out)
+	return out
 }

@@ -196,8 +196,8 @@
 //
 // Cost: one logical record per chunk, encoded into a pooled buffer and
 // written with a single write syscall under the already-held lock.
-// BenchmarkInsertWALOverhead and `pibench -exp recover` both measure
-// the insert path with logging on and off; on the reference box the
+// BenchmarkInsertWALOverhead measures inserts with logging on and off,
+// the bench module's recover_s measures replay; on the reference box the
 // overhead is ~8-15% of insert wall time with wal.SyncNone, against
 // the <= 25% budget this subsystem was accepted under.
 //

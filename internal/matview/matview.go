@@ -3,6 +3,7 @@
 // pre-computed and stored; queries scan the stored result instead of
 // aggregating. The major drawback is update support — the view must be
 // recomputed whenever the base table changes, which Fig. 9 quantifies.
+// The benchmarks of internal/experiments run it.
 package matview
 
 import (
@@ -21,10 +22,8 @@ type View struct {
 }
 
 // Create materializes DISTINCT(col) over the partition views. The view
-// drains its inputs eagerly, so feed it a releasable capture — an
-// engine TableSnapshot's Views, Closed right after Create returns —
-// rather than the unclosable engine Table.Views surface, which pins
-// every touched base generation forever.
+// drains its inputs eagerly, so a capture that feeds it, such as an
+// engine TableSnapshot's Views, can be closed as soon as Create returns.
 func Create(inputs []*pdt.View, col int) (*View, error) {
 	v := &View{}
 	if err := v.refresh(inputs, col); err != nil {
@@ -67,18 +66,15 @@ func (v *View) Refresh(inputs []*pdt.View, col int) error {
 }
 
 // CreateFromTable materializes DISTINCT(col) over an engine table
-// through a releasable snapshot, closed as soon as the eager drain
-// finishes — the snapshot-disciplined way to feed the comparator from
-// a live table (Table.Views would pin a base generation per call,
-// forcing every later delete checkpoint into a clone).
+// through a snapshot, closed as soon as the eager drain finishes.
 func CreateFromTable(t *engine.Table, col int) (*View, error) {
 	snap := t.Snapshot()
 	defer snap.Close()
 	return Create(snap.Views(), col)
 }
 
-// RefreshFromTable recomputes the view from a releasable snapshot of
-// the engine table (see CreateFromTable).
+// RefreshFromTable recomputes the view from a snapshot of the engine
+// table (see CreateFromTable).
 func (v *View) RefreshFromTable(t *engine.Table, col int) error {
 	snap := t.Snapshot()
 	defer snap.Close()
