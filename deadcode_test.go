@@ -2,18 +2,21 @@ package patchindex
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"patchindex/internal/analysis/driver"
 )
 
 // keptWithoutCaller lists the functions and methods that stay although
 // no non-test file calls them, each with the reason it stays. Keys are
-// "<dir>:<Recv>.<Name>" (or "<dir>:<Name>" for a function).
+// "<package>:<Recv>.<Name>" (or "<package>:<Name>" for a function), the
+// package path relative to the module.
 var keptWithoutCaller = map[string]string{
 	// The paper's Fig. 5 collision join and the Modify oracle are test
 	// code that production no longer runs; these are their building
@@ -23,6 +26,7 @@ var keptWithoutCaller = map[string]string{
 	"internal/exec:Cached.MaterializeNow":           "Fig. 5 oracle (join_oracle_test.go)",
 	"internal/core:Index.HandleInsertNUC":           "Fig. 5 oracle (join_oracle_test.go)",
 	"internal/core:Index.HandleModifyNUC":           "Modify oracle (modify_differential_test.go)",
+	"internal/core:NUCState.Count":                  "Fig. 5 oracle (join_oracle_test.go)",
 	// The reference the collision-directory tests compare against
 	// (CountNUCValues, MergeNUCDuplicates and NUCPatchSet are its
 	// pieces, so they pass by their call from here).
@@ -34,11 +38,37 @@ var keptWithoutCaller = map[string]string{
 	"internal/storage:Table.LoadRows":       "raw-table loader of five packages' tests",
 	// The date encoding the hand-built TPC-H reference trees use.
 	"internal/tpch:Year": "date encoding of the hand-built TPC-H trees",
-	// Left to the ROADMAP items that retire them.
-	"internal/engine:Table.ScanPartition": "ROADMAP item 4 gives it a caller or deletes it",
-	"internal/bitmap:NewConcurrent":       "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:CompressRLE":         "ROADMAP item 10(a) deletes rle.go",
-	"internal/bitmap:RLE.Decompress":      "ROADMAP item 10(a) deletes rle.go",
+	// The analyzer tests' fixture runner.
+	"internal/analysis/analysistest:Run":      "fixture runner of the analyzer tests",
+	"internal/analysis/analysistest:Facts":    "fixture runner of the analyzer tests",
+	"internal/analysis/analysistest:TestData": "fixture locator of the analyzer tests",
+	// The public facade's API, which the examples need not all call.
+	"patchindex:Collect":          "facade API",
+	"internal/query:Plan.Project": "facade API (patchindex.Plan)",
+	// Left to the ROADMAP items that retire them together with the
+	// tests that exercise them.
+	"internal/engine:Table.ScanPartition":   "ROADMAP item 4 gives it a caller or deletes it",
+	"internal/bitmap:NewConcurrent":         "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:Concurrent.BulkDelete": "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:Concurrent.Condense":   "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:Concurrent.Count":      "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:Concurrent.Delete":     "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:Concurrent.Get":        "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:Concurrent.Grow":       "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:Concurrent.Len":        "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:Concurrent.Set":        "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:Concurrent.Snapshot":   "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:Concurrent.Unset":      "ROADMAP item 10(a) deletes bitmap.Concurrent",
+	"internal/bitmap:CompressRLE":           "ROADMAP item 10(a) deletes rle.go",
+	"internal/bitmap:RLE.Decompress":        "ROADMAP item 10(a) deletes rle.go",
+	"internal/bitmap:RLE.Count":             "ROADMAP item 10(a) deletes rle.go",
+	"internal/bitmap:RLE.Get":               "ROADMAP item 10(a) deletes rle.go",
+	"internal/bitmap:RLE.Len":               "ROADMAP item 10(a) deletes rle.go",
+	"internal/bitmap:RLE.SizeBytes":         "ROADMAP item 10(a) deletes rle.go",
+	"internal/bitmap:Bitmap.Grow":           "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
+	"internal/bitmap:Bitmap.Clone":          "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
+	"internal/bitmap:Bitmap.SizeBytes":      "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
+	"internal/core:Index.Clone":             "ROADMAP item 10(c): the full-clone baseline of BenchmarkUpdateUnderSnapshot",
 	// The comparators and generators of the paper's figures, which only
 	// internal/experiments' benchmarks and checks run.
 	"internal/bitmap:Sharded.SetVectorized":   "Fig. 6 scalar-kernel series",
@@ -49,12 +79,18 @@ var keptWithoutCaller = map[string]string{
 	"internal/datagen:InsertBatch":            "Fig. 9 insert batches",
 	"internal/matview:CreateFromTable":        "Figs. 7-9 and Table 3 materialized view",
 	"internal/matview:View.RefreshFromTable":  "Fig. 9 materialized-view refresh",
+	"internal/matview:View.Scan":              "Figs. 7 and 9 materialized-view query",
+	"internal/matview:View.MemoryBytes":       "Table 3 and Fig. 11 materialized-view memory",
 	"internal/sortkey:SortKey.SortedScan":     "Figs. 7 and 9 SortKey query",
+	"internal/sortkey:SortKey.MemoryBytes":    "Fig. 11 SortKey memory",
+	"internal/bitmap:Bitmap.Get":              "Table 2 flat-bitmap series",
+	"internal/bitmap:Bitmap.Len":              "Table 2 flat-bitmap series",
+	"internal/bitmap:Bitmap.SetBits":          "Table 2 flat-bitmap series",
+	"internal/tpch:Dataset.Q7":                "Fig. 10 Q7",
+	"internal/tpch:Dataset.Q12":               "Fig. 10 Q12",
 	// Bit clears, which the bitmap fuzz and model tests drive as an op.
-	"internal/bitmap:Bitmap.Unset":     "bit clear of the bitmap tests",
-	"internal/bitmap:Sharded.Unset":    "bit clear of the fuzz and model tests",
-	"internal/bitmap:Concurrent.Unset": "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/storage:Value.Less":      "ROADMAP item 20(b) makes it the one per-kind order",
+	"internal/bitmap:Bitmap.Unset": "bit clear of the bitmap tests",
+	"internal/storage:Value.Less":  "ROADMAP item 20(b) makes it the one per-kind order",
 	// Accessors only tests read.
 	"internal/core:Index.DesignKind":          "test accessor",
 	"internal/plan:Chooser.Factor":            "test accessor",
@@ -69,108 +105,197 @@ var keptWithoutCaller = map[string]string{
 	"internal/engine:Table.Checkpoint":        "test accessor",
 	"internal/engine:Database.SnapshotTable":  "test accessor",
 	"internal/bitmap:shiftTailLeftOneScalar":  "reference of the word-shift differential test",
-	"internal/analysis/analysistest:TestData": "fixture locator of the analyzer tests",
 }
 
 // TestEveryFunctionHasANonTestCaller keeps dead code from growing back:
-// every function and method declared in a non-test file outside bench/
-// and testdata/ must be named in some non-test file outside testdata/ —
-// bench/ included, since the benchmark is a caller — or be listed in
-// keptWithoutCaller with its reason. A name inside a declaration of the
-// same name does not count: neither the declaration itself, nor a
-// recursive call, nor a same-named call such as Value.Less's cmp.Less.
-// Matching is by name only otherwise, so a function that shares its
-// name with anything named elsewhere passes: the test finds a lower
-// bound on dead code, not all of it. A keptWithoutCaller entry that is
-// no longer needed (the name gained a caller or is gone) fails the test
-// too, as a stale //pilint:ignore does.
+// every function and method declared in a non-test file of this module
+// must be called from some non-test file of this module or of bench/ —
+// the benchmark is a caller — or be listed in keptWithoutCaller with
+// its reason. Calls resolve by type (see uncalled), so a method is not
+// kept alive by a same-named call on another type. A keptWithoutCaller
+// entry that is no longer needed (the function gained a caller or is
+// gone) fails the test too, as a stale //pilint:ignore does.
 func TestEveryFunctionHasANonTestCaller(t *testing.T) {
-	fset := token.NewFileSet()
-	type decl struct{ key, name string }
-	var decls []decl
-	named := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		bench := dir == "bench" || strings.HasPrefix(dir, "bench/")
-		for _, d := range f.Decls {
-			self := ""
-			if fn, ok := d.(*ast.FuncDecl); ok {
-				self = fn.Name.Name
-				key := dir + ":" + self
-				if fn.Recv != nil {
-					key = dir + ":" + recvType(fn.Recv.List[0].Type) + "." + self
-				}
-				if !bench {
-					decls = append(decls, decl{key, self})
-				}
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id.Name != self {
-					named[id.Name] = true
-				}
-				return true
-			})
-		}
-		return nil
-	})
+	dead, err := uncalled("patchindex", ".", "bench")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dead, stale []string
 	needed := map[string]bool{}
-	for _, d := range decls {
-		switch {
-		case named[d.name], d.name == "main", d.name == "init": // the runtime calls main and init
-		case keptWithoutCaller[d.key] != "":
-			needed[d.key] = true
-		default:
-			dead = append(dead, d.key)
+	for _, key := range dead {
+		if keptWithoutCaller[key] != "" {
+			needed[key] = true
+			continue
 		}
+		t.Errorf("%s has no non-test caller: delete it, or list it in keptWithoutCaller with its reason", key)
 	}
+	var stale []string
 	for key := range keptWithoutCaller {
 		if !needed[key] {
 			stale = append(stale, key)
 		}
 	}
-	sort.Strings(dead)
 	sort.Strings(stale)
-	for _, key := range dead {
-		t.Errorf("%s has no non-test caller: delete it, or list it in keptWithoutCaller with its reason", key)
-	}
 	for _, key := range stale {
-		t.Errorf("keptWithoutCaller entry %s is stale: the name has a non-test caller or is gone", key)
+		t.Errorf("keptWithoutCaller entry %s is stale: it has a non-test caller or is gone", key)
 	}
 }
 
-// recvType names a method's receiver type without pointer or type
-// parameters.
-func recvType(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.StarExpr:
-		return recvType(x.X)
-	case *ast.IndexExpr:
-		return recvType(x.X)
-	case *ast.IndexListExpr:
-		return recvType(x.X)
-	case *ast.Ident:
-		return x.Name
+// TestUncalledResolvesByType runs the check over testdata/deadcode,
+// whose Meter.Read is named only by a call of the unrelated Gauge.Read
+// and so escapes any match by name.
+func TestUncalledResolvesByType(t *testing.T) {
+	dead, err := uncalled("deadcode", filepath.Join("testdata", "deadcode"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return "?"
+	want := []string{"deadcode:Meter.Read", "deadcode:countDown", "deadcode:onlyTested"}
+	if !slices.Equal(dead, want) {
+		t.Fatalf("uncalled = %q, want %q", dead, want)
+	}
+}
+
+// uncalled returns, sorted, the functions and methods declared in the
+// non-test files of module (rooted at dir) that no non-test file of it
+// or of the modules at callers calls; main and init are exempt, since
+// the runtime calls them. Calls resolve through go/types, and a
+// function's own body does not call it. A method also counts as called
+// when some interface type loaded alongside it — declared in a non-test
+// file, in an imported package, or the predeclared error — has a
+// method of the same name and an identical signature, since a call
+// through that interface may reach it. Signatures compare as fully
+// qualified strings: the loader typechecks a package once more for each
+// test variant, and those copies' types are not identical to go/types.
+func uncalled(module, dir string, callers ...string) ([]string, error) {
+	declared := map[string]bool{}
+	called := map[string]bool{}
+	ifaces := map[string]bool{} // method name + signature
+	methods := map[string]string{}
+	key := func(fn *types.Func) string {
+		fn = fn.Origin()
+		name := fn.Name()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if n, ok := t.(*types.Named); ok {
+				name = n.Obj().Name() + "." + name
+			}
+		}
+		return strings.TrimPrefix(fn.Pkg().Path(), module+"/") + ":" + name
+	}
+	addIface := func(it *types.Interface) {
+		for j := 0; j < it.NumMethods(); j++ {
+			ifaces[methodSig(it.Method(j))] = true
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	inModule := func(pkg *types.Package) bool {
+		return pkg.Path() == module || strings.HasPrefix(pkg.Path(), module+"/")
+	}
+	for i, d := range append([]string{dir}, callers...) {
+		units, err := driver.NewLoader(d, nil).Load("./...")
+		if err != nil {
+			return nil, err
+		}
+		if len(units) == 0 {
+			continue
+		}
+		fset := units[0].Fset
+		nonTest := func(pos interface{ Pos() token.Pos }) bool {
+			return !strings.HasSuffix(fset.Position(pos.Pos()).Filename, "_test.go")
+		}
+		for _, u := range units {
+			for _, f := range u.Files {
+				if !nonTest(f) {
+					continue
+				}
+				for _, decl := range f.Decls {
+					var self types.Object
+					if fd, ok := decl.(*ast.FuncDecl); ok {
+						self = u.Info.Defs[fd.Name]
+						exempt := fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && u.Pkg.Name() == "main")
+						if i == 0 && !exempt {
+							declared[key(self.(*types.Func))] = true
+						}
+					}
+					ast.Inspect(decl, func(n ast.Node) bool {
+						switch n := n.(type) {
+						case *ast.Ident:
+							if fn, ok := u.Info.Uses[n].(*types.Func); ok && fn.Pkg() != nil && fn.Origin() != self {
+								called[key(fn)] = true
+							}
+						case *ast.InterfaceType:
+							if it, ok := u.Info.TypeOf(n).(*types.Interface); ok {
+								addIface(it)
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+		// The interfaces of the packages loaded from export data, and
+		// the module's concrete methods they may dispatch to.
+		seen := map[*types.Package]bool{}
+		var visit func(*types.Package)
+		visit = func(pkg *types.Package) {
+			if seen[pkg] {
+				return
+			}
+			seen[pkg] = true
+			for _, imp := range pkg.Imports() {
+				visit(imp)
+			}
+			scope := pkg.Scope()
+			for _, name := range scope.Names() {
+				tn, ok := scope.Lookup(name).(*types.TypeName)
+				if !ok || !nonTest(tn) {
+					continue
+				}
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && !inModule(pkg) {
+					addIface(it)
+				} else if n, ok := tn.Type().(*types.Named); ok && inModule(pkg) {
+					for j := 0; j < n.NumMethods(); j++ {
+						if m := n.Method(j); nonTest(m) {
+							methods[key(m)] = methodSig(m)
+						}
+					}
+				}
+			}
+		}
+		for _, u := range units {
+			visit(u.Pkg)
+		}
+	}
+	var dead []string
+	for k := range declared {
+		if !called[k] && !ifaces[methods[k]] {
+			dead = append(dead, k)
+		}
+	}
+	sort.Strings(dead)
+	return dead, nil
+}
+
+// methodSig renders a method's name and signature, without receiver or
+// parameter names, with every type qualified by its package path.
+func methodSig(m *types.Func) string {
+	sig := m.Type().(*types.Signature)
+	var b strings.Builder
+	b.WriteString(m.Name())
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteString("(")
+		for j := 0; j < tuple.Len(); j++ {
+			if j > 0 {
+				b.WriteString(",")
+			}
+			if sig.Variadic() && tuple == sig.Params() && j == tuple.Len()-1 {
+				b.WriteString("...")
+			}
+			b.WriteString(types.TypeString(tuple.At(j).Type(), nil))
+		}
+		b.WriteString(")")
+	}
+	return b.String()
 }

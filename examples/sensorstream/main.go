@@ -43,9 +43,7 @@ func main() {
 	}
 	table.Load(rows)
 
-	if err := table.CreatePatchIndex("ts", patchindex.NearlySorted, patchindex.IndexOptions{
-		RecomputeThreshold: 0.25,
-	}); err != nil {
+	if err := table.CreatePatchIndex("ts", patchindex.NearlySorted, patchindex.IndexOptions{}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("NSC PatchIndex on events.ts: exception rate %.4f\n", table.ExceptionRate("ts"))
@@ -92,10 +90,13 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("after 5000 appended events: exception rate %.4f (monitor threshold 0.25)\n",
-		table.ExceptionRate("ts"))
+	// Above this exception rate a partition's index is worth recomputing
+	// (Sections 5.1, 5.3).
+	const recomputeAbove = 0.25
+	fmt.Printf("after 5000 appended events: exception rate %.4f (monitor threshold %.2f)\n",
+		table.ExceptionRate("ts"), recomputeAbove)
 	for _, x := range table.PatchIndexes("ts") {
-		if x.NeedsRecompute() {
+		if x.ExceptionRate() > recomputeAbove {
 			fmt.Println("a partition index requests recomputation")
 		}
 	}

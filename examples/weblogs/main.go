@@ -53,7 +53,7 @@ func main() {
 
 	sessions := patchindex.From("requests", "session_id").Distinct("session_id")
 	countDistinct := func(mode patchindex.PlanMode) (int, time.Duration) {
-		c, err := patchindex.Run(db, sessions, patchindex.QueryOptions{Mode: mode, Parallel: true})
+		c, err := patchindex.Run(db, sessions, patchindex.QueryOptions{Mode: mode})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -121,10 +121,12 @@ func (l *Loader) Load(patterns ...string) ([]*Unit, error) {
 	// Pick the units to analyze: pattern-matched packages (not DepOnly),
 	// skipping synthesized test mains and — when a test variant exists —
 	// the base package it supersedes (the variant compiles a superset of
-	// its files, so analyzing both would duplicate every finding).
+	// its files, so analyzing both would duplicate every finding). An
+	// external test package ("p_test [p.test]") supersedes nothing: a
+	// package whose tests are all external has no variant of its own.
 	variant := make(map[string]bool)
 	for _, p := range order {
-		if p.ForTest != "" && p.Name != "main" {
+		if p.ForTest != "" && importBase(p.ImportPath) == p.ForTest {
 			variant[p.ForTest] = true
 		}
 	}

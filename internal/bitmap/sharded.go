@@ -93,9 +93,6 @@ func (s *Sharded) SetVectorized(v bool) { s.vectorized = v }
 // Len returns the number of live logical bits.
 func (s *Sharded) Len() uint64 { return s.n }
 
-// ShardBits returns the configured shard size in bits.
-func (s *Sharded) ShardBits() uint64 { return s.shardBits }
-
 // NumShards returns the number of physical shards.
 func (s *Sharded) NumShards() int { return len(s.starts) }
 

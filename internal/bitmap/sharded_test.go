@@ -297,8 +297,8 @@ func TestShardedCondense(t *testing.T) {
 	s.Condense()
 	// After condense all shards except possibly the last are full, so at
 	// most one shard's worth of slack remains.
-	if slack := uint64(s.NumShards())*s.ShardBits() - s.Len(); slack >= s.ShardBits() {
-		t.Fatalf("slack after condense = %d bits (>= shard size %d)", slack, s.ShardBits())
+	if slack := uint64(s.NumShards())*s.shardBits - s.Len(); slack >= s.shardBits {
+		t.Fatalf("slack after condense = %d bits (>= shard size %d)", slack, s.shardBits)
 	}
 	checkEqual(t, s, m)
 	// The structure must remain fully functional after condense.

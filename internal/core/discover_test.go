@@ -163,10 +163,10 @@ func TestMatchRates(t *testing.T) {
 
 func TestRecompute(t *testing.T) {
 	vals := []int64{1, 1, 2, 3}
-	x := BuildNUCInt64(vals, Options{Design: DesignIdentifier, RecomputeThreshold: 0.1})
+	x := BuildNUCInt64(vals, Options{Design: DesignIdentifier})
 	// Simulate erosion: everything became a patch.
 	x.AddPatches([]uint64{2, 3})
-	if !x.NeedsRecompute() {
-		t.Fatal("monitor should trip")
+	if got := x.ExceptionRate(); got != 1 {
+		t.Fatalf("eroded exception rate = %f, want 1", got)
 	}
 }

@@ -62,9 +62,11 @@ func (c Constraint) String() string {
 	return "NSC"
 }
 
-// Options configure a PatchIndex. Checkpoints persist Design, ShardBits
-// and Descending. A bitmap's automatic condense on delete is not an
-// option: it fires below condenseThreshold.
+// Options configure a PatchIndex; checkpoints persist every field. A
+// bitmap's automatic condense on delete is not an option: it fires below
+// condenseThreshold. Neither is recomputation once updates erode the
+// exception rate: the engine's maintenance daemon repairs a slot above
+// its MaxExceptionRate (Sections 5.1, 5.3).
 type Options struct {
 	// Design selects the patch representation. Default DesignBitmap.
 	Design Design
@@ -73,10 +75,6 @@ type Options struct {
 	ShardBits uint64
 	// Descending marks a NSC as sorted in descending order.
 	Descending bool
-	// RecomputeThreshold is the exception rate above which
-	// NeedsRecompute reports true (monitoring hook of Sections 5.1/5.3).
-	// Zero disables monitoring.
-	RecomputeThreshold float64
 }
 
 // condenseThreshold is the bitmap utilization below which HandleDelete
@@ -177,16 +175,8 @@ func (x *Index) ExceptionRate() float64 {
 }
 
 // Options returns the construction options, so maintenance can rebuild
-// an index slot with the same design, shard layout, and thresholds.
+// an index slot with the same design, shard layout and order.
 func (x *Index) Options() Options { return x.opts }
-
-// NeedsRecompute reports whether the exception rate exceeds the
-// configured monitoring threshold — the trigger for a global
-// recomputation the paper suggests when update handling has eroded
-// optimality (Sections 5.1, 5.3).
-func (x *Index) NeedsRecompute() bool {
-	return x.opts.RecomputeThreshold > 0 && x.ExceptionRate() > x.opts.RecomputeThreshold
-}
 
 // IsPatch reports whether rowID is an exception. It implements the
 // executor's PatchTester, driving the exclude_patches / use_patches

@@ -151,24 +151,6 @@ func TestHandleDeleteBothDesignsAgree(t *testing.T) {
 	}
 }
 
-func TestNeedsRecompute(t *testing.T) {
-	opts := optsFor(DesignBitmap)
-	opts.RecomputeThreshold = 0.5
-	x := New(NearlyUnique, 10, []uint64{0, 1, 2}, opts)
-	if x.NeedsRecompute() {
-		t.Fatal("e=0.3 should not trip a 0.5 threshold")
-	}
-	x.AddPatches([]uint64{3, 4, 5})
-	if !x.NeedsRecompute() {
-		t.Fatal("e=0.6 should trip a 0.5 threshold")
-	}
-	// Disabled monitor never trips.
-	y := New(NearlyUnique, 10, []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, optsFor(DesignBitmap))
-	if y.NeedsRecompute() {
-		t.Fatal("disabled monitor tripped")
-	}
-}
-
 func TestMemoryBytesTable3(t *testing.T) {
 	// Table 3: bitmap memory is constant in e; identifier memory is
 	// 8 bytes per patch; crossover at e ~ 1/64.

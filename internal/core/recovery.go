@@ -17,14 +17,9 @@ import (
 //
 // Format PIX2 covers the whole stream — header and patch payload — with
 // a trailing CRC32 (IEEE), so a torn or bit-flipped checkpoint is
-// rejected instead of silently restoring a corrupt index. ReadFrom
-// still accepts the unchecksummed PIX1 streams written before the
-// trailer existed.
+// rejected instead of silently restoring a corrupt index.
 
-const (
-	magicIndexV1 = 0x50495831 // "PIX1", pre-checksum
-	magicIndex   = 0x50495832 // "PIX2", CRC32 trailer
-)
+const magicIndex = 0x50495832 // "PIX2", CRC32 trailer
 
 // WriteTo serializes the index as a checkpoint. It implements
 // io.WriterTo. Everything before the 4-byte trailer is checksummed.
@@ -77,25 +72,18 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // ReadFrom restores an index from a checkpoint written by WriteTo. The
 // header is validated field by field before anything is allocated from
 // it, the identifier list is read in bounded chunks (a corrupt count
-// cannot force an allocation larger than the stream backing it), and a
-// PIX2 stream's CRC32 trailer is verified against everything read.
+// cannot force an allocation larger than the stream backing it), and the
+// CRC32 trailer is verified against everything read.
 func (x *Index) ReadFrom(r io.Reader) (int64, error) {
 	hdr := make([]byte, 56)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, err
 	}
-	var h *crc32Reader
-	payload := r
-	switch binary.LittleEndian.Uint32(hdr[0:]) {
-	case magicIndex:
-		h = &crc32Reader{r: r, h: crc32.NewIEEE()}
-		h.h.Write(hdr)
-		payload = h
-	case magicIndexV1:
-		// Pre-checksum stream: same layout, no trailer to verify.
-	default:
+	if binary.LittleEndian.Uint32(hdr[0:]) != magicIndex {
 		return 0, errors.New("core: bad magic in PatchIndex checkpoint")
 	}
+	payload := &crc32Reader{r: r, h: crc32.NewIEEE()}
+	payload.h.Write(hdr)
 	if hdr[4] > 1 {
 		return 0, fmt.Errorf("core: corrupt PatchIndex checkpoint: constraint byte %d", hdr[4])
 	}
@@ -132,7 +120,7 @@ func (x *Index) ReadFrom(r io.Reader) (int64, error) {
 		if err != nil {
 			return read, err
 		}
-		return x.finishRead(r, h, read)
+		return x.finishRead(r, payload, read)
 	}
 	if nIDs != x.np {
 		return read, fmt.Errorf("core: corrupt PatchIndex checkpoint: %d identifiers for np %d", nIDs, x.np)
@@ -163,24 +151,21 @@ func (x *Index) ReadFrom(r io.Reader) (int64, error) {
 		x.ids = append(x.ids, ids...)
 		remaining -= k
 	}
-	return x.finishRead(r, h, read)
+	return x.finishRead(r, payload, read)
 }
 
-// finishRead verifies the PIX2 trailer (h nil for a PIX1 stream) and
-// then the decoded index's own invariants — the header and payload must
-// agree with each other, not just with their checksum (a PIX1 stream
-// has no checksum at all).
+// finishRead verifies the trailer and then the decoded index's own
+// invariants — the header and payload must agree with each other, not
+// just with their checksum.
 func (x *Index) finishRead(r io.Reader, h *crc32Reader, read int64) (int64, error) {
-	if h != nil {
-		var trailer [4]byte
-		n, err := io.ReadFull(r, trailer[:])
-		read += int64(n)
-		if err != nil {
-			return read, err
-		}
-		if got, want := h.h.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
-			return read, fmt.Errorf("core: PatchIndex checkpoint CRC mismatch: computed %08x, stored %08x", got, want)
-		}
+	var trailer [4]byte
+	n, err := io.ReadFull(r, trailer[:])
+	read += int64(n)
+	if err != nil {
+		return read, err
+	}
+	if got, want := h.h.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
+		return read, fmt.Errorf("core: PatchIndex checkpoint CRC mismatch: computed %08x, stored %08x", got, want)
 	}
 	if err := x.Validate(); err != nil {
 		return read, fmt.Errorf("core: corrupt PatchIndex checkpoint: %w", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 )
@@ -17,6 +18,14 @@ func checkpointBytes(t testing.TB, d Design) []byte {
 		t.Fatalf("WriteTo: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// restamp recomputes the CRC32 trailer of a checkpoint stream in place,
+// so a test's corruption reaches the decoder's field checks.
+func restamp(b []byte) {
+	if len(b) >= 4 {
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	}
 }
 
 func TestCheckpointRejectsTruncation(t *testing.T) {
@@ -47,22 +56,20 @@ func TestCheckpointRejectsBitFlips(t *testing.T) {
 	}
 }
 
-func TestCheckpointReadsLegacyPIX1(t *testing.T) {
-	// A PIX2 stream minus its trailer, re-stamped with the PIX1 magic, is
-	// exactly what the previous format wrote.
+// TestCheckpointRejectsPIX1: the pre-checksum PIX1 format (the PIX2
+// layout with another magic and no trailer) is no longer read.
+func TestCheckpointRejectsPIX1(t *testing.T) {
 	for _, d := range bothDesigns {
 		full := checkpointBytes(t, d)
-		legacy := append([]byte(nil), full[:len(full)-4]...)
-		binary.LittleEndian.PutUint32(legacy[0:], magicIndexV1)
-		var y Index
-		if _, err := y.ReadFrom(bytes.NewReader(legacy)); err != nil {
-			t.Fatalf("%v: rejected legacy PIX1 checkpoint: %v", d, err)
-		}
-		if y.Rows() != 500 || y.NumPatches() != 3 {
-			t.Fatalf("%v: legacy roundtrip lost state", d)
-		}
-		if err := y.Validate(); err != nil {
-			t.Fatalf("%v: %v", d, err)
+		for _, legacy := range [][]byte{full[:len(full)-4], full} {
+			legacy = append([]byte(nil), legacy...)
+			binary.LittleEndian.PutUint32(legacy[0:], 0x50495831) // "PIX1"
+			restamp(legacy)
+			var y Index
+			_, err := y.ReadFrom(bytes.NewReader(legacy))
+			if err == nil || !strings.Contains(err.Error(), "bad magic") {
+				t.Fatalf("%v: PIX1 checkpoint of %d bytes: err %v, want bad magic", d, len(legacy), err)
+			}
 		}
 	}
 }
@@ -71,11 +78,11 @@ func TestCheckpointRejectsHeaderCorruption(t *testing.T) {
 	corrupt := func(d Design, name string, mutate func([]byte)) {
 		full := checkpointBytes(t, d)
 		mutate(full)
-		// Re-stamp as PIX1 so the field validation, not the CRC, must
-		// catch it — the legacy path has no trailer to rely on.
-		binary.LittleEndian.PutUint32(full[0:], magicIndexV1)
+		// A valid trailer over the corruption: the field validation, not
+		// the CRC, must catch it.
+		restamp(full)
 		var y Index
-		if _, err := y.ReadFrom(bytes.NewReader(full[:len(full)-4])); err == nil {
+		if _, err := y.ReadFrom(bytes.NewReader(full)); err == nil {
 			t.Fatalf("%v: header validation missed %s", d, name)
 		} else if strings.Contains(err.Error(), "CRC") {
 			t.Fatalf("%v: %s rejected by CRC, not validation: %v", d, name, err)
@@ -112,9 +119,10 @@ func FuzzIndexReadFrom(f *testing.F) {
 		full := checkpointBytes(f, d)
 		f.Add(full)
 		f.Add(full[:len(full)/2])
-		legacy := append([]byte(nil), full[:len(full)-4]...)
-		binary.LittleEndian.PutUint32(legacy[0:], magicIndexV1)
-		f.Add(legacy)
+		// The retired PIX1 magic over a PIX2 body.
+		pix1 := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint32(pix1[0:], 0x50495831)
+		f.Add(pix1)
 		// A huge declared id count over a short stream.
 		huge := append([]byte(nil), full[:56]...)
 		binary.LittleEndian.PutUint64(huge[8:], 1<<60)  // rows
@@ -123,12 +131,16 @@ func FuzzIndexReadFrom(f *testing.F) {
 		f.Add(huge)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// A valid trailer over every input, so the mutations reach the
+		// field checks instead of all dying at the CRC.
+		data = append([]byte(nil), data...)
+		restamp(data)
 		var y Index
 		if _, err := y.ReadFrom(bytes.NewReader(data)); err != nil {
 			return
 		}
 		// An accepted stream must decode to an internally consistent
-		// index (PIX1 inputs dodge the CRC but not the field checks).
+		// index.
 		if err := y.Validate(); err != nil {
 			t.Fatalf("ReadFrom accepted a stream that fails Validate: %v", err)
 		}

@@ -134,8 +134,8 @@ func TestCheckpointRoundTripTyped(t *testing.T) {
 		if stats.Applied != 0 {
 			t.Fatalf("%s: %d records replayed, want 0", label, stats.Applied)
 		}
-		requireSameColumns(t, label, rec.MustTable("t"), tb)
-		requireIndexesValid(t, rec.MustTable("t"), "i", "s")
+		requireSameColumns(t, label, rec.Table("t"), tb)
+		requireIndexesValid(t, rec.Table("t"), "i", "s")
 
 		// Rewrite images above the checkpoint: one partition reordered,
 		// then a bulk load that reaches the empty partition.
@@ -157,8 +157,8 @@ func TestCheckpointRoundTripTyped(t *testing.T) {
 		if stats.Applied != 1 {
 			t.Fatalf("%s: %d records replayed, want the one rewrite", label, stats.Applied)
 		}
-		requireSameColumns(t, label, rec.MustTable("t"), tb)
-		requireIndexesValid(t, rec.MustTable("t"), "i", "s")
+		requireSameColumns(t, label, rec.Table("t"), tb)
+		requireIndexesValid(t, rec.Table("t"), "i", "s")
 	}
 }
 
@@ -245,8 +245,8 @@ func TestRecoverCheckpointWrittenBeforeTypedLoad(t *testing.T) {
 	if stats.Tables != 1 || stats.Applied != 3 || stats.TornSegments != 0 {
 		t.Fatalf("unexpected stats: %+v", stats)
 	}
-	requireSameColumns(t, "recovered fixture", rec.MustTable("t"), live.MustTable("t"))
-	requireIndexesValid(t, rec.MustTable("t"), "i", "s")
+	requireSameColumns(t, "recovered fixture", rec.Table("t"), live.MustTable("t"))
+	requireIndexesValid(t, rec.Table("t"), "i", "s")
 }
 
 // TestCheckpointRowCountBoundedByBytes feeds a CRC-valid checkpoint

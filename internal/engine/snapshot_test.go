@@ -7,7 +7,6 @@ import (
 
 	"patchindex/internal/core"
 	"patchindex/internal/exec"
-	"patchindex/internal/plan"
 	"patchindex/internal/storage"
 )
 
@@ -184,7 +183,7 @@ func TestConcurrentDistinctVsUpdates(t *testing.T) {
 					return
 				default:
 				}
-				op, err := distinctQuery(db, "t", "v", testPlan{patch: true, Options: plan.Options{Parallel: true}})
+				op, err := distinctQuery(db, "t", "v", testPlan{patch: true})
 				if err != nil {
 					t.Error(err)
 					return
@@ -355,7 +354,7 @@ func TestDatabaseSnapshotAtomicAcrossTables(t *testing.T) {
 	if err := db.Insert("b", []storage.Row{{storage.I64(100)}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.MustTable("a").NumRows() + snap.MustTable("b").NumRows(); got != 20 {
+	if got := snap.Table("a").NumRows() + snap.Table("b").NumRows(); got != 20 {
 		t.Fatalf("snapshot rows = %d, want 20", got)
 	}
 	//pilint:ignore snapclose error-path probe; a non-nil snapshot fails the test
@@ -422,12 +421,12 @@ func TestDatabaseSnapshotJoinPrefixConsistent(t *testing.T) {
 			checkOnce := func() bool {
 				snap := db.MustSnapshot("lineitem", "orders")
 				defer snap.Close()
-				dimVals, err := exec.CollectInt64(snap.MustTable("orders").ScanAll("v"))
+				dimVals, err := exec.CollectInt64(snap.Table("orders").ScanAll("v"))
 				if err != nil {
 					t.Error(err)
 					return false
 				}
-				factVals, err := exec.CollectInt64(snap.MustTable("lineitem").ScanAll("v"))
+				factVals, err := exec.CollectInt64(snap.Table("lineitem").ScanAll("v"))
 				if err != nil {
 					t.Error(err)
 					return false
@@ -450,8 +449,8 @@ func TestDatabaseSnapshotJoinPrefixConsistent(t *testing.T) {
 				// The same holds through an actual join over the snapshot:
 				// inner-joining fact against dim must keep every fact row.
 				join := exec.NewHashJoin(
-					snap.MustTable("lineitem").ScanAll("v"),
-					snap.MustTable("orders").ScanAll("v"), 0, 0)
+					snap.Table("lineitem").ScanAll("v"),
+					snap.Table("orders").ScanAll("v"), 0, 0)
 				joined, err := exec.Collect(join)
 				if err != nil {
 					t.Error(err)

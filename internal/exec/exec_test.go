@@ -531,8 +531,8 @@ func TestReuseCacheLoadsTwice(t *testing.T) {
 			t.Fatal("loads disagree")
 		}
 	}
-	if n, _ := cache.Rows(); n != 3000 {
-		t.Fatalf("Rows = %d", n)
+	if n := cache.data.Len(); n != 3000 {
+		t.Fatalf("cached %d rows, want 3000", n)
 	}
 }
 

@@ -81,7 +81,6 @@ func TestErrorPropagation(t *testing.T) {
 	})
 	build("WithRowIDColumn", func(c Operator) Operator { return NewWithRowIDColumn(c, "rid") })
 	build("ReuseLoad", func(c Operator) Operator { return NewReuseCache(c).Load() })
-	build("Gather", func(c Operator) Operator { return NewGather(c) })
 }
 
 func TestReuseCacheErrorSticky(t *testing.T) {
@@ -89,9 +88,9 @@ func TestReuseCacheErrorSticky(t *testing.T) {
 	if err := cache.MaterializeNow(); !errors.Is(err, errInjected) {
 		t.Fatalf("MaterializeNow: %v", err)
 	}
-	if _, err := cache.Rows(); err == nil {
+	if _, err := cache.Load().Next(); err == nil {
 		// The cache retries the failed child; either a sticky error or a
 		// second failure is acceptable, silence is not.
-		t.Fatal("Rows succeeded after failed materialization")
+		t.Fatal("a load succeeded after failed materialization")
 	}
 }

@@ -14,10 +14,10 @@ import (
 // handling query caches the join result to project both sides' rowIDs.
 
 // Cached is a materialized intermediate result shared by ReuseLoad
-// readers. Loads may run on different goroutines (a Parallel plan drains
-// its partitions concurrently): the child is drained and closed exactly
+// readers: the first load to read drains and closes the child, exactly
 // once, and the result, or the error that stopped it, is then shared by
-// every load. The batch is immutable once filled, so consumers that read
+// every load. The fill runs under a sync.Once, so loads drained on
+// different goroutines stay safe. The batch is immutable once filled, so consumers that read
 // it in place (MergeJoin, HashJoin) must not write to it. A cache no load
 // ever reads never opens its child and leaves it unclosed.
 type Cached struct {
@@ -42,14 +42,6 @@ func (c *Cached) fill() error {
 		c.child.Close()
 	})
 	return c.failed
-}
-
-// Rows returns the number of cached tuples (materializing if needed).
-func (c *Cached) Rows() (int, error) {
-	if err := c.fill(); err != nil {
-		return 0, err
-	}
-	return c.data.Len(), nil
 }
 
 // Load returns a fresh reader over the cached result (a ReuseLoad

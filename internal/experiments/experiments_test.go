@@ -20,6 +20,12 @@
 //	Fig. 10  BenchmarkFig10TPCH             TestRunFig10
 //	Fig. 11  (scores in TestRunFig11's doc) TestRunFig11
 //
+// Not every shape reproduces at laptop scale. Fig. 10's creation order
+// (PatchIndex ~6x cheaper than the JoinIndex at SF 1000) does not: at
+// benchScale's SF 0.002 over 4 partitions, BenchmarkFig10TPCH/create at
+// -benchtime=30x -count=3 read PatchIndex 290-386 µs against JoinIndex
+// 250-328 µs on a 2-vCPU Intel Xeon. No check asserts either order.
+//
 // The maintenance daemon and the WAL, beyond the paper's evaluation, are
 // measured by the engine's TestChurn* and BenchmarkInsertWALOverhead and
 // by the bench module's churn_daemon workload and recover_s metric.

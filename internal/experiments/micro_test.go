@@ -68,7 +68,7 @@ func (f *fixture) build(tb testing.TB) {
 		err = f.t.CreatePatchIndex("val", f.c, core.Options{Design: core.DesignIdentifier})
 	case "materialization":
 		if f.c == core.NearlySorted {
-			f.sk = sortkey.Create(f.t.Store(), 1, false)
+			f.sk, err = sortkey.CreateEngine(f.t, "val", false)
 		} else {
 			f.mv, err = matview.CreateFromTable(f.t, 1)
 		}
@@ -134,7 +134,7 @@ func (f *fixture) update(tb testing.TB, op string, g int) {
 		must(tb, f.mv.RefreshFromTable(f.t, 1))
 	}
 	if f.sk != nil {
-		f.sk.Rebuild()
+		must(tb, f.sk.RebuildChecked())
 	}
 	f.chunk++
 }

@@ -2,10 +2,12 @@
 // evaluation (Section 6.3, Valduriez 1987): a foreign-key join is
 // materialized as an additional fact-table column holding the rowID of
 // the join partner in the dimension table. Join queries become scans
-// with a positional gather. The extra column costs storage and a small
-// additional scan effort — which is why PatchIndex plans with
-// zero-branch pruning end up slightly faster (Fig. 10) — and creation
-// requires computing the full join once.
+// with a positional gather (JoinOn), always over partition views and
+// references captured at one instant, never over the live tables. The
+// extra column costs storage and a small additional scan effort — which
+// is why PatchIndex plans with zero-branch pruning end up slightly
+// faster (Fig. 10) — and creation requires computing the full join
+// once.
 package joinindex
 
 import (
@@ -148,29 +150,6 @@ func (ji *Index) HandleDimDelete(deleted []uint64) {
 	ji.lookup = ji.dimLookup()
 }
 
-// dimColumnGlobal gathers a dimension column across partitions into one
-// slice indexed by global dim rowID.
-func (ji *Index) dimColumnGlobal(col int) []int64 {
-	out := make([]int64, 0, ji.dim.NumRows())
-	for p := 0; p < ji.dim.NumPartitions(); p++ {
-		out = append(out, ji.dim.Partition(p).Column(col).Int64s()...)
-	}
-	return out
-}
-
-// Join returns the join-index query plan over the live tables: scan the
-// fact columns and gather the requested dimension int64 columns through
-// the materialized references. Unmatched fact rows are dropped (inner
-// join semantics). For snapshot-consistent execution use JoinOn with
-// views captured from a DatabaseSnapshot.
-func (ji *Index) Join(factCols, dimCols []int) exec.Operator {
-	factViews := make([]*pdt.View, ji.fact.NumPartitions())
-	for p := range factViews {
-		factViews[p] = pdt.NewView(ji.fact.Partition(p), nil)
-	}
-	return ji.JoinOn(factViews, nil, nil, factCols, dimCols)
-}
-
 // CaptureRefs returns a deep copy of the per-partition reference
 // columns at the current instant. Capture them together with the
 // snapshot views the join will run over (the Index holds no lock, so
@@ -186,56 +165,38 @@ func (ji *Index) CaptureRefs() [][]int64 {
 	return out
 }
 
-// JoinOn builds the join-index plan over externally captured partition
-// views — typically the frozen views of an engine DatabaseSnapshot, so
-// the fact scan and the dimension gather observe the same multi-table
-// instant as the rest of the query. factViews must hold one view per
-// fact partition; dimViews (one per dimension partition) may be nil to
-// gather from the live dimension table. refs must be a CaptureRefs copy
-// taken at the views' instant, or nil to capture now (only sound when
-// no maintenance ran since the views were captured).
+// JoinOn builds the join-index plan over captured partition views —
+// the frozen views of an engine DatabaseSnapshot, so the fact scan and
+// the dimension gather observe the same multi-table instant as the rest
+// of the query. factViews and dimViews hold one view per fact and
+// dimension partition; refs must be a CaptureRefs copy taken at the
+// views' instant. The plan scans the fact columns and gathers the
+// requested dimension int64 columns through the references; unmatched
+// fact rows are dropped (inner join semantics).
 //
-// Snapshot mode (dimViews set) tolerates references that do not line up
-// with the views — fact rows beyond the captured references, or
-// references beyond the captured dimension rows, are treated as
-// unmatched. Live mode indexes the references directly, so a missed
-// maintenance call still fails loudly instead of silently dropping
-// rows.
+// References that do not line up with the views — fact rows beyond the
+// captured references, or references beyond the captured dimension
+// rows — are treated as unmatched.
 func (ji *Index) JoinOn(factViews []*pdt.View, dimViews []*pdt.View, refs [][]int64, factCols, dimCols []int) exec.Operator {
-	snapshotMode := dimViews != nil
-	if refs == nil {
-		if snapshotMode {
-			refs = ji.CaptureRefs()
-		} else {
-			refs = ji.refs
-		}
+	// The references encode base-storage global rowIDs (that is how
+	// dimLookup and all maintenance compute them), so the gather array
+	// and the stale-reference bound must come from the views' frozen
+	// BASE partitions. Merging pending deltas in would shift every later
+	// partition's positions and silently gather wrong tuples;
+	// delta-pending dimension rows have no references yet and stay
+	// unmatched by construction.
+	var dimRows int64
+	for _, v := range dimViews {
+		dimRows += int64(v.Base.NumRows())
 	}
 	dimData := make([][]int64, len(dimCols))
 	dimSchema := make(storage.Schema, len(dimCols))
-	dimRows := int64(ji.dim.NumRows())
-	if snapshotMode {
-		// The references encode base-storage global rowIDs (that is how
-		// dimLookup and all maintenance compute them), so the gather
-		// array and the stale-reference bound must come from the views'
-		// frozen BASE partitions. Merging pending deltas in would shift
-		// every later partition's positions and silently gather wrong
-		// tuples; delta-pending dimension rows have no references yet
-		// and stay unmatched by construction.
-		dimRows = 0
-		for _, v := range dimViews {
-			dimRows += int64(v.Base.NumRows())
-		}
-	}
 	for i, c := range dimCols {
-		if snapshotMode {
-			var col []int64
-			for _, v := range dimViews {
-				col = append(col, v.Base.Column(c).Int64s()...)
-			}
-			dimData[i] = col
-		} else {
-			dimData[i] = ji.dimColumnGlobal(c)
+		col := make([]int64, 0, dimRows)
+		for _, v := range dimViews {
+			col = append(col, v.Base.Column(c).Int64s()...)
 		}
+		dimData[i] = col
 		dimSchema[i] = ji.dim.Schema()[c]
 	}
 	parts := make([]exec.Operator, len(factViews))
@@ -248,7 +209,6 @@ func (ji *Index) JoinOn(factViews []*pdt.View, dimViews []*pdt.View, refs [][]in
 			dimRows:   dimRows,
 			schema:    append(append(storage.Schema{}, scan.Schema()...), dimSchema...),
 			factWidth: len(factCols),
-			strict:    !snapshotMode,
 		}
 	}
 	if len(parts) == 1 {
@@ -275,12 +235,7 @@ type gather struct {
 	dimRows   int64 // rows per dimData column
 	schema    storage.Schema
 	factWidth int
-	// strict marks live-mode gathers: references are maintained in
-	// lock-step with the tables, so an out-of-range access is a missed
-	// maintenance call and panics loudly. Snapshot-mode gathers instead
-	// treat misaligned references as unmatched.
-	strict bool
-	out    *exec.Batch
+	out       *exec.Batch
 }
 
 func (g *gather) Schema() storage.Schema { return g.schema }
@@ -297,14 +252,14 @@ func (g *gather) Next() (*exec.Batch, error) {
 	n := in.Len()
 	for i := 0; i < n; i++ {
 		rid := in.RowIDs[i]
-		if !g.strict && int(rid) >= len(g.refs) {
+		if int(rid) >= len(g.refs) {
 			// A snapshot view can extend past the captured references
 			// when fact rows were appended after the capture; those rows
 			// have no reference yet and stay unmatched.
 			continue
 		}
 		ref := g.refs[rid]
-		if ref < 0 || (!g.strict && ref >= g.dimRows) {
+		if ref < 0 || ref >= g.dimRows {
 			continue
 		}
 		for c := 0; c < g.factWidth; c++ {

@@ -6,8 +6,22 @@ import (
 	"testing"
 
 	"patchindex/internal/exec"
+	"patchindex/internal/pdt"
 	"patchindex/internal/storage"
 )
+
+// joinNow runs JoinOn over views captured from the tables' current
+// partitions and references captured at the same instant.
+func joinNow(ji *Index, fact, dim *storage.Table, factCols, dimCols []int) exec.Operator {
+	views := func(t *storage.Table) []*pdt.View {
+		vs := make([]*pdt.View, t.NumPartitions())
+		for p := range vs {
+			vs[p] = pdt.NewView(t.Partition(p), nil)
+		}
+		return vs
+	}
+	return ji.JoinOn(views(fact), views(dim), ji.CaptureRefs(), factCols, dimCols)
+}
 
 func factDim(factKeys []int64, dimKeys []int64, nparts int) (*storage.Table, *storage.Table) {
 	fschema := storage.Schema{
@@ -45,7 +59,7 @@ func TestJoinMatchesHashJoin(t *testing.T) {
 	fact, dim := factDim(factKeys, dimKeys, 3)
 	ji := Create(fact, 0, dim, 0)
 
-	batches, err := exec.Drain(ji.Join([]int{0, 1}, []int{1}))
+	batches, err := exec.Drain(joinNow(ji, fact, dim, []int{0, 1}, []int{1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +96,7 @@ func TestHandleInsert(t *testing.T) {
 	fact.Partition(0).AppendRow(storage.Row{storage.I64(2), storage.I64(99)})
 	fact.Partition(0).AppendRow(storage.Row{storage.I64(77), storage.I64(99)}) // dangling
 	ji.HandleInsert(0, []int64{2, 77})
-	n, err := exec.Count(ji.Join([]int{0}, []int{1}))
+	n, err := exec.Count(joinNow(ji, fact, dim, []int{0}, []int{1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +110,7 @@ func TestHandleDelete(t *testing.T) {
 	ji := Create(fact, 0, dim, 0)
 	fact.Partition(0).DeleteRows([]uint64{1, 2})
 	ji.HandleDelete(0, []uint64{1, 2})
-	n, err := exec.Count(ji.Join([]int{0}, []int{1}))
+	n, err := exec.Count(joinNow(ji, fact, dim, []int{0}, []int{1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,9 +81,6 @@ func (v *View) RefreshFromTable(t *engine.Table, col int) error {
 	return v.Refresh(snap.Views(), col)
 }
 
-// Rows returns the number of materialized distinct values.
-func (v *View) Rows() int { return v.vals.Len() }
-
 // Scan returns an operator replaying the materialized result — what a
 // rewritten user query executes instead of the aggregation.
 func (v *View) Scan() exec.Operator {

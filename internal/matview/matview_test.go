@@ -28,8 +28,8 @@ func TestCreateAndScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Rows() != 3 {
-		t.Fatalf("Rows = %d, want 3", v.Rows())
+	if v.vals.Len() != 3 {
+		t.Fatalf("Rows = %d, want 3", v.vals.Len())
 	}
 	n, err := exec.Count(v.Scan())
 	if err != nil || n != 3 {
@@ -55,8 +55,8 @@ func TestRefreshCountsAndUpdates(t *testing.T) {
 	if err := v.Refresh(in2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if v.Refreshes != 1 || v.Rows() != 4 {
-		t.Fatalf("after refresh: Refreshes=%d Rows=%d", v.Refreshes, v.Rows())
+	if v.Refreshes != 1 || v.vals.Len() != 4 {
+		t.Fatalf("after refresh: Refreshes=%d Rows=%d", v.Refreshes, v.vals.Len())
 	}
 }
 
@@ -77,8 +77,8 @@ func TestStringView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Rows() != 2 {
-		t.Fatalf("string view Rows = %d", v.Rows())
+	if v.vals.Len() != 2 {
+		t.Fatalf("string view Rows = %d", v.vals.Len())
 	}
 	if v.MemoryBytes() == 0 {
 		t.Fatal("string view memory = 0")

@@ -13,8 +13,7 @@ import (
 )
 
 // countingDim is a dimension subtree that counts how often it is drained
-// to end of stream and how often it is closed. Parallel plans drain
-// partitions from several goroutines, hence the atomics.
+// to end of stream and how often it is closed.
 type countingDim struct {
 	exec.Operator
 	drains, closes atomic.Int32
@@ -111,37 +110,34 @@ func TestJoinComputesDimensionOnce(t *testing.T) {
 		{"JoinReference", JoinReference, false},
 	}
 	for _, b := range builders {
-		for _, parallel := range []bool{false, true} {
-			label := fmt.Sprintf("%s parallel=%v", b.name, parallel)
-			inputs := nscInputs(t, fact, 4, core.DesignBitmap)
-			parts := make([][]int64, len(inputs))
-			pruned := 0
-			for p, in := range inputs {
-				parts[p] = in.View.MaterializeInt64(0)
-				if in.Index.NumPatches() == 0 {
-					pruned++
-				}
+		inputs := nscInputs(t, fact, 4, core.DesignBitmap)
+		parts := make([][]int64, len(inputs))
+		pruned := 0
+		for p, in := range inputs {
+			parts[p] = in.View.MaterializeInt64(0)
+			if in.Index.NumPatches() == 0 {
+				pruned++
 			}
-			if pruned != 1 {
-				t.Fatalf("%s: %d patch-free partitions, want 1", label, pruned)
-			}
-			dim := &countingDim{Operator: exec.NewVecSource(schema, []exec.Vec{
-				{Kind: storage.KindInt64, I64: keys},
-				{Kind: storage.KindInt64, I64: payload},
-			}, nil)}
-			in := JoinInput{Fact: inputs, FactCols: []int{0}, FactKey: 0, Dim: dim, DimKey: 0}
-			got := drainTuples(t, b.build(in, Options{ZeroBranchPruning: b.zbp, Parallel: parallel}))
-			if d, c := dim.drains.Load(), dim.closes.Load(); d != 1 || c != 1 {
-				t.Errorf("%s: dimension drained %d and closed %d times, want once each", label, d, c)
-			}
-			want := joinOracle(parts, keys, payload)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d rows, the per-partition oracle has %d", label, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: row %d is %q, the oracle has %q", label, i, got[i], want[i])
-				}
+		}
+		if pruned != 1 {
+			t.Fatalf("%s: %d patch-free partitions, want 1", b.name, pruned)
+		}
+		dim := &countingDim{Operator: exec.NewVecSource(schema, []exec.Vec{
+			{Kind: storage.KindInt64, I64: keys},
+			{Kind: storage.KindInt64, I64: payload},
+		}, nil)}
+		in := JoinInput{Fact: inputs, FactCols: []int{0}, FactKey: 0, Dim: dim, DimKey: 0}
+		got := drainTuples(t, b.build(in, Options{ZeroBranchPruning: b.zbp}))
+		if d, c := dim.drains.Load(), dim.closes.Load(); d != 1 || c != 1 {
+			t.Errorf("%s: dimension drained %d and closed %d times, want once each", b.name, d, c)
+		}
+		want := joinOracle(parts, keys, payload)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, the per-partition oracle has %d", b.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: row %d is %q, the oracle has %q", b.name, i, got[i], want[i])
 			}
 		}
 	}

@@ -20,10 +20,6 @@ type Options struct {
 	// cardinality is provably zero at optimization time, dropping all
 	// cloning overhead (Section 6.3).
 	ZeroBranchPruning bool
-	// Parallel runs per-partition subtrees concurrently (partition-local
-	// processing, Section 3.2). Order-sensitive plans (sort) always use
-	// an ordered merge instead.
-	Parallel bool
 }
 
 // PartitionInput pairs one partition's read view with its PatchIndex.
@@ -53,13 +49,10 @@ func (in PartitionInput) scan(cols []int) *exec.Scan {
 	return s
 }
 
-// combine unions per-partition subtrees, in parallel when requested.
-func combine(opts Options, parts []exec.Operator) exec.Operator {
+// combine unions per-partition subtrees.
+func combine(parts []exec.Operator) exec.Operator {
 	if len(parts) == 1 {
 		return parts[0]
-	}
-	if opts.Parallel {
-		return exec.NewGather(parts...)
 	}
 	return exec.NewUnion(parts...)
 }
@@ -71,7 +64,7 @@ func DistinctReference(inputs []PartitionInput, col int, opts Options) exec.Oper
 	for i, in := range inputs {
 		parts[i] = in.scan([]int{col})
 	}
-	return exec.NewDistinct(combine(opts, parts), []int{0})
+	return exec.NewDistinct(combine(parts), []int{0})
 }
 
 // Distinct builds the PatchIndex distinct plan (Fig. 2 left): per
@@ -100,11 +93,11 @@ func Distinct(inputs []PartitionInput, col int, opts Options) exec.Operator {
 		uses = append(uses, exec.NewPatchFilter(scanUse, in.Index, exec.UsePatches))
 		totalPatches += in.Index.NumPatches()
 	}
-	excludeAll := combine(opts, excludes)
+	excludeAll := combine(excludes)
 	if len(uses) == 0 || (opts.ZeroBranchPruning && totalPatches == 0) {
 		return excludeAll
 	}
-	useAll := exec.NewDistinct(combine(opts, uses), []int{0})
+	useAll := exec.NewDistinct(combine(uses), []int{0})
 	return exec.NewUnion(excludeAll, useAll)
 }
 
@@ -116,7 +109,7 @@ func SortReference(inputs []PartitionInput, col int, desc bool, opts Options) ex
 		parts[i] = in.scan([]int{col})
 	}
 	key := exec.SortKey{Col: 0, Desc: desc}
-	return exec.NewSort(combine(Options{}, parts), key)
+	return exec.NewSort(combine(parts), key)
 }
 
 // Sort builds the PatchIndex sort plan (Fig. 2 left with the aggregation
@@ -185,7 +178,7 @@ func JoinReference(in JoinInput, opts Options) exec.Operator {
 		scan := in.transform(f.scan(in.FactCols))
 		parts[i] = exec.NewHashJoin(scan, dim.Load(), in.FactKey, in.DimKey)
 	}
-	return combine(opts, parts)
+	return combine(parts)
 }
 
 // Join builds the PatchIndex join plan (Fig. 2 right): per partition the
@@ -228,5 +221,5 @@ func Join(in JoinInput, opts Options) exec.Operator {
 		}
 		parts[i] = exec.NewUnion(mj, exec.NewProject(hj, perm))
 	}
-	return combine(opts, parts)
+	return combine(parts)
 }

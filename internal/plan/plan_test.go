@@ -296,25 +296,3 @@ func TestCostModelShapes(t *testing.T) {
 		t.Fatal("cost not monotone in patches")
 	}
 }
-
-func TestParallelPlansMatchSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	vals := make([]int64, 3000)
-	for i := range vals {
-		vals[i] = rng.Int63n(700)
-	}
-	inputs := nucInputs(t, vals, 4, core.DesignBitmap)
-	seq := drainInt64(t, Distinct(inputs, 0, Options{}), 0)
-	inputs = nucInputs(t, vals, 4, core.DesignBitmap)
-	par := drainInt64(t, Distinct(inputs, 0, Options{Parallel: true}), 0)
-	sort.Slice(seq, func(i, j int) bool { return seq[i] < seq[j] })
-	sort.Slice(par, func(i, j int) bool { return par[i] < par[j] })
-	if len(seq) != len(par) {
-		t.Fatalf("parallel %d vs sequential %d rows", len(par), len(seq))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("parallel mismatch at %d", i)
-		}
-	}
-}

@@ -54,8 +54,6 @@ type Options struct {
 	Mode Mode
 	// ZeroBranchPruning drops provably empty patch subtrees (Sec. 6.3).
 	ZeroBranchPruning bool
-	// Parallel runs per-partition patch/reference subtrees concurrently.
-	Parallel bool
 	// Chooser carries cardinality feedback across queries; nil compiles
 	// with uncorrected estimates and records no observations.
 	Chooser *plan.Chooser
@@ -428,7 +426,7 @@ func (c *compiler) scalarAccess(rows, patches uint64, choose func(uint64, uint64
 }
 
 func (c *compiler) planOpts() plan.Options {
-	return plan.Options{ZeroBranchPruning: c.opts.ZeroBranchPruning, Parallel: c.opts.Parallel}
+	return plan.Options{ZeroBranchPruning: c.opts.ZeroBranchPruning}
 }
 
 func (c *compiler) record(d Decision) { c.res.Decisions = append(c.res.Decisions, d) }

@@ -66,8 +66,7 @@
 // A choosable join compiles its dimension subtree once. The reference
 // and patch plans both read it through one exec.Cached shared by every
 // fact partition, so the dimension subtree "X" is computed and
-// materialized once per query, as the cost model charges it, also when
-// Options.Parallel drains the partitions concurrently.
+// materialized once per query, as the cost model charges it.
 //
 // Inputs are partition row counts, live patch counts (exception rates),
 // and dimension-side cardinality estimates. Estimates start from

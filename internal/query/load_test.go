@@ -88,7 +88,7 @@ func requireIndexesCoverLoad(t *testing.T, label string, db *engine.Database) {
 		t.Fatal(err)
 	}
 	defer snap.Close()
-	ts := snap.MustTable("t")
+	ts := snap.Table("t")
 	occurs := map[int64]int{}
 	for _, v := range ts.Views() {
 		for _, u := range v.MaterializeInt64(1) {
@@ -136,7 +136,6 @@ func requireModesAgree(t *testing.T, label string, db *engine.Database) {
 		modes := []Options{
 			{Mode: ForcePatchIndex},
 			{Mode: ForcePatchIndex, ZeroBranchPruning: true},
-			{Mode: ForcePatchIndex, Parallel: true},
 			{Mode: Auto},
 		}
 		if q.join {

@@ -177,7 +177,6 @@ func TestJoinModesAgree(t *testing.T) {
 		for _, opts := range []Options{
 			{Mode: ForcePatchIndex},
 			{Mode: ForcePatchIndex, ZeroBranchPruning: true},
-			{Mode: ForcePatchIndex, Parallel: true},
 			{Mode: ForceJoinIndex, JoinIndexes: []JoinIndexBinding{binding}},
 			{Mode: Auto, JoinIndexes: []JoinIndexBinding{binding}},
 		} {

@@ -5,17 +5,15 @@
 // updates, and only one SortKey can exist per table — the drawbacks the
 // PatchIndex avoids by leaving the physical order untouched.
 //
-// A re-sort never writes a partition in place: it computes the sorting
-// permutation (order, one routine for both modes), gathers every column
-// into a new partition (storage.Partition.Permute) and publishes that,
-// leaving the old partition to any snapshot that captured it — so no
-// re-sort refuses or waits for one. CreateEngine's SortKeys publish
-// through the engine (engine.Table.ReorderStorage, ReorderPartition),
-// which checkpoints pending deltas first, logs the new image before
-// publishing it and re-derives any PatchIndex slots, so a SortKey may
-// coexist with PatchIndexes on the same engine table. Create's SortKeys
-// publish straight through storage.Table.SetPartition, for experiment
-// code that owns its table outright.
+// A SortKey lives on an engine table (CreateEngine) and publishes every
+// re-sort through the engine (engine.Table.ReorderStorage,
+// ReorderPartition). A re-sort never writes a partition in place: it
+// computes the sorting permutation (order), the engine gathers every
+// column into a new partition, checkpoints pending deltas first, logs
+// the new image before publishing it and re-derives any PatchIndex
+// slots, leaving the old partition to any snapshot that captured it. So
+// no re-sort refuses or waits for a snapshot, and a SortKey may coexist
+// with PatchIndexes on the same engine table.
 //
 // Re-sorts can also be confined to one partition
 // (RebuildPartitionChecked): partition-local sortedness is exactly
@@ -37,9 +35,6 @@ import (
 
 // SortKey physically orders a table's partitions by one int64 column.
 type SortKey struct {
-	table *storage.Table
-	// engine is the engine table the SortKey publishes through; nil
-	// for raw storage-level SortKeys.
 	engine *engine.Table
 	col    int
 	desc   bool
@@ -52,17 +47,6 @@ type SortKey struct {
 	countMu  sync.Mutex // lock-rank: none leaf guard for the Rebuilds counter only
 }
 
-// Create physically sorts every partition of table by col. The caller
-// must own the table exclusively: nothing orders the re-sort against
-// its other writers. For tables managed by the engine, use
-// CreateEngine.
-func Create(table *storage.Table, col int, desc bool) *SortKey {
-	s := &SortKey{table: table, col: col, desc: desc}
-	s.Rebuild()
-	s.Rebuilds = 0
-	return s
-}
-
 // CreateEngine physically sorts an engine table's partitions by the
 // named column through the engine (engine.Table.ReorderStorage), as do
 // the returned SortKey's later re-sorts.
@@ -71,7 +55,7 @@ func CreateEngine(t *engine.Table, column string, desc bool) (*SortKey, error) {
 	if col < 0 {
 		return nil, fmt.Errorf("sortkey: unknown column %q on table %q", column, t.Name())
 	}
-	s := &SortKey{table: t.Store(), engine: t, col: col, desc: desc}
+	s := &SortKey{engine: t, col: col, desc: desc}
 	if err := s.RebuildChecked(); err != nil {
 		return nil, err
 	}
@@ -85,25 +69,11 @@ func (s *SortKey) countRebuild() {
 	s.countMu.Unlock()
 }
 
-// Rebuild re-sorts the table — the per-update maintenance cost of the
-// SortKey approach. It panics on the errors RebuildChecked returns.
-func (s *SortKey) Rebuild() {
-	if err := s.RebuildChecked(); err != nil {
-		panic(err)
-	}
-}
-
-// RebuildChecked re-sorts every partition, returning the first error (a
-// failed WAL append of an engine table).
+// RebuildChecked re-sorts every partition — the per-update maintenance
+// cost of the SortKey approach — returning the first error (a failed
+// WAL append).
 func (s *SortKey) RebuildChecked() error {
-	var err error
-	if s.engine != nil {
-		err = s.engine.ReorderStorage(s.order)
-	} else {
-		for p := 0; p < s.table.NumPartitions() && err == nil; p++ {
-			err = s.publishRaw(p)
-		}
-	}
+	err := s.engine.ReorderStorage(s.order)
 	if err == nil {
 		s.countRebuild()
 	}
@@ -113,30 +83,11 @@ func (s *SortKey) RebuildChecked() error {
 // RebuildPartitionChecked re-sorts just partition p. Counts as one
 // rebuild toward Rebuilds.
 func (s *SortKey) RebuildPartitionChecked(p int) error {
-	var err error
-	switch {
-	case s.engine != nil:
-		err = s.engine.ReorderPartition(p, s.order)
-	case p < 0 || p >= s.table.NumPartitions():
-		err = fmt.Errorf("sortkey: table %q has no partition %d", s.table.Name, p)
-	default:
-		err = s.publishRaw(p)
-	}
+	err := s.engine.ReorderPartition(p, s.order)
 	if err == nil {
 		s.countRebuild()
 	}
 	return err
-}
-
-// publishRaw re-sorts partition p of a raw SortKey's table into a new
-// partition and publishes it.
-func (s *SortKey) publishRaw(p int) error {
-	next, err := s.table.Partition(p).Permute(s.order(s.table.Partition(p)))
-	if err != nil {
-		return err
-	}
-	s.table.SetPartition(p, next)
-	return nil
 }
 
 // order returns the stable permutation that sorts p by the key column.
@@ -159,9 +110,10 @@ func (s *SortKey) order(p *storage.Partition) []int {
 // scans (already sorted) combined by a Merge to preserve the global
 // order — the partitioned table still needs the merge step (Section 6.2).
 func (s *SortKey) SortedScan() exec.Operator {
-	parts := make([]exec.Operator, s.table.NumPartitions())
-	for p := 0; p < s.table.NumPartitions(); p++ {
-		view := pdt.NewView(s.table.Partition(p), nil)
+	table := s.engine.Store()
+	parts := make([]exec.Operator, table.NumPartitions())
+	for p := range parts {
+		view := pdt.NewView(table.Partition(p), nil)
 		parts[p] = exec.NewScan(view, []int{s.col})
 	}
 	if len(parts) == 1 {

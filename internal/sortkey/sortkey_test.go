@@ -12,24 +12,43 @@ import (
 	"patchindex/internal/storage"
 )
 
-func table(vals []int64, nparts int) *storage.Table {
+// engineTable loads vals, each with a payload tag derived from it, into
+// table "t" of a new engine database with nparts partitions.
+func engineTable(t *testing.T, vals []int64, nparts int) (*engine.Database, *engine.Table) {
+	t.Helper()
+	db := engine.NewDatabase()
 	schema := storage.Schema{
 		{Name: "v", Kind: storage.KindInt64},
 		{Name: "tag", Kind: storage.KindString},
 	}
-	t := storage.NewTable("t", schema, nparts)
+	tb, err := db.CreateTable("t", schema, nparts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := make([]storage.Row, len(vals))
 	for i, v := range vals {
 		rows[i] = storage.Row{storage.I64(v), storage.Str(string(rune('a' + v%26)))}
 	}
-	t.LoadRows(rows)
-	return t
+	if err := tb.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	return db, tb
+}
+
+// create is CreateEngine on column v, failing the test on error.
+func create(t *testing.T, tb *engine.Table, desc bool) *SortKey {
+	t.Helper()
+	sk, err := CreateEngine(tb, "v", desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk
 }
 
 func TestCreateSortsAllColumns(t *testing.T) {
-	tb := table([]int64{3, 1, 2}, 1)
-	Create(tb, 0, false)
-	p := tb.Partition(0)
+	_, tb := engineTable(t, []int64{3, 1, 2}, 1)
+	create(t, tb, false)
+	p := tb.Store().Partition(0)
 	if got := p.Column(0).Int64s(); got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("keys = %v", got)
 	}
@@ -39,7 +58,7 @@ func TestCreateSortsAllColumns(t *testing.T) {
 	}
 }
 
-// TestRawCreateInvalidatesMinMax: a summary cached before a raw Create
+// TestRawCreateInvalidatesMinMax: a summary cached before CreateEngine
 // describes the old row order; after the permutation the table's
 // partition must summarize the sorted column, or pruning skips blocks
 // that now hold matching rows.
@@ -49,14 +68,14 @@ func TestRawCreateInvalidatesMinMax(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.Int63n(1_000_000)
 	}
-	tb := table(vals, 1)
-	p := tb.Partition(0)
+	_, tb := engineTable(t, vals, 1)
+	p := tb.Store().Partition(0)
 	stale := p.MinMax(0)
-	Create(tb, 0, false)
-	p = tb.Partition(0)
+	create(t, tb, false)
+	p = tb.Store().Partition(0)
 	got, want := p.MinMax(0), storage.BuildMinMax(p.Column(0).Int64s())
 	if got == stale || got.Blocks() != want.Blocks() || got.Rows() != want.Rows() {
-		t.Fatalf("summary after Create: %d blocks over %d rows (stale: %v), want %d over %d",
+		t.Fatalf("summary after CreateEngine: %d blocks over %d rows (stale: %v), want %d over %d",
 			got.Blocks(), got.Rows(), got == stale, want.Blocks(), want.Rows())
 	}
 	for b := 0; b < want.Blocks(); b++ {
@@ -74,8 +93,8 @@ func TestSortedScanGloballySorted(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.Int63n(10000)
 	}
-	tb := table(vals, 4)
-	sk := Create(tb, 0, false)
+	_, tb := engineTable(t, vals, 4)
+	sk := create(t, tb, false)
 	batches, err := exec.Drain(sk.SortedScan())
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +112,8 @@ func TestSortedScanGloballySorted(t *testing.T) {
 }
 
 func TestDescendingSortKey(t *testing.T) {
-	tb := table([]int64{1, 3, 2}, 1)
-	sk := Create(tb, 0, true)
+	_, tb := engineTable(t, []int64{1, 3, 2}, 1)
+	sk := create(t, tb, true)
 	batches, _ := exec.Drain(sk.SortedScan())
 	got := batches[0].Cols[0].I64
 	if got[0] != 3 || got[2] != 1 {
@@ -103,46 +122,39 @@ func TestDescendingSortKey(t *testing.T) {
 }
 
 func TestRebuildAfterUpdate(t *testing.T) {
-	tb := table([]int64{1, 2, 3}, 1)
-	sk := Create(tb, 0, false)
+	db, tb := engineTable(t, []int64{1, 2, 3}, 1)
+	sk := create(t, tb, false)
 	if sk.Rebuilds != 0 {
 		t.Fatalf("fresh Rebuilds = %d", sk.Rebuilds)
 	}
-	tb.Partition(0).AppendRow(storage.Row{storage.I64(0), storage.Str("z")})
-	sk.Rebuild()
+	if err := db.Insert("t", []storage.Row{{storage.I64(0), storage.Str("z")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sk.RebuildChecked(); err != nil {
+		t.Fatal(err)
+	}
 	if sk.Rebuilds != 1 {
 		t.Fatalf("Rebuilds = %d", sk.Rebuilds)
 	}
-	if got := tb.Partition(0).Column(0).Int64s(); got[0] != 0 {
+	if got := tb.Store().Partition(0).Column(0).Int64s(); got[0] != 0 {
 		t.Fatalf("after rebuild keys = %v", got)
 	}
 }
 
 func TestMemoryBytesZero(t *testing.T) {
-	sk := Create(table([]int64{1}, 1), 0, false)
-	if sk.MemoryBytes() != 0 {
+	_, tb := engineTable(t, []int64{1}, 1)
+	if create(t, tb, false).MemoryBytes() != 0 {
 		t.Fatal("SortKey should have no memory overhead")
 	}
 }
 
 // --- re-sorts under snapshots ---
 
-func engineTable(t *testing.T, vals []int64) (*engine.Database, *engine.Table) {
-	t.Helper()
-	db := engine.NewDatabase()
-	tb, err := db.CreateTable("t", storage.Schema{{Name: "v", Kind: storage.KindInt64}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.LoadColumnInt64(tb, vals)
-	return db, tb
-}
-
 // TestCreateEngineRefusesWithOpenSnapshot: CreateEngine and a later
 // rebuild run under an open snapshot of the table, which keeps reading
 // the rows it captured.
 func TestCreateEngineRefusesWithOpenSnapshot(t *testing.T) {
-	_, tb := engineTable(t, []int64{3, 1, 2, 5, 4, 0})
+	_, tb := engineTable(t, []int64{3, 1, 2, 5, 4, 0}, 2)
 	snap := tb.Snapshot()
 
 	sk, err := CreateEngine(tb, "v", false)
@@ -168,7 +180,7 @@ func TestCreateEngineRefusesWithOpenSnapshot(t *testing.T) {
 // TestCreateEngineDatabaseSnapshotGuard: the same holds for snapshots
 // captured through the multi-table DatabaseSnapshot.
 func TestCreateEngineDatabaseSnapshotGuard(t *testing.T) {
-	db, tb := engineTable(t, []int64{2, 1, 0})
+	db, tb := engineTable(t, []int64{2, 1, 0}, 2)
 	snap := db.MustSnapshot("t")
 	if _, err := CreateEngine(tb, "v", false); err != nil {
 		t.Fatalf("CreateEngine under an open DatabaseSnapshot: %v", err)
@@ -180,51 +192,9 @@ func TestCreateEngineDatabaseSnapshotGuard(t *testing.T) {
 }
 
 func TestCreateEngineUnknownColumn(t *testing.T) {
-	_, tb := engineTable(t, []int64{1})
+	_, tb := engineTable(t, []int64{1}, 2)
 	if _, err := CreateEngine(tb, "missing", false); err == nil {
 		t.Fatal("unknown column accepted")
-	}
-}
-
-// TestRawCreateRefusesLiveSnapshotRefs: the storage-level Create and a
-// raw SortKey's rebuild run under a live snapshot ref, and the snapshot
-// keeps reading its pre-sort rows.
-func TestRawCreateRefusesLiveSnapshotRefs(t *testing.T) {
-	_, tb := engineTable(t, []int64{3, 1, 2})
-	snap := tb.Snapshot()
-	sk := Create(tb.Store(), 0, false)
-	if got := tb.Store().Partition(0).Column(0).Int64s(); got[0] != 1 {
-		t.Fatalf("raw create did not sort partition 0: %v", got)
-	}
-	if got := snap.View(0).Get(0, 0).I; got != 3 {
-		t.Fatalf("snapshot row 0 = %d after the raw create, want 3", got)
-	}
-	if err := sk.RebuildChecked(); err != nil {
-		t.Fatalf("raw RebuildChecked under a live ref: %v", err)
-	}
-	snap.Close()
-	if n := tb.Store().LiveSnapshotRefs(); n != 0 {
-		t.Fatalf("%d live ref(s) after Close", n)
-	}
-}
-
-// TestEphemeralQueryGatesRawCreate: a storage-level Create while an
-// engine query is in flight leaves the query's result as it was.
-func TestEphemeralQueryGatesRawCreate(t *testing.T) {
-	db, tb := engineTable(t, []int64{5, 4, 3, 2, 1, 0})
-	c, err := query.Run(db, query.From("t", "v").Where(query.Lt(query.Col("v"), query.Int(9))), query.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	Create(tb.Store(), 0, false)
-	got, err := exec.CollectInt64(c.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != int64(5-i) {
-			t.Fatalf("in-flight scan row %d = %d after a raw create, want %d", i, v, 5-i)
-		}
 	}
 }
 
@@ -245,7 +215,7 @@ func TestSortQueryVsRebuildRace(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64((i * 2654435761) % n) // fixed pseudo-random permutation
 	}
-	db, tb := engineTable(t, vals)
+	db, tb := engineTable(t, vals, 2)
 	sk, err := CreateEngine(tb, "v", false)
 	if err != nil {
 		t.Fatal(err)
@@ -290,9 +260,8 @@ func TestSortQueryVsRebuildRace(t *testing.T) {
 }
 
 // TestRebuildPartitionGating: a partition-scoped rebuild runs under a
-// live capture of the same partition, which keeps reading its rows, for
-// the engine-guarded and the raw storage path alike; an out-of-range
-// partition errors on both.
+// live capture of the same partition, which keeps reading its rows; an
+// out-of-range partition errors.
 func TestRebuildPartitionGating(t *testing.T) {
 	db := engine.NewDatabase()
 	tb, err := db.CreateTable("t", storage.Schema{{Name: "v", Kind: storage.KindInt64}}, 4)
@@ -326,24 +295,6 @@ func TestRebuildPartitionGating(t *testing.T) {
 		t.Fatal("out-of-range partition rebuild did not error")
 	}
 
-	// Raw storage-level SortKeys publish through SetPartition.
-	st := table([]int64{5, 3, 8, 1, 9, 2, 7, 4}, 2)
-	raw := Create(st, 0, false)
-	ref := st.RetainPartitions(1)
-	st.Partition(1).AppendRow(storage.Row{storage.I64(0), storage.Str("a")})
-	if err := raw.RebuildPartitionChecked(1); err != nil {
-		t.Fatalf("raw partition rebuild on a retained partition: %v", err)
-	}
-	if got := st.Partition(1).Column(0).Int64At(0); got != 0 {
-		t.Fatalf("raw rebuild left %d first, want 0", got)
-	}
-	if st.PartitionRetained(1) {
-		t.Fatal("the rebuilt partition's new generation is held by the older ref")
-	}
-	ref.Release()
-	if err := raw.RebuildPartitionChecked(-1); err == nil {
-		t.Fatal("raw out-of-range rebuild did not error")
-	}
 }
 
 // TestPartitionRebuildVsSiblingDrainRace pins the tentpole's headline

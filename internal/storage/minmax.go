@@ -88,9 +88,6 @@ type Range struct {
 	Min, Max int64
 }
 
-// Contains reports whether v lies in the range.
-func (r Range) Contains(v int64) bool { return v >= r.Min && v <= r.Max }
-
 // Intersects reports whether [lo,hi] overlaps the range.
 func (r Range) Intersects(lo, hi int64) bool { return lo <= r.Max && hi >= r.Min }
 

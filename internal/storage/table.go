@@ -470,12 +470,3 @@ func (t *Table) LoadRows(rows []Row) {
 		}
 	}
 }
-
-// SizeBytes estimates total memory consumed by the table data.
-func (t *Table) SizeBytes() uint64 {
-	var sz uint64
-	for _, p := range t.parts {
-		sz += p.SizeBytes()
-	}
-	return sz
-}

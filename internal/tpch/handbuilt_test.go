@@ -49,7 +49,7 @@ func strIn(col int, set ...string) exec.Pred {
 
 func (q *Queries) handJoinInput(factCols []int, transform func(exec.Operator) exec.Operator, dim func() exec.Operator) plan.JoinInput {
 	return plan.JoinInput{
-		Fact:          q.snap.MustTable("lineitem").Inputs("l_orderkey"),
+		Fact:          q.snap.Table("lineitem").Inputs("l_orderkey"),
 		FactCols:      factCols,
 		FactKey:       0,
 		Dim:           dim(),
@@ -74,8 +74,8 @@ func (q *Queries) handJoined(mode Mode, in plan.JoinInput, ji *joinindex.Index, 
 		if err != nil {
 			return nil, err
 		}
-		fact := q.snap.MustTable("lineitem").Views()
-		dim := q.snap.MustTable("orders").Views()
+		fact := q.snap.Table("lineitem").Views()
+		dim := q.snap.Table("orders").Views()
 		return jiTransform(ji.JoinOn(fact, dim, refs, factCols, jiDimCols)), nil
 	}
 	return nil, fmt.Errorf("tpch: unknown mode %d", mode)
@@ -83,11 +83,11 @@ func (q *Queries) handJoined(mode Mode, in plan.JoinInput, ji *joinindex.Index, 
 
 func (q *Queries) handQ3(mode Mode, ji *joinindex.Index) (exec.Operator, error) {
 	customerBuild := func() exec.Operator {
-		c := q.snap.MustTable("customer")
+		c := q.snap.Table("customer")
 		return exec.NewFilter(c.ScanAll("c_custkey", "c_mktsegment"), strEq(1, q3Segment))
 	}
 	dim := func() exec.Operator {
-		o := q.snap.MustTable("orders")
+		o := q.snap.Table("orders")
 		scan := o.ScanAll("o_orderkey", "o_custkey", "o_orderdate", "o_shippriority")
 		filtered := exec.NewFilter(scan, int64Less(2, q3Date))
 		// Probe side = orders: preserves o_orderkey order for MergeJoin.
@@ -151,21 +151,21 @@ func (q *Queries) handQ7(mode Mode, ji *joinindex.Index) (exec.Operator, error) 
 		}
 	}
 	supplierBuild := func() exec.Operator {
-		s := q.snap.MustTable("supplier")
+		s := q.snap.Table("supplier")
 		return exec.NewFilter(s.ScanAll("s_suppkey", "s_nationkey"), func(b *exec.Batch, i int) bool {
 			n := b.Cols[1].I64[i]
 			return n == q7Nation1 || n == q7Nation2
 		})
 	}
 	customerBuild := func() exec.Operator {
-		c := q.snap.MustTable("customer")
+		c := q.snap.Table("customer")
 		return exec.NewFilter(c.ScanAll("c_custkey", "c_nationkey"), func(b *exec.Batch, i int) bool {
 			n := b.Cols[1].I64[i]
 			return n == q7Nation1 || n == q7Nation2
 		})
 	}
 	dim := func() exec.Operator {
-		o := q.snap.MustTable("orders")
+		o := q.snap.Table("orders")
 		scan := o.ScanAll("o_orderkey", "o_custkey")
 		return exec.NewHashJoin(scan, customerBuild(), 1, 0)
 	}
@@ -226,7 +226,7 @@ func (q *Queries) handQ12(mode Mode, ji *joinindex.Index) (exec.Operator, error)
 	)
 	transform := func(op exec.Operator) exec.Operator { return exec.NewFilter(op, liPred) }
 	dim := func() exec.Operator {
-		return q.snap.MustTable("orders").ScanAll("o_orderkey", "o_orderpriority")
+		return q.snap.Table("orders").ScanAll("o_orderkey", "o_orderpriority")
 	}
 
 	var joined exec.Operator

@@ -100,7 +100,7 @@ type (
 	// Order is one sort key of Plan.OrderBy.
 	Order = query.Order
 	// QueryOptions tune compilation (plan mode, zero-branch pruning,
-	// partition parallelism).
+	// cardinality feedback, offered joinindexes).
 	QueryOptions = query.Options
 	// PlanMode selects reference / PatchIndex / cost-based planning.
 	PlanMode = query.Mode
