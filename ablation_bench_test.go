@@ -1,12 +1,11 @@
-// Ablation benchmarks for the design choices of DESIGN.md: dynamic
+// Ablation benchmarks for the engine's design choices: dynamic
 // range propagation on the paper's insert-handling join (the engine
 // keeps that join as a test oracle only; the operators it is built from
-// are measured here), bulk vs single delete, condense, the vectorized
-// selection modes, and the future-work RLE compression.
+// are measured here), bulk vs single delete, condense and the
+// vectorized selection modes.
 package patchindex
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -128,31 +127,6 @@ func BenchmarkAblationSelectionModes(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(n), "kept")
-	})
-}
-
-// BenchmarkAblationRLE compares membership tests on the sharded bitmap
-// and its RLE-compressed snapshot, and reports both sizes.
-func BenchmarkAblationRLE(b *testing.B) {
-	const bits = 1 << 22
-	bm := bitmap.NewSharded(bits, bitmap.DefaultShardBits)
-	for _, p := range benchPositions(bits, 1000, 10) {
-		bm.Set(p)
-	}
-	rle := bitmap.CompressRLE(bm)
-	b.Run(fmt.Sprintf("sharded_%dB", bm.SizeBytes()), func(b *testing.B) {
-		var sink bool
-		for i := 0; i < b.N; i++ {
-			sink = bm.Get(uint64(i) % bits)
-		}
-		_ = sink
-	})
-	b.Run(fmt.Sprintf("rle_%dB", rle.SizeBytes()), func(b *testing.B) {
-		var sink bool
-		for i := 0; i < b.N; i++ {
-			sink = rle.Get(uint64(i) % bits)
-		}
-		_ = sink
 	})
 }
 

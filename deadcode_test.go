@@ -32,10 +32,9 @@ var keptWithoutCaller = map[string]string{
 	// pieces, so they pass by their call from here).
 	"internal/core:GlobalNUCPatches": "collision-directory test reference",
 	// Helpers the tests of six or more packages share.
-	"internal/engine:TableSnapshot.ScanAll": "test helper in many packages",
-	"internal/engine:LoadColumnInt64":       "test helper in many packages",
-	"internal/exec:NewInt64Source":          "test helper in many packages",
-	"internal/storage:Table.LoadRows":       "raw-table loader of five packages' tests",
+	"internal/engine:LoadColumnInt64": "test helper in many packages",
+	"internal/exec:NewInt64Source":    "test helper in many packages",
+	"internal/storage:Table.LoadRows": "raw-table loader of five packages' tests",
 	// The date encoding the hand-built TPC-H reference trees use.
 	"internal/tpch:Year": "date encoding of the hand-built TPC-H trees",
 	// The analyzer tests' fixture runner.
@@ -43,32 +42,16 @@ var keptWithoutCaller = map[string]string{
 	"internal/analysis/analysistest:Facts":    "fixture runner of the analyzer tests",
 	"internal/analysis/analysistest:TestData": "fixture locator of the analyzer tests",
 	// The public facade's API, which the examples need not all call.
-	"patchindex:Collect":          "facade API",
-	"internal/query:Plan.Project": "facade API (patchindex.Plan)",
+	"patchindex:Collect":                    "facade API",
+	"internal/query:Plan.Project":           "facade API (patchindex.Plan)",
+	"internal/engine:TableSnapshot.ScanAll": "facade API (patchindex.TableSnapshot)",
 	// Left to the ROADMAP items that retire them together with the
 	// tests that exercise them.
-	"internal/engine:Table.ScanPartition":   "ROADMAP item 4 gives it a caller or deletes it",
-	"internal/bitmap:NewConcurrent":         "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:Concurrent.BulkDelete": "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:Concurrent.Condense":   "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:Concurrent.Count":      "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:Concurrent.Delete":     "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:Concurrent.Get":        "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:Concurrent.Grow":       "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:Concurrent.Len":        "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:Concurrent.Set":        "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:Concurrent.Snapshot":   "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:Concurrent.Unset":      "ROADMAP item 10(a) deletes bitmap.Concurrent",
-	"internal/bitmap:CompressRLE":           "ROADMAP item 10(a) deletes rle.go",
-	"internal/bitmap:RLE.Decompress":        "ROADMAP item 10(a) deletes rle.go",
-	"internal/bitmap:RLE.Count":             "ROADMAP item 10(a) deletes rle.go",
-	"internal/bitmap:RLE.Get":               "ROADMAP item 10(a) deletes rle.go",
-	"internal/bitmap:RLE.Len":               "ROADMAP item 10(a) deletes rle.go",
-	"internal/bitmap:RLE.SizeBytes":         "ROADMAP item 10(a) deletes rle.go",
-	"internal/bitmap:Bitmap.Grow":           "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
-	"internal/bitmap:Bitmap.Clone":          "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
-	"internal/bitmap:Bitmap.SizeBytes":      "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
-	"internal/core:Index.Clone":             "ROADMAP item 10(c): the full-clone baseline of BenchmarkUpdateUnderSnapshot",
+	"internal/engine:Table.ScanPartition": "ROADMAP item 4 gives it a caller or deletes it",
+	"internal/bitmap:Bitmap.Grow":         "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
+	"internal/bitmap:Bitmap.Clone":        "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
+	"internal/bitmap:Bitmap.SizeBytes":    "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
+	"internal/core:Index.Clone":           "ROADMAP item 10(c): the full-clone baseline of BenchmarkUpdateUnderSnapshot",
 	// The comparators and generators of the paper's figures, which only
 	// internal/experiments' benchmarks and checks run.
 	"internal/bitmap:Sharded.SetVectorized":   "Fig. 6 scalar-kernel series",
@@ -89,10 +72,15 @@ var keptWithoutCaller = map[string]string{
 	"internal/tpch:Dataset.Q7":                "Fig. 10 Q7",
 	"internal/tpch:Dataset.Q12":               "Fig. 10 Q12",
 	// Bit clears, which the bitmap fuzz and model tests drive as an op.
-	"internal/bitmap:Bitmap.Unset": "bit clear of the bitmap tests",
-	"internal/storage:Value.Less":  "ROADMAP item 20(b) makes it the one per-kind order",
+	"internal/bitmap:Bitmap.Unset":  "bit clear of the bitmap tests",
+	"internal/bitmap:Sharded.Unset": "bit clear of the fuzz and model tests",
+	// The single delete of Section 4.2.2, an op of FuzzShardedOps and
+	// the model tests; the engine deletes through BulkDelete.
+	"internal/bitmap:Sharded.Delete": "single delete (Section 4.2.2) of the fuzz and model tests",
+	"internal/storage:Value.Less":    "ROADMAP item 20(b) makes it the one per-kind order",
 	// Accessors only tests read.
 	"internal/core:Index.DesignKind":          "test accessor",
+	"internal/bitmap:Sharded.NumShards":       "test accessor",
 	"internal/plan:Chooser.Factor":            "test accessor",
 	"internal/storage:Column.Int64At":         "test accessor",
 	"internal/storage:Column.StringAt":        "test accessor",

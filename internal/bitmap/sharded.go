@@ -37,8 +37,8 @@ const MinShardBits = wordBits
 // copy first — and each side's scalar bookkeeping lives in its own
 // struct.
 //
-// Sharded is not safe for concurrent mutation; see Concurrent for a
-// wrapper with per-shard locking (Section 5.4).
+// Sharded is not safe for concurrent mutation: engine writers hold a
+// partition lock and readers take Freeze copies (Section 5.4).
 type Sharded struct {
 	shards     [][]uint64 // shards[s]: shard s's words, shardWords long
 	shared     []bool     // shared[s]: shards[s] is shared with a Freeze partner

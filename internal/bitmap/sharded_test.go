@@ -3,7 +3,9 @@ package bitmap
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -523,4 +525,103 @@ func TestFreezeChainRepeated(t *testing.T) {
 			t.Fatalf("freeze %d: Count = %d, want %d", i, f.Count(), wants[i])
 		}
 	}
+}
+
+// TestFreezeReadersRaceWriter runs readers of a Freeze copy (Get,
+// Count, AppendSel, ForEachSet) concurrently with Set, BulkDelete, Grow
+// and Condense on the live bitmap — the shard copy-on-write every query
+// snapshot of a core.Index relies on. The frozen bits must never change;
+// under -race the test also checks that no reader touches a word or
+// start value the writer writes.
+func TestFreezeReadersRaceWriter(t *testing.T) {
+	const (
+		seed    = 47
+		rounds  = 20
+		readers = 3
+		ops     = 200
+	)
+	rng := rand.New(rand.NewSource(seed))
+	s := NewSharded(4096, 256)
+	for p := uint64(0); p < s.Len(); p += 5 {
+		s.Set(p)
+	}
+	for round := 0; round < rounds; round++ {
+		f := s.Freeze()
+		n := f.Len()
+		want := f.SetBits()
+		wantSel := make([]int32, len(want))
+		for i, p := range want {
+			wantSel[i] = int32(p)
+		}
+
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if !frozenBitsEqual(f, n, want, wantSel) {
+						t.Errorf("round %d: the frozen bits changed", round)
+						return
+					}
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		for i := 0; i < ops; i++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				s.Set(uint64(rng.Int63n(int64(s.Len()))))
+			case op < 8:
+				var del []uint64
+				for p := uint64(rng.Intn(16)); p < s.Len() && len(del) < 32; p += 1 + uint64(rng.Intn(128)) {
+					del = append(del, p)
+				}
+				s.BulkDelete(del)
+			case op < 9:
+				s.Grow(uint64(1 + rng.Intn(300)))
+			default:
+				s.Condense()
+			}
+		}
+		close(done)
+		wg.Wait()
+		if !frozenBitsEqual(f, n, want, wantSel) {
+			t.Fatalf("round %d: the frozen bits changed", round)
+		}
+	}
+}
+
+// frozenBitsEqual reports whether f, of length n, still holds exactly
+// the set positions want, through every read path.
+func frozenBitsEqual(f *Sharded, n uint64, want []uint64, wantSel []int32) bool {
+	if f.Len() != n || f.Count() != uint64(len(want)) {
+		return false
+	}
+	k := 0
+	for i := uint64(0); i < n; i++ {
+		set := k < len(want) && want[k] == i
+		if f.Get(i) != set {
+			return false
+		}
+		if set {
+			k++
+		}
+	}
+	if !slices.Equal(f.AppendSel(0, n, false, nil), wantSel) {
+		return false
+	}
+	k = 0
+	ok := true
+	f.ForEachSet(func(pos uint64) bool {
+		ok = k < len(want) && want[k] == pos
+		k++
+		return ok
+	})
+	return ok && k == len(want)
 }

@@ -903,7 +903,9 @@ func (db *Database) Recover(dir string) (*RecoverStats, error) {
 		}
 		sort.Strings(cols)
 		for _, column := range cols {
-			t.RestorePatchIndexes(column, ck.indexes[column])
+			if err := t.RestorePatchIndexes(column, ck.indexes[column]); err != nil {
+				return nil, err
+			}
 		}
 		stats.Tables++
 

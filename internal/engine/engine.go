@@ -602,10 +602,14 @@ func (t *Table) mutableIndexesLocked(column string) []*core.Index {
 // (cloning partitions live snapshots hold), so no update is lost. Each
 // partition's post-load image — its rows plus its chunk — is then built
 // aside, logged and published (rewritePartitionLocked), which re-derives
-// its index slots; the NUC columns are re-derived at the end. Load stops
-// at the first failed append, leaving the later partitions as they
-// were, and returns that error (always nil with WAL off).
+// its index slots; the NUC columns are re-derived at the end. A row of
+// the wrong width or with a value of the wrong kind fails the whole
+// load before anything changes. Load stops at the first failed append,
+// leaving the later partitions as they were, and returns that error.
 func (t *Table) Load(rows []storage.Row) error {
+	if err := t.validateRows(rows); err != nil {
+		return err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.checkpointLocked()
@@ -684,13 +688,17 @@ func (t *Table) CreatePatchIndex(column string, constraint core.Constraint, opts
 // RestorePatchIndexes installs per-partition indexes restored from
 // checkpoints (Section 3.4: after a restart, PatchIndexes are either
 // recreated or read back from a persisted checkpoint). The slice must
-// hold one index per partition.
-func (t *Table) RestorePatchIndexes(column string, indexes []*core.Index) {
+// hold one index per partition; an unknown column or another slot count
+// returns an error and installs nothing.
+func (t *Table) RestorePatchIndexes(column string, indexes []*core.Index) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.store.Schema().ColumnIndex(column) < 0 {
+		return fmt.Errorf("engine: unknown column %q", column)
+	}
 	if len(indexes) != t.store.NumPartitions() {
-		panic(fmt.Sprintf("engine: RestorePatchIndexes got %d indexes for %d partitions",
-			len(indexes), t.store.NumPartitions()))
+		return fmt.Errorf("engine: %d indexes restored on column %q of table %q with %d partitions",
+			len(indexes), column, t.name, t.store.NumPartitions())
 	}
 	t.indexes[column] = indexes
 	// A restored NUC index needs its collision directory recomputed from the
@@ -700,6 +708,7 @@ func (t *Table) RestorePatchIndexes(column string, indexes []*core.Index) {
 	} else {
 		delete(t.nuc, column)
 	}
+	return nil
 }
 
 // rebuildNUCStateLocked recomputes column's collision directory from

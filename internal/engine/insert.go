@@ -85,11 +85,20 @@ func roundRobin(rows []storage.Row, nparts int) [][]storage.Row {
 	return perPart
 }
 
-func (t *Table) validateRowWidths(rows []storage.Row) error {
-	want := len(t.store.Schema())
+// validateRows checks every row's width and every value's kind against
+// the schema. The insert entry points and Load run it before they log,
+// reserve or apply anything: a value of the wrong kind would otherwise
+// reach storage.Column.Append's panic after its chunk was logged.
+func (t *Table) validateRows(rows []storage.Row) error {
+	schema := t.store.Schema()
 	for _, r := range rows {
-		if len(r) != want {
-			return fmt.Errorf("engine: row width %d != schema width %d of table %q", len(r), want, t.name)
+		if len(r) != len(schema) {
+			return fmt.Errorf("engine: row width %d != schema width %d of table %q", len(r), len(schema), t.name)
+		}
+		for c, v := range r {
+			if v.Kind != schema[c].Kind {
+				return fmt.Errorf("engine: %v value for %v column %q of table %q", v.Kind, schema[c].Kind, schema[c].Name, t.name)
+			}
 		}
 	}
 	return nil
@@ -114,10 +123,10 @@ func (db *Database) Insert(table string, rows []storage.Row) error {
 	if err != nil {
 		return err
 	}
-	// Validate widths before any delta mutation: a malformed row failing
+	// Validate before any delta mutation: a malformed row failing
 	// partway through the partition chunks would leave earlier chunks
 	// appended with no index maintenance run for them.
-	if err := t.validateRowWidths(rows); err != nil {
+	if err := t.validateRows(rows); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -142,7 +151,7 @@ func (db *Database) InsertRows(table string, rows []storage.Row) error {
 	if err != nil {
 		return err
 	}
-	if err := t.validateRowWidths(rows); err != nil {
+	if err := t.validateRows(rows); err != nil {
 		return err
 	}
 	return t.insertPartitioned(db, roundRobin(rows, t.store.NumPartitions()))
@@ -161,7 +170,7 @@ func (db *Database) InsertRowsPartition(table string, partition int, rows []stor
 	if partition < 0 || partition >= t.NumPartitions() {
 		return fmt.Errorf("engine: table %q has no partition %d", table, partition)
 	}
-	if err := t.validateRowWidths(rows); err != nil {
+	if err := t.validateRows(rows); err != nil {
 		return err
 	}
 	perPart := make([][]storage.Row, t.store.NumPartitions())

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -499,6 +500,68 @@ func TestInsertRowsErrors(t *testing.T) {
 	comparePartitions(t, "after refused inserts", tableContents(tb), want)
 	got, _ := recoveredContents(t, dir, "t", "v")
 	comparePartitions(t, "recovered", got, want)
+}
+
+// TestWrongKindValueFailsBeforeLogging: a value whose kind differs from
+// its column's fails every insert entry point and Load with an error
+// before anything is logged, reserved or applied. Admitted, it reached
+// storage.Column.Append's panic after its chunk's WAL record, leaving a
+// torn batch live and a record that recovery decoded into a phantom row.
+func TestWrongKindValueFailsBeforeLogging(t *testing.T) {
+	dir := t.TempDir()
+	db := newDB(t)
+	tb := nucTable(t, db, "t", seqVals(10), 2)
+	if err := db.EnableWAL(dir, wal.SyncNone); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("t", i64Rows(100, 101, 102)); err != nil {
+		t.Fatal(err)
+	}
+	want := tableContents(tb)
+	lastLSNs := func() []uint64 {
+		lsns := []uint64{tb.wal.excl.LastLSN()}
+		for _, seg := range tb.wal.segs {
+			lsns = append(lsns, seg.LastLSN())
+		}
+		return lsns
+	}
+	logged := lastLSNs()
+
+	bad := []storage.Row{{storage.I64(1000)}, {storage.Str("x")}}
+	entries := []struct {
+		name string
+		run  func() error
+	}{
+		{"Insert", func() error { return db.Insert("t", bad) }},
+		{"InsertRows", func() error { return db.InsertRows("t", bad) }},
+		{"InsertRowsPartition", func() error { return db.InsertRowsPartition("t", 1, bad) }},
+		{"Load", func() error { return tb.Load(bad) }},
+	}
+	for _, e := range entries {
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: panicked: %v", e.name, r)
+				}
+			}()
+			return e.run()
+		}()
+		if err == nil {
+			t.Fatalf("%s: no error", e.name)
+		}
+		if got := lastLSNs(); !slices.Equal(got, logged) {
+			t.Fatalf("%s: segment LastLSNs %v, want %v", e.name, got, logged)
+		}
+		comparePartitions(t, e.name, tableContents(tb), want)
+	}
+	got, _ := recoveredContents(t, dir, "t", "v")
+	comparePartitions(t, "recovered", got, want)
+
+	// Nothing was reserved in the collision directory: 1000 is unique.
+	if err := db.InsertRowsPartition("t", 0, i64Rows(1000)); err != nil {
+		t.Fatal(err)
+	}
+	assertPatchAt(t, tb, "v", 0, uint64(len(want[0])), false)
 }
 
 // TestInsertEmptyBatchLogsNothing: an Insert without rows is a no-op

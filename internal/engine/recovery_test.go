@@ -65,7 +65,9 @@ func TestDatabaseRestartWithCheckpoints(t *testing.T) {
 		}
 		restored[p] = &x
 	}
-	tb2.RestorePatchIndexes("v", restored)
+	if err := tb2.RestorePatchIndexes("v", restored); err != nil {
+		t.Fatal(err)
+	}
 
 	op, err := sortQuery(db2, "t", "v", false, patchPlan)
 	if err != nil {
@@ -94,13 +96,36 @@ func TestDatabaseRestartWithCheckpoints(t *testing.T) {
 	}
 }
 
+// TestRestorePatchIndexesValidation: a slot count other than the
+// partition count, or an unknown column, returns an error and leaves
+// the installed indexes as they were.
 func TestRestorePatchIndexesValidation(t *testing.T) {
 	db := NewDatabase()
-	tb := singleColTable(t, db, "t", []int64{1, 2, 3}, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched partition count did not panic")
+	tb := nucTable(t, db, "t", []int64{1, 1, 2, 3}, 2)
+	want := tb.PatchIndexes("v")
+	for _, c := range []struct {
+		column  string
+		indexes []*core.Index
+	}{
+		{"v", []*core.Index{nil}},
+		{"v", []*core.Index{nil, nil, nil}},
+		{"v", nil},
+		{"nope", want},
+	} {
+		if err := tb.RestorePatchIndexes(c.column, c.indexes); err == nil {
+			t.Fatalf("column %q, %d slots: no error", c.column, len(c.indexes))
 		}
-	}()
-	tb.RestorePatchIndexes("v", []*core.Index{nil})
+	}
+	got := tb.PatchIndexes("v")
+	if len(got) != len(want) {
+		t.Fatalf("%d slots installed after refused restores, want %d", len(got), len(want))
+	}
+	for p := range want {
+		if got[p].Rows() != want[p].Rows() || got[p].NumPatches() != want[p].NumPatches() {
+			t.Fatalf("slot %d changed by a refused restore", p)
+		}
+	}
+	if tb.PatchIndexes("nope") != nil {
+		t.Fatal("a refused restore installed indexes on an unknown column")
+	}
 }

@@ -251,20 +251,25 @@ func (s *TableSnapshot) Inputs(column string) []plan.PartitionInput {
 }
 
 // ScanAll returns an operator scanning the given columns of every
-// partition of the snapshot (unioned).
-func (s *TableSnapshot) ScanAll(columns ...string) exec.Operator {
+// partition of the snapshot (unioned). An unknown column returns an
+// error.
+func (s *TableSnapshot) ScanAll(columns ...string) (exec.Operator, error) {
 	cols := make([]int, len(columns))
 	for i, c := range columns {
-		cols[i] = s.schema.MustColumnIndex(c)
+		ci := s.schema.ColumnIndex(c)
+		if ci < 0 {
+			return nil, fmt.Errorf("engine: unknown column %q of table %q", c, s.name)
+		}
+		cols[i] = ci
 	}
 	parts := make([]exec.Operator, len(s.views))
 	for p := range parts {
 		parts[p] = exec.NewScan(s.views[p], cols)
 	}
 	if len(parts) == 1 {
-		return parts[0]
+		return parts[0], nil
 	}
-	return exec.NewUnion(parts...)
+	return exec.NewUnion(parts...), nil
 }
 
 // ScanPartition returns an operator scanning the given columns of just

@@ -421,12 +421,19 @@ func TestDatabaseSnapshotJoinPrefixConsistent(t *testing.T) {
 			checkOnce := func() bool {
 				snap := db.MustSnapshot("lineitem", "orders")
 				defer snap.Close()
-				dimVals, err := exec.CollectInt64(snap.Table("orders").ScanAll("v"))
+				collect := func(table string) ([]int64, error) {
+					op, err := snap.Table(table).ScanAll("v")
+					if err != nil {
+						return nil, err
+					}
+					return exec.CollectInt64(op)
+				}
+				dimVals, err := collect("orders")
 				if err != nil {
 					t.Error(err)
 					return false
 				}
-				factVals, err := exec.CollectInt64(snap.Table("lineitem").ScanAll("v"))
+				factVals, err := collect("lineitem")
 				if err != nil {
 					t.Error(err)
 					return false
@@ -448,10 +455,17 @@ func TestDatabaseSnapshotJoinPrefixConsistent(t *testing.T) {
 				}
 				// The same holds through an actual join over the snapshot:
 				// inner-joining fact against dim must keep every fact row.
-				join := exec.NewHashJoin(
-					snap.Table("lineitem").ScanAll("v"),
-					snap.Table("orders").ScanAll("v"), 0, 0)
-				joined, err := exec.Collect(join)
+				fact, err := snap.Table("lineitem").ScanAll("v")
+				if err != nil {
+					t.Error(err)
+					return false
+				}
+				dim, err := snap.Table("orders").ScanAll("v")
+				if err != nil {
+					t.Error(err)
+					return false
+				}
+				joined, err := exec.Collect(exec.NewHashJoin(fact, dim, 0, 0))
 				if err != nil {
 					t.Error(err)
 					return false

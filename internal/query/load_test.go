@@ -227,7 +227,9 @@ func TestCheckpointRejectsStaleIndexSlot(t *testing.T) {
 	tb := db.MustTable("t")
 	stale := tb.PatchIndexes("k")
 	stale[1] = core.BuildNSC(make([]int64, stale[1].Rows()-1), idxOpts())
-	tb.RestorePatchIndexes("k", stale)
+	if err := tb.RestorePatchIndexes("k", stale); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.CheckpointToDisk(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,21 @@ import (
 	"fmt"
 	"testing"
 
+	"patchindex/internal/engine"
 	"patchindex/internal/exec"
 	"patchindex/internal/joinindex"
 	"patchindex/internal/plan"
 )
+
+// scanAll scans the named columns of a snapshot table. The hand-built
+// trees name fixed TPC-H columns, so an error is a bug in the tree.
+func scanAll(ts *engine.TableSnapshot, columns ...string) exec.Operator {
+	op, err := ts.ScanAll(columns...)
+	if err != nil {
+		panic(err)
+	}
+	return op
+}
 
 // The per-row filter predicates of the hand-built trees.
 
@@ -84,11 +95,11 @@ func (q *Queries) handJoined(mode Mode, in plan.JoinInput, ji *joinindex.Index, 
 func (q *Queries) handQ3(mode Mode, ji *joinindex.Index) (exec.Operator, error) {
 	customerBuild := func() exec.Operator {
 		c := q.snap.Table("customer")
-		return exec.NewFilter(c.ScanAll("c_custkey", "c_mktsegment"), strEq(1, q3Segment))
+		return exec.NewFilter(scanAll(c, "c_custkey", "c_mktsegment"), strEq(1, q3Segment))
 	}
 	dim := func() exec.Operator {
 		o := q.snap.Table("orders")
-		scan := o.ScanAll("o_orderkey", "o_custkey", "o_orderdate", "o_shippriority")
+		scan := scanAll(o, "o_orderkey", "o_custkey", "o_orderdate", "o_shippriority")
 		filtered := exec.NewFilter(scan, int64Less(2, q3Date))
 		// Probe side = orders: preserves o_orderkey order for MergeJoin.
 		return exec.NewHashJoin(filtered, customerBuild(), 1, 0)
@@ -152,21 +163,21 @@ func (q *Queries) handQ7(mode Mode, ji *joinindex.Index) (exec.Operator, error) 
 	}
 	supplierBuild := func() exec.Operator {
 		s := q.snap.Table("supplier")
-		return exec.NewFilter(s.ScanAll("s_suppkey", "s_nationkey"), func(b *exec.Batch, i int) bool {
+		return exec.NewFilter(scanAll(s, "s_suppkey", "s_nationkey"), func(b *exec.Batch, i int) bool {
 			n := b.Cols[1].I64[i]
 			return n == q7Nation1 || n == q7Nation2
 		})
 	}
 	customerBuild := func() exec.Operator {
 		c := q.snap.Table("customer")
-		return exec.NewFilter(c.ScanAll("c_custkey", "c_nationkey"), func(b *exec.Batch, i int) bool {
+		return exec.NewFilter(scanAll(c, "c_custkey", "c_nationkey"), func(b *exec.Batch, i int) bool {
 			n := b.Cols[1].I64[i]
 			return n == q7Nation1 || n == q7Nation2
 		})
 	}
 	dim := func() exec.Operator {
 		o := q.snap.Table("orders")
-		scan := o.ScanAll("o_orderkey", "o_custkey")
+		scan := scanAll(o, "o_orderkey", "o_custkey")
 		return exec.NewHashJoin(scan, customerBuild(), 1, 0)
 	}
 	// Fact projection: [l_orderkey, l_suppkey, l_shipdate,
@@ -226,7 +237,7 @@ func (q *Queries) handQ12(mode Mode, ji *joinindex.Index) (exec.Operator, error)
 	)
 	transform := func(op exec.Operator) exec.Operator { return exec.NewFilter(op, liPred) }
 	dim := func() exec.Operator {
-		return q.snap.Table("orders").ScanAll("o_orderkey", "o_orderpriority")
+		return scanAll(q.snap.Table("orders"), "o_orderkey", "o_orderpriority")
 	}
 
 	var joined exec.Operator

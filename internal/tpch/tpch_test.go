@@ -328,12 +328,19 @@ func TestSnapshotQueriesUnderRefreshStream(t *testing.T) {
 			defer q.Close() // closes snap
 
 			// Cross-table prefix consistency of the captured instant.
-			liKeys, err := exec.CollectInt64(snap.Table("lineitem").ScanAll("l_orderkey"))
+			collect := func(table, column string) ([]int64, error) {
+				op, err := snap.Table(table).ScanAll(column)
+				if err != nil {
+					return nil, err
+				}
+				return exec.CollectInt64(op)
+			}
+			liKeys, err := collect("lineitem", "l_orderkey")
 			if err != nil {
 				t.Error(err)
 				return false
 			}
-			ordKeys, err := exec.CollectInt64(snap.Table("orders").ScanAll("o_orderkey"))
+			ordKeys, err := collect("orders", "o_orderkey")
 			if err != nil {
 				t.Error(err)
 				return false

@@ -115,6 +115,34 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTableSnapshotScanAllUnknownColumn: a snapshot scan of a column
+// the table does not have returns an error instead of panicking.
+func TestTableSnapshotScanAllUnknownColumn(t *testing.T) {
+	db := NewDatabase()
+	tb, err := db.CreateTable("t", Schema{{Name: "id", Kind: KindInt64}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Load([]Row{{I64(1)}, {I64(2)}, {I64(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := db.Snapshot("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if op, err := snap.Table("t").ScanAll("id", "nope"); err == nil || op != nil {
+		t.Fatalf("ScanAll of an unknown column: %v, %v; want an error", op, err)
+	}
+	op, err := snap.Table("t").ScanAll("id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := Count(op); err != nil || n != 3 {
+		t.Fatalf("ScanAll(id): %d rows, %v; want 3", n, err)
+	}
+}
+
 // ExampleRun is the package-doc quickstart: an ORDER BY over a nearly
 // sorted column, the access path left to the chooser.
 func ExampleRun() {

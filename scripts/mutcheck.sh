@@ -2,7 +2,8 @@
 # Mutation check for the NUC differentials, the minmax/scan tests, the
 # checkpoint/rewrite image tests, the rewrite protocol tests, the join
 # plans' compute-once test, the Merge/Sort differentials, the
-# partition-bounds lock-leak test and the descending LIS test.
+# partition-bounds lock-leak test, the descending LIS test and the
+# wrong-kind insert test.
 #
 # The insert and modify paths are pinned to the paper's algorithms by
 # twin-table differentials against test-only oracles, the block
@@ -13,11 +14,12 @@
 # differentials against stable-sort oracles, and the partition bounds
 # checks that run before a lock is taken by a lock-leak test, the
 # log-then-publish order of partition rewrites by a failed-append
-# recovery test and their permutation check by a rejection test, and
-# the descending LIS order by a MinInt64 test. This
-# script re-verifies that those tests have teeth: it copies the tree to a
-# temp directory, breaks one rule of the production code at a time, and
-# requires the matching test to FAIL. A mutation that still compiles
+# recovery test and their permutation check by a rejection test, the
+# descending LIS order by a MinInt64 test, and the value-kind check the
+# insert entry points and Load run before logging by a wrong-kind test.
+# This script re-verifies that those tests have teeth: it copies the
+# tree to a temp directory, breaks one rule of the production code at a
+# time, and requires the matching test to FAIL. A mutation that still compiles
 # and passes ("survived") means the test stopped covering that rule; a
 # mutation whose source pattern is gone ("stale") means this script needs
 # updating with the code. Either exits non-zero.
@@ -56,6 +58,7 @@ leak='^TestBadPartitionLeaksNoLock$'
 rwfail='^TestRewriteFailedAppendPublishesNothing$'
 rwperm='^TestReorderRejectsNonPermutation$'
 lisdesc='^TestDescendingAtMinInt64$'
+wrongkind='^TestWrongKindValueFailsBeforeLogging$'
 
 # mutate FILE replaces the one occurrence of $FROM by $TO (exit 3 unless
 # it occurs exactly once).
@@ -94,7 +97,7 @@ check() {
 }
 
 # The unmutated copy must pass, or "the test fails" proves nothing.
-if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt|$leak|$rwfail|$rwperm" ./internal/engine >/dev/null 2>&1 &&
+if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt|$leak|$rwfail|$rwperm|$wrongkind" ./internal/engine >/dev/null 2>&1 &&
 	go test -count=1 -run "$lisdesc" ./internal/lis >/dev/null 2>&1 &&
 	go test -count=1 -run "$mmprop" ./internal/storage >/dev/null 2>&1 &&
 	go test -count=1 -run "$scanids|$mergediff|$sortstable" ./internal/exec >/dev/null 2>&1 &&
@@ -107,6 +110,8 @@ check "insert: skip the value scans of hit partitions" $insert ./internal/engine
 	$'\tpatchValueHits(idx, ch.hits, func(q int) []T { return materialize[T](t.viewLocked(q), c.col) })\n' ''
 check "insert: skip the sealed force-patch" $insert ./internal/engine "$insdiff" \
 	$'case sealed.Contains(v):\n\t\t\tch.patched = append(ch.patched, i)\n' $'case sealed.Contains(v):\n'
+check "insert: skip the value-kind check" $insert ./internal/engine "$wrongkind" \
+	'if v.Kind != schema[c].Kind {' 'if false {'
 check "insert: drop the batch-duplicate rule" $insert ./internal/engine "$insdiff" \
 	$'\t\t\tni.inBatch[v]++\n' $'\t\t\tni.inBatch[v] = 1\n'
 check "insert: a chunk ignores a hit in a partition it does not hold" $dir ./internal/engine "$insdiff" \
