@@ -48,10 +48,6 @@ var keptWithoutCaller = map[string]string{
 	// Left to the ROADMAP items that retire them together with the
 	// tests that exercise them.
 	"internal/engine:Table.ScanPartition": "ROADMAP item 4 gives it a caller or deletes it",
-	"internal/bitmap:Bitmap.Grow":         "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
-	"internal/bitmap:Bitmap.Clone":        "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
-	"internal/bitmap:Bitmap.SizeBytes":    "ROADMAP item 10(c) deletes the flat Bitmap's unused API",
-	"internal/core:Index.Clone":           "ROADMAP item 10(c): the full-clone baseline of BenchmarkUpdateUnderSnapshot",
 	// The comparators and generators of the paper's figures, which only
 	// internal/experiments' benchmarks and checks run.
 	"internal/bitmap:Sharded.SetVectorized":   "Fig. 6 scalar-kernel series",
@@ -60,10 +56,6 @@ var keptWithoutCaller = map[string]string{
 	"internal/datagen:Histogram":              "Fig. 1 histogram",
 	"internal/datagen:KeyValueRows":           "Figs. 7-9 and Table 3 tables",
 	"internal/datagen:InsertBatch":            "Fig. 9 insert batches",
-	"internal/matview:CreateFromTable":        "Figs. 7-9 and Table 3 materialized view",
-	"internal/matview:View.RefreshFromTable":  "Fig. 9 materialized-view refresh",
-	"internal/matview:View.Scan":              "Figs. 7 and 9 materialized-view query",
-	"internal/matview:View.MemoryBytes":       "Table 3 and Fig. 11 materialized-view memory",
 	"internal/sortkey:SortKey.SortedScan":     "Figs. 7 and 9 SortKey query",
 	"internal/sortkey:SortKey.MemoryBytes":    "Fig. 11 SortKey memory",
 	"internal/bitmap:Bitmap.Get":              "Table 2 flat-bitmap series",

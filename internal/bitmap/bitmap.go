@@ -83,22 +83,6 @@ func (b *Bitmap) Delete(i uint64) {
 	b.check(i)
 	shiftTailLeftOne(b.words, i, b.n)
 	b.n--
-	if b.n > 0 {
-		// Clear the vacated slot so Grow can reuse zeroed capacity.
-		b.words[b.n>>logWord] &^= 1 << (b.n & wordMask)
-	}
-}
-
-// Grow appends extra unset bits at the end of the bitmap.
-func (b *Bitmap) Grow(extra uint64) {
-	newN := b.n + extra
-	need := wordsFor(newN)
-	if uint64(len(b.words)) < need {
-		nw := make([]uint64, need)
-		copy(nw, b.words)
-		b.words = nw
-	}
-	b.n = newN
 }
 
 // ForEachSet calls fn for each set bit in ascending position order. If fn
@@ -131,14 +115,4 @@ func (b *Bitmap) SetBits() []uint64 {
 		return true
 	})
 	return out
-}
-
-// SizeBytes returns the memory consumed by the bit storage.
-func (b *Bitmap) SizeBytes() uint64 { return uint64(len(b.words)) * 8 }
-
-// Clone returns a deep copy of the bitmap.
-func (b *Bitmap) Clone() *Bitmap {
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	return &Bitmap{words: w, n: b.n}
 }

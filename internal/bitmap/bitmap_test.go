@@ -1,9 +1,6 @@
 package bitmap
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func TestBitmapSetGetUnset(t *testing.T) {
 	b := New(200)
@@ -101,44 +98,6 @@ func TestBitmapDeleteAtWordBoundaries(t *testing.T) {
 	}
 }
 
-func TestBitmapGrow(t *testing.T) {
-	b := New(10)
-	b.Set(9)
-	b.Grow(100)
-	if b.Len() != 110 {
-		t.Fatalf("Len = %d, want 110", b.Len())
-	}
-	if !b.Get(9) {
-		t.Fatal("existing bit lost after Grow")
-	}
-	for i := uint64(10); i < 110; i++ {
-		if b.Get(i) {
-			t.Fatalf("grown bit %d should be unset", i)
-		}
-	}
-	b.Set(109)
-	if !b.Get(109) {
-		t.Fatal("cannot set grown bit")
-	}
-}
-
-func TestBitmapGrowAfterDelete(t *testing.T) {
-	// Delete must clear the vacated slot so Grow exposes zeroed bits.
-	b := New(128)
-	for i := uint64(0); i < 128; i++ {
-		b.Set(i)
-	}
-	for i := 0; i < 10; i++ {
-		b.Delete(0)
-	}
-	b.Grow(10)
-	for i := uint64(118); i < 128; i++ {
-		if b.Get(i) {
-			t.Fatalf("grown bit %d should be unset after deletes", i)
-		}
-	}
-}
-
 func TestBitmapForEachSetEarlyStop(t *testing.T) {
 	b := New(100)
 	for i := uint64(0); i < 100; i += 10 {
@@ -154,64 +113,9 @@ func TestBitmapForEachSetEarlyStop(t *testing.T) {
 	}
 }
 
-func TestBitmapClone(t *testing.T) {
-	b := New(100)
-	b.Set(42)
-	c := b.Clone()
-	c.Set(43)
-	if b.Get(43) {
-		t.Fatal("Clone is not a deep copy")
-	}
-	if !c.Get(42) {
-		t.Fatal("Clone lost bit 42")
-	}
-}
-
-func TestBitmapSerializationRoundtrip(t *testing.T) {
-	b := New(1000)
-	for i := uint64(0); i < 1000; i += 7 {
-		b.Set(i)
-	}
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	var r Bitmap
-	if _, err := r.ReadFrom(&buf); err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if r.Len() != b.Len() || r.Count() != b.Count() {
-		t.Fatalf("roundtrip mismatch: len %d/%d count %d/%d", r.Len(), b.Len(), r.Count(), b.Count())
-	}
-	for i := uint64(0); i < 1000; i++ {
-		if r.Get(i) != b.Get(i) {
-			t.Fatalf("bit %d differs after roundtrip", i)
-		}
-	}
-}
-
-func TestBitmapReadFromBadMagic(t *testing.T) {
-	var r Bitmap
-	if _, err := r.ReadFrom(bytes.NewReader(make([]byte, 16))); err == nil {
-		t.Fatal("ReadFrom accepted bad magic")
-	}
-}
-
-func TestBitmapSizeBytes(t *testing.T) {
-	b := New(1 << 20)
-	if got, want := b.SizeBytes(), uint64(1<<20/8); got != want {
-		t.Fatalf("SizeBytes = %d, want %d", got, want)
-	}
-}
-
 func TestBitmapEmpty(t *testing.T) {
 	b := New(0)
 	if b.Len() != 0 || b.Count() != 0 {
 		t.Fatal("empty bitmap not empty")
-	}
-	b.Grow(5)
-	b.Set(4)
-	if !b.Get(4) {
-		t.Fatal("grow from empty failed")
 	}
 }

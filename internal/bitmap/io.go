@@ -10,50 +10,10 @@ import (
 
 // Checkpoint support (Section 3.4): PatchIndexes are main-memory
 // structures that are either recreated after a restart or persisted as a
-// checkpoint. WriteTo/ReadFrom implement the checkpoint encoding for both
-// bitmap types using a small self-describing binary header.
+// checkpoint. WriteTo/ReadFrom implement the checkpoint encoding of the
+// sharded bitmap using a small self-describing binary header.
 
-const (
-	magicBitmap  = 0x50494231 // "PIB1"
-	magicSharded = 0x50495331 // "PIS1"
-)
-
-// WriteTo serializes the bitmap. It implements io.WriterTo.
-func (b *Bitmap) WriteTo(w io.Writer) (int64, error) {
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint32(hdr[0:], magicBitmap)
-	binary.LittleEndian.PutUint32(hdr[4:], 0)
-	binary.LittleEndian.PutUint64(hdr[8:], b.n)
-	if _, err := w.Write(hdr); err != nil {
-		return 0, err
-	}
-	written := int64(len(hdr))
-	n, err := writeWords(w, b.words[:wordsFor(b.n)])
-	return written + n, err
-}
-
-// ReadFrom deserializes a bitmap previously written with WriteTo. The
-// word array is read in bounded chunks, so a corrupt length cannot force
-// an allocation larger than the stream backing it.
-func (b *Bitmap) ReadFrom(r io.Reader) (int64, error) {
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magicBitmap {
-		return 0, errors.New("bitmap: bad magic in bitmap checkpoint")
-	}
-	if binary.LittleEndian.Uint32(hdr[4:]) != 0 {
-		return 0, errors.New("bitmap: corrupt checkpoint: nonzero reserved bytes")
-	}
-	b.n = binary.LittleEndian.Uint64(hdr[8:])
-	words, n, err := readWordsCapped(r, nil, wordsFor(b.n))
-	if err != nil {
-		return int64(len(hdr)) + n, err
-	}
-	b.words = words
-	return int64(len(hdr)) + n, nil
-}
+const magicSharded = 0x50495331 // "PIS1"
 
 // WriteTo serializes the sharded bitmap. It implements io.WriterTo.
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {

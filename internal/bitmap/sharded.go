@@ -384,21 +384,6 @@ func (s *Sharded) OverheadPercent() float64 {
 	return float64(wordBits) / float64(s.shardBits) * 100
 }
 
-// Clone returns a deep copy of the sharded bitmap, sharing nothing with
-// the receiver. Prefer Freeze for snapshotting: it defers the copying to
-// the shards that actually change.
-func (s *Sharded) Clone() *Sharded {
-	c := *s
-	c.shards = make([][]uint64, len(s.shards))
-	for i, w := range s.shards {
-		c.shards[i] = append([]uint64(nil), w...)
-	}
-	c.shared = make([]bool, len(s.shared))
-	c.starts = append([]uint64(nil), s.starts...)
-	c.startsMut = true
-	return &c
-}
-
 func min64(a, b uint64) uint64 {
 	if a < b {
 		return a

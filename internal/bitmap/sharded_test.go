@@ -387,19 +387,6 @@ func TestShardedSerializationRoundtrip(t *testing.T) {
 	r.Set(r.Len() - 1)
 }
 
-func TestShardedClone(t *testing.T) {
-	s := NewSharded(256, 64)
-	s.Set(100)
-	c := s.Clone()
-	c.Delete(0)
-	if s.Len() != 256 {
-		t.Fatal("Clone is not a deep copy (length changed)")
-	}
-	if !s.Get(100) {
-		t.Fatal("Clone is not a deep copy (bits shared)")
-	}
-}
-
 func TestShardedDeleteAll(t *testing.T) {
 	s := NewSharded(128, 64)
 	for i := uint64(0); i < 128; i++ {

@@ -395,19 +395,6 @@ func (x *Index) mutableIDs() []uint64 {
 	return x.ids
 }
 
-// Clone returns a fully independent deep copy of the index, including
-// the patch bitmap or identifier list. Prefer Freeze for snapshotting;
-// Clone remains for callers that need a mutable copy immediately.
-func (x *Index) Clone() *Index {
-	n := *x
-	if x.bm != nil {
-		n.bm = x.bm.Clone()
-	}
-	n.ids = append([]uint64(nil), x.ids...)
-	n.idsShared = false
-	return &n
-}
-
 // Validate checks internal invariants; it is used by tests and returns a
 // descriptive error on corruption.
 func (x *Index) Validate() error {

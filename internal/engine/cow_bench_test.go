@@ -17,13 +17,8 @@ import (
 //
 // With shard-granularity COW the per-op time stays flat as the table
 // (and hence the patch bitmap) grows: the update pays O(shards touched),
-// one shard here. The cow=fullclone variant reproduces the pre-existing
-// behavior — cloning the whole bitmap per update under snapshot — whose
-// per-op time grows linearly with the bitmap size. Comparing the two
-// demonstrates the sub-linear claim:
-//
-//	rows=65536    cow=shard ~flat   cow=fullclone ~1x
-//	rows=1048576  cow=shard ~flat   cow=fullclone ~16x
+// one shard here, where copying the whole bitmap per update under
+// snapshot would grow linearly with the bitmap size.
 //
 // BenchmarkDeleteCheckpointUnderQueryStream measures what a delete
 // checkpoint costs in a steady query+delete workload. Each iteration
@@ -97,41 +92,31 @@ func BenchmarkDeleteCheckpointUnderQueryStream(b *testing.B) {
 
 func BenchmarkUpdateUnderSnapshot(b *testing.B) {
 	for _, rows := range []int{1 << 16, 1 << 18, 1 << 20} {
-		for _, mode := range []string{"shard", "fullclone"} {
-			b.Run(fmt.Sprintf("rows=%d/cow=%s", rows, mode), func(b *testing.B) {
-				db := NewDatabase()
-				tb, err := db.CreateTable("t", storage.Schema{{Name: "v", Kind: storage.KindInt64}}, 1)
-				if err != nil {
+		b.Run(fmt.Sprintf("rows=%d/cow=shard", rows), func(b *testing.B) {
+			db := NewDatabase()
+			tb, err := db.CreateTable("t", storage.Schema{{Name: "v", Kind: storage.KindInt64}}, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vals := make([]int64, rows)
+			for i := range vals {
+				vals[i] = int64(i)
+			}
+			LoadColumnInt64(tb, vals)
+			// Default shard size (2^14): 1<<20 rows span 64 shards.
+			if err := tb.CreatePatchIndex("v", core.NearlySorted, core.Options{Design: core.DesignBitmap}); err != nil {
+				b.Fatal(err)
+			}
+			row := []storage.Row{{storage.I64(-1)}} // below the sorted tail -> always a patch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snap := tb.Snapshot()
+				if err := db.Insert("t", row); err != nil {
 					b.Fatal(err)
 				}
-				vals := make([]int64, rows)
-				for i := range vals {
-					vals[i] = int64(i)
-				}
-				LoadColumnInt64(tb, vals)
-				// Default shard size (2^14): 1<<20 rows span 64 shards.
-				if err := tb.CreatePatchIndex("v", core.NearlySorted, core.Options{Design: core.DesignBitmap}); err != nil {
-					b.Fatal(err)
-				}
-				row := []storage.Row{{storage.I64(-1)}} // below the sorted tail -> always a patch
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					snap := tb.Snapshot()
-					if mode == "fullclone" {
-						// The old COW: clone every per-partition index
-						// (whole bitmap) before mutating, as
-						// mutableIndexesLocked did before shard sharing.
-						for _, x := range tb.PatchIndexes("v") {
-							_ = x.Clone()
-						}
-					}
-					if err := db.Insert("t", row); err != nil {
-						b.Fatal(err)
-					}
-					snap.Close()
-				}
-			})
-		}
+				snap.Close()
+			}
+		})
 	}
 }

@@ -115,7 +115,8 @@ func (t *Table) deleteRowIDsLocked(db *Database, partition int, rowIDs []uint64)
 }
 
 // DeleteWhereInt64 deletes all tuples whose value in column satisfies
-// pred, across all partitions, and returns the number of deleted tuples.
+// pred, across all partitions, and returns the number of deleted tuples;
+// on an error, those of the partitions deleted before the one that failed.
 // The scan-and-delete must observe and mutate one consistent table
 // state, so it holds every partition lock for its duration. An unknown
 // or non-BIGINT column is an error, reported before any lock is taken.
@@ -145,11 +146,11 @@ func (db *Database) DeleteWhereInt64(table, column string, pred func(int64) bool
 		if len(rowIDs) == 0 {
 			continue
 		}
-		total += len(rowIDs)
 		//pilint:ignore lockblock bitmap.BulkDelete's work channel is buffered and prefilled and its workers are CPU-bound shard shifts; delete maintenance owns the partition by design
 		if err := t.deleteRowIDsLocked(db, p, rowIDs); err != nil {
 			return total, err
 		}
+		total += len(rowIDs)
 	}
 	return total, nil
 }

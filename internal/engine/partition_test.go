@@ -369,3 +369,31 @@ func TestDeleteWhereInt64RejectsBadColumns(t *testing.T) {
 		})
 	}
 }
+
+// TestDeleteWhereCountsOnlyDeletedRows: when one partition's delete
+// cannot be logged, DeleteWhereInt64 returns the error together with the
+// number of rows it did delete; that partition and the later ones stay
+// intact, and recovery returns the live contents.
+func TestDeleteWhereCountsOnlyDeletedRows(t *testing.T) {
+	dir := t.TempDir()
+	db, tb := newWALTable(t, 3, dir)
+	before := tableContents(tb)
+	if err := tb.wal.segs[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := db.DeleteWhereInt64("t", "k", func(int64) bool { return true })
+	if err == nil {
+		t.Fatal("DeleteWhereInt64 returned no error with partition 1's segment closed")
+	}
+	after := tableContents(tb)
+	removed := 0
+	for p := range before {
+		removed += len(before[p]) - len(after[p])
+	}
+	if n != removed || len(after[0]) != 0 {
+		t.Fatalf("DeleteWhereInt64 = %d, but %d rows were removed and partition 0 kept %d", n, removed, len(after[0]))
+	}
+	comparePartitions(t, "partitions 1 and 2", after[1:], before[1:])
+	got, _ := recoveredContents(t, dir, "t", "k")
+	comparePartitions(t, "recovered", got, after)
+}

@@ -309,8 +309,8 @@ func TestConcurrentSortVsUpdates(t *testing.T) {
 }
 
 // TestSnapshotViewsSurviveCheckpointCycle: an open snapshot's Views()
-// must stay stable across a full insert+delete+checkpoint cycle (the matview
-// refresh pattern).
+// must stay stable across a full insert+delete+checkpoint cycle (the
+// materialized view's refresh pattern).
 func TestSnapshotViewsSurviveCheckpointCycle(t *testing.T) {
 	db := newDB(t)
 	tb := singleColTable(t, db, "t", seq(40), 2)

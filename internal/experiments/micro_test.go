@@ -10,7 +10,6 @@ import (
 	"patchindex/internal/datagen"
 	"patchindex/internal/engine"
 	"patchindex/internal/exec"
-	"patchindex/internal/matview"
 	"patchindex/internal/query"
 	"patchindex/internal/sortkey"
 	"patchindex/internal/storage"
@@ -36,7 +35,7 @@ type fixture struct {
 	rows  int
 	db    *engine.Database
 	t     *engine.Table
-	mv    *matview.View
+	mv    *matView
 	sk    *sortkey.SortKey
 	chunk int // update queries applied so far
 }
@@ -70,7 +69,7 @@ func (f *fixture) build(tb testing.TB) {
 		if f.c == core.NearlySorted {
 			f.sk, err = sortkey.CreateEngine(f.t, "val", false)
 		} else {
-			f.mv, err = matview.CreateFromTable(f.t, 1)
+			f.mv, err = matViewFromTable(f.t, 1)
 		}
 	}
 	must(tb, err)
@@ -82,7 +81,7 @@ func (f *fixture) query(tb testing.TB) exec.Operator {
 	tb.Helper()
 	switch {
 	case f.mv != nil:
-		return f.mv.Scan()
+		return f.mv.scan()
 	case f.sk != nil:
 		return f.sk.SortedScan()
 	}
@@ -131,7 +130,7 @@ func (f *fixture) update(tb testing.TB, op string, g int) {
 		must(tb, f.db.DeleteRowIDs("t", p, ids))
 	}
 	if f.mv != nil {
-		must(tb, f.mv.RefreshFromTable(f.t, 1))
+		must(tb, f.mv.refreshFromTable(f.t, 1))
 	}
 	if f.sk != nil {
 		must(tb, f.sk.RebuildChecked())
@@ -327,7 +326,7 @@ func table3Memory(tb testing.TB, rows int, e float64) (bitmapB, identifierB, vie
 		f := load(tb, rows, core.NearlyUnique, e, a)
 		f.build(tb)
 		if f.mv != nil {
-			out[i] = f.mv.MemoryBytes()
+			out[i] = f.mv.memoryBytes()
 		} else {
 			out[i] = f.t.IndexMemoryBytes("val")
 		}

@@ -100,7 +100,7 @@ func (c *Compiled) Close() { c.Root.Close() }
 // snapshot. The snapshot must stay open until the returned operator is
 // drained; closing it earlier invalidates the frozen views mid-flight.
 func CompileSnapshot(p *Plan, snap *engine.DatabaseSnapshot, opts Options) (*Compiled, error) {
-	c := &compiler{snap: snap, opts: opts, res: &Compiled{}}
+	c := &compiler{snap: snap, opts: opts, res: &Compiled{}, builds: map[*joinNode]*exec.Cached{}}
 	root, err := c.compile(p.n)
 	if err != nil {
 		return nil, err
@@ -113,6 +113,9 @@ type compiler struct {
 	snap *engine.DatabaseSnapshot
 	opts Options
 	res  *Compiled
+	// builds holds each probe-side join step's build subtree, compiled
+	// once per query and read by every fact stream through Load.
+	builds map[*joinNode]*exec.Cached
 }
 
 func (c *compiler) compile(n node) (exec.Operator, error) {
@@ -481,7 +484,7 @@ func (c *compiler) applySteps(steps []node, op exec.Operator) (exec.Operator, er
 			}
 			op = exec.NewFilter(op, pred)
 		case *joinNode:
-			build, err := c.compile(s.right)
+			build, err := c.build(s)
 			if err != nil {
 				return nil, err
 			}
@@ -499,6 +502,20 @@ func (c *compiler) applySteps(steps []node, op exec.Operator) (exec.Operator, er
 		}
 	}
 	return op, nil
+}
+
+// build returns a reader of the join step's build subtree. The subtree
+// is compiled and drained once per query, however many fact streams
+// (and the validation pass) apply the step.
+func (c *compiler) build(j *joinNode) (exec.Operator, error) {
+	if _, ok := c.builds[j]; !ok {
+		op, err := c.compile(j.right)
+		if err != nil {
+			return nil, err
+		}
+		c.builds[j] = exec.NewReuseCache(op)
+	}
+	return c.builds[j].Load(), nil
 }
 
 // spinePred conjoins all selection predicates on the spine (nil when

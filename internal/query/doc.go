@@ -63,10 +63,11 @@
 // no index exists falls back to the reference lowering (see
 // ForcePatchIndex).
 //
-// A choosable join compiles its dimension subtree once. The reference
-// and patch plans both read it through one exec.Cached shared by every
-// fact partition, so the dimension subtree "X" is computed and
-// materialized once per query, as the cost model charges it.
+// A choosable join compiles its dimension subtree once, and so does
+// each join step on its fact spine with its build subtree. The reference
+// and patch plans read each through one exec.Cached shared by every fact
+// stream, so the dimension subtree "X" is computed and materialized once
+// per query, as the cost model charges it.
 //
 // Inputs are partition row counts, live patch counts (exception rates),
 // and dimension-side cardinality estimates. Estimates start from

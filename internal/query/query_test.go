@@ -188,6 +188,51 @@ func TestJoinModesAgree(t *testing.T) {
 	}
 }
 
+// TestProbeSideJoinComputedOnce: a join step on the fact spine builds
+// its subtree once per query, however many fact streams apply the step —
+// one per partition in the reference plan, two in the patch plan, plus
+// the validation pass — so exactly one scan reads the side table, once.
+func TestProbeSideJoinComputedOnce(t *testing.T) {
+	db := factDim(t, 400, 20, 5, 4, func(i int) int64 { return int64(i * 7) })
+	side, err := db.CreateTable("side", storage.Schema{
+		{Name: "sk", Kind: storage.KindInt64},
+		{Name: "sv", Kind: storage.KindInt64},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sideRows = 50
+	srows := make([]storage.Row, sideRows)
+	for i := range srows {
+		srows[i] = storage.Row{storage.I64(int64(i * 6)), storage.I64(int64(i))}
+	}
+	side.Load(srows)
+	p := From("fact", "fk", "fv").
+		Join(From("side", "sk", "sv"), "fv", "sk").
+		Join(From("dim", "dk", "dv"), "fk", "dk")
+	var answers []string
+	for mode, access := range map[Mode]plan.Access{ForceReference: plan.AccessReference, ForcePatchIndex: plan.AccessPatchIndex} {
+		got, c := mustRun(t, db, p, Options{Mode: mode})
+		if len(got) == 0 || len(c.Decisions) != 1 || c.Decisions[0].Access != access {
+			t.Fatalf("mode %v: %d rows, decisions %+v", mode, len(got), c.Decisions)
+		}
+		answers = append(answers, rowsKey(got))
+		var scans, visited int
+		for _, s := range c.Scans {
+			if s.Schema()[0].Name == "sk" {
+				scans++
+				visited += s.RowsVisited
+			}
+		}
+		if scans != 1 || visited != sideRows {
+			t.Fatalf("mode %v: %d scans of the side table visited %d rows, want 1 scan of %d rows", mode, scans, visited, sideRows)
+		}
+	}
+	if answers[0] != answers[1] {
+		t.Fatal("the patch plan's result differs from the reference plan's")
+	}
+}
+
 // TestJoinBreakEvenSwitch pins the acceptance criterion: the optimizer
 // switches between the patch-index join and the reference join as the
 // fact table's exception rate crosses the cost model's break-even.

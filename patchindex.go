@@ -27,8 +27,8 @@
 //     throughout and makes the whole batch visible atomically; both
 //     classify collisions from the same directory instead of the
 //     paper's join
-//   - internal/matview, internal/sortkey, internal/joinindex: the
-//     comparator materialization approaches of the evaluation
+//   - internal/sortkey, internal/joinindex (and the materialized view of
+//     internal/experiments' tests): the evaluation's comparators
 //   - internal/datagen, internal/tpch: the paper's data generator and
 //     the TPC-H subset of Section 6.3
 //

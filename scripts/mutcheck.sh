@@ -2,8 +2,9 @@
 # Mutation check for the NUC differentials, the minmax/scan tests, the
 # checkpoint/rewrite image tests, the rewrite protocol tests, the join
 # plans' compute-once test, the Merge/Sort differentials, the
-# partition-bounds lock-leak test, the descending LIS test and the
-# wrong-kind insert test.
+# partition-bounds lock-leak test, the descending LIS test, the
+# wrong-kind insert test, the Freeze independence test, the probe-side
+# join's compute-once test and the failed-delete count test.
 #
 # The insert and modify paths are pinned to the paper's algorithms by
 # twin-table differentials against test-only oracles, the block
@@ -15,8 +16,11 @@
 # checks that run before a lock is taken by a lock-leak test, the
 # log-then-publish order of partition rewrites by a failed-append
 # recovery test and their permutation check by a rejection test, the
-# descending LIS order by a MinInt64 test, and the value-kind check the
-# insert entry points and Load run before logging by a wrong-kind test.
+# descending LIS order by a MinInt64 test, the value-kind check the
+# insert entry points and Load run before logging by a wrong-kind test,
+# the identifier list a PatchIndex Freeze shares copy-on-write by an
+# independence test, the probe-side join's one build per query by a
+# counting test, and DeleteWhereInt64's count by a failed-append test.
 # This script re-verifies that those tests have teeth: it copies the
 # tree to a temp directory, breaks one rule of the production code at a
 # time, and requires the matching test to FAIL. A mutation that still compiles
@@ -45,6 +49,8 @@ sortgo=internal/exec/sort.go
 approx=internal/engine/approx.go
 reorg=internal/engine/reorg.go
 lisgo=internal/lis/lis.go
+index=internal/core/index.go
+compile=internal/query/compile.go
 insdiff='^TestInsertRowsDifferentialVsInsert$'
 moddiff='^TestModifyNUCDifferentialVsJoin$'
 mmprop='^TestMinMaxSurvivesWritesProperty$'
@@ -59,6 +65,9 @@ rwfail='^TestRewriteFailedAppendPublishesNothing$'
 rwperm='^TestReorderRejectsNonPermutation$'
 lisdesc='^TestDescendingAtMinInt64$'
 wrongkind='^TestWrongKindValueFailsBeforeLogging$'
+freeze='^TestCloneIndependence$'
+probeonce='^TestProbeSideJoinComputedOnce$'
+delcount='^TestDeleteWhereCountsOnlyDeletedRows$'
 
 # mutate FILE replaces the one occurrence of $FROM by $TO (exit 3 unless
 # it occurs exactly once).
@@ -97,8 +106,10 @@ check() {
 }
 
 # The unmutated copy must pass, or "the test fails" proves nothing.
-if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt|$leak|$rwfail|$rwperm|$wrongkind" ./internal/engine >/dev/null 2>&1 &&
+if ! (cd "$work" && go test -count=1 -run "$insdiff|$moddiff|$ckptrt|$rwfmt|$leak|$rwfail|$rwperm|$wrongkind|$delcount" ./internal/engine >/dev/null 2>&1 &&
 	go test -count=1 -run "$lisdesc" ./internal/lis >/dev/null 2>&1 &&
+	go test -count=1 -run "$freeze" ./internal/core >/dev/null 2>&1 &&
+	go test -count=1 -run "$probeonce" ./internal/query >/dev/null 2>&1 &&
 	go test -count=1 -run "$mmprop" ./internal/storage >/dev/null 2>&1 &&
 	go test -count=1 -run "$scanids|$mergediff|$sortstable" ./internal/exec >/dev/null 2>&1 &&
 	go test -count=1 -run "$dimonce" ./internal/plan >/dev/null 2>&1); then
@@ -155,5 +166,11 @@ check "reorder: no permutation check" $storage ./internal/engine "$rwperm" \
 	'if r < 0 || r >= n || seen[r] {' 'if r < 0 || r >= n {'
 check "lis: negate instead of complement" $lisgo ./internal/lis "$lisdesc" \
 	$'\t\treturn ^v\n' $'\t\treturn -v\n'
+check "Freeze leaves the identifier list unshared" $index ./internal/core "$freeze" \
+	$'\t\tx.idsShared = true\n' ''
+check "probe-side join compiles its build per stream" $compile ./internal/query "$probeonce" \
+	'build, err := c.build(s)' 'build, err := c.compile(s.right)'
+check "DeleteWhereInt64 counts a partition before deleting it" $maint ./internal/engine "$delcount" \
+	$'\t\t\treturn total, err\n\t\t}\n\t\ttotal += len(rowIDs)\n' $'\t\t\treturn total + len(rowIDs), err\n\t\t}\n\t\ttotal += len(rowIDs)\n'
 
 exit $failed
